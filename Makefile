@@ -17,13 +17,14 @@
 #   make net-fleet-gate  multi-process HTTP fleet gate (shard processes, network faults, kills)
 #   make pmodel-gate persistency-contract differential gate (x86 vs cxl verdict matrix)
 #   make stress      cancellation / timeout / partial-report stress tests
+#   make bench-selftest  vet + self-test the benchmark harness (perfbench/, its own module)
 #   make ci          everything above, in order
 
 GO ?= go
 FUZZTIME ?= 30s
 FAULTSEED ?= 42
 
-.PHONY: build test race vet fuzz-short bench cache-gate serve-gate crashsim faults fuzz-gate soak-short soak fleet-gate net-fleet-gate pmodel-gate stress ci clean
+.PHONY: build test race vet fuzz-short bench cache-gate serve-gate crashsim faults fuzz-gate soak-short soak fleet-gate net-fleet-gate pmodel-gate stress bench-selftest ci clean
 
 build:
 	$(GO) build ./...
@@ -125,7 +126,12 @@ pmodel-gate: build
 stress:
 	$(GO) test -run 'Cancel|Timeout|Deadline|Partial|Panic|Retry' ./internal/... ./cmd/...
 
-ci: build vet test race fuzz-short cache-gate serve-gate crashsim faults fuzz-gate soak-short fleet-gate net-fleet-gate pmodel-gate stress
+# The benchmark harness is its own module (replace deepmc => ../), so
+# the root build never compiles it; this keeps the API it calls honest.
+bench-selftest:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
+
+ci: build vet test race fuzz-short cache-gate serve-gate crashsim faults fuzz-gate soak-short fleet-gate net-fleet-gate pmodel-gate stress bench-selftest
 
 clean:
 	$(GO) clean ./...

@@ -210,17 +210,47 @@ func runContext(timeout time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), timeout)
 }
 
-// parseFaults turns the -faults/-fault-seed/-fault-rate flags into a
+// faultFlags declares the -faults/-fault-seed/-fault-rate group on fs.
+// The returned function lowers the parsed values into an injection
 // config (nil when no classes are selected).
-func parseFaults(classes string, seed int64, rate float64) (*faultinj.Config, error) {
-	cls, err := faultinj.ParseClasses(classes)
-	if err != nil {
-		return nil, err
+func faultFlags(fs *flag.FlagSet) func() (*faultinj.Config, error) {
+	classes := fs.String("faults", "", "fault classes to inject (torn,dropped,reordered,delayed or \"all\")")
+	seed := fs.Int64("fault-seed", 1, "fault-injection schedule seed")
+	rate := fs.Float64("fault-rate", 1, "per-opportunity injection probability (0,1]")
+	return func() (*faultinj.Config, error) {
+		cls, err := faultinj.ParseClasses(*classes)
+		if err != nil || len(cls) == 0 {
+			return nil, err
+		}
+		return &faultinj.Config{Classes: cls, Rate: *rate, Seed: *seed}, nil
 	}
-	if len(cls) == 0 {
-		return nil, nil
+}
+
+// passFlags declares the -passes/-disable-pass group on fs.  The
+// returned function lowers the parsed selection into cfg.
+func passFlags(fs *flag.FlagSet) func(cfg *core.Config) {
+	ids := fs.String("passes", "", "comma-separated pass IDs to enable (default: all; see 'deepmc passes')")
+	var disable stringList
+	fs.Var(&disable, "disable-pass", "pass ID to disable (repeatable)")
+	return func(cfg *core.Config) {
+		var enable []string
+		for _, id := range strings.Split(*ids, ",") {
+			if id = strings.TrimSpace(id); id != "" {
+				enable = append(enable, id)
+			}
+		}
+		cfg.Passes, cfg.DisablePasses = enable, disable
 	}
-	return &faultinj.Config{Classes: cls, Rate: rate, Seed: seed}, nil
+}
+
+// pmodelFlag declares -pmodel on fs; a non-empty note is the command's
+// addendum to the shared help text.
+func pmodelFlag(fs *flag.FlagSet, note string) *string {
+	usage := "hardware persistency contract: x86 or cxl"
+	if note != "" {
+		usage += " (" + note + ")"
+	}
+	return fs.String("pmodel", "x86", usage)
 }
 
 func loadModule(path string) (*ir.Module, error) {
@@ -241,16 +271,14 @@ func loadModule(path string) (*ir.Module, error) {
 func cmdCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
 	model := fs.String("model", "strict", "persistency model the program implements")
-	pmodel := fs.String("pmodel", "x86", "hardware persistency contract: x86 (clwb/sfence) or cxl (global barriers + whole-heap persistence domain)")
+	pmodel := pmodelFlag(fs, "x86 = clwb/sfence; cxl = global barriers + whole-heap persistence domain")
 	all := fs.Bool("all", false, "check every function standalone, not just roots")
 	field := fs.Bool("field", true, "field-sensitive points-to analysis")
 	jobs := fs.Int("jobs", 0, "checker worker count (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "per-module analysis deadline (0 = none)")
-	passIDs := fs.String("passes", "", "comma-separated pass IDs to enable (default: all; see 'deepmc passes')")
+	selectPasses := passFlags(fs)
 	cacheDir := fs.String("cache-dir", "", "content-hashed analysis cache directory (memoizes per-function results)")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable JSON report")
-	var disable stringList
-	fs.Var(&disable, "disable-pass", "pass ID to disable (repeatable)")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
 		return fmt.Errorf("check: no input files")
@@ -258,8 +286,8 @@ func cmdCheck(args []string) error {
 	cfg := core.Config{
 		Model: *model, PModel: *pmodel, AllFunctions: *all, FieldInsensitive: !*field,
 		Workers: *jobs, ModuleTimeout: *timeout,
-		Passes: splitIDs(*passIDs), DisablePasses: disable,
 	}
+	selectPasses(&cfg)
 	if err := setupCache(&cfg, *cacheDir); err != nil {
 		return err
 	}
@@ -274,7 +302,7 @@ func cmdCheck(args []string) error {
 	// Modules are analyzed concurrently, each with its own worker-pool
 	// checker and deadline; reports come back in input order regardless.
 	// A failed module yields a nil report slot, not a batch abort.
-	reps, errs := core.AnalyzeJobsCtx(context.Background(), jobList, cfg.ResolvedWorkers())
+	reps, errs := core.AnalyzeJobs(context.Background(), jobList, *jobs)
 	sawViol, sawFail := false, false
 	for i, path := range fs.Args() {
 		if reps[i] == nil {
@@ -317,13 +345,9 @@ func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	entry := fs.String("entry", "main", "entry function")
 	timeout := fs.Duration("timeout", 0, "run deadline (0 = none)")
-	faults := fs.String("faults", "", "fault classes to inject (torn,dropped,reordered,delayed or \"all\")")
-	faultSeed := fs.Int64("fault-seed", 1, "fault-injection schedule seed")
-	faultRate := fs.Float64("fault-rate", 1, "per-opportunity injection probability (0,1]")
-	pmodel := fs.String("pmodel", "x86", "hardware persistency contract: x86 or cxl")
-	passIDs := fs.String("passes", "", "comma-separated pass IDs to enable (default: all)")
-	var disable stringList
-	fs.Var(&disable, "disable-pass", "pass ID to disable (repeatable)")
+	faults := faultFlags(fs)
+	pmodel := pmodelFlag(fs, "")
+	selectPasses := passFlags(fs)
 	var runArgs intList
 	fs.Var(&runArgs, "arg", "integer argument (repeatable)")
 	fs.Parse(args)
@@ -334,21 +358,22 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	fc, err := parseFaults(*faults, *faultSeed, *faultRate)
+	fc, err := faults()
 	if err != nil {
 		return err
 	}
 	ctx, cancel := runContext(*timeout)
 	defer cancel()
-	cfg := core.Config{Passes: splitIDs(*passIDs), DisablePasses: disable, PModel: *pmodel}
-	rep, sched, err := core.RunDynamicCfg(ctx, m, cfg, *entry, fc, runArgs...)
+	cfg := core.Config{PModel: *pmodel}
+	selectPasses(&cfg)
+	rep, sched, err := core.RunDynamic(ctx, m, cfg, *entry, fc, runArgs...)
 	if err != nil {
 		return err
 	}
 	fmt.Print(rep)
 	if sched != nil {
 		fmt.Printf("%d faults injected (seed %d); schedule:\n%s",
-			sched.Injections(), *faultSeed, sched.Log())
+			sched.Injections(), fc.Seed, sched.Log())
 	}
 	if len(rep.Warnings) > 0 {
 		os.Exit(cli.ExitViolations)
@@ -362,15 +387,14 @@ func cmdRun(args []string) error {
 func cmdCorpus(args []string) error {
 	fs := flag.NewFlagSet("corpus", flag.ExitOnError)
 	name := fs.String("name", "", "restrict to one framework")
-	jobs := fs.Int("jobs", 1, "checker worker count (0 = GOMAXPROCS)")
+	jobs := fs.Int("jobs", 0, "checker worker count (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "whole-corpus deadline (0 = none)")
-	passIDs := fs.String("passes", "", "comma-separated pass IDs to enable (default: all)")
+	selectPasses := passFlags(fs)
 	cacheDir := fs.String("cache-dir", "", "content-hashed analysis cache directory")
-	pmodel := fs.String("pmodel", "x86", "hardware persistency contract: x86 or cxl")
-	var disable stringList
-	fs.Var(&disable, "disable-pass", "pass ID to disable (repeatable)")
+	pmodel := pmodelFlag(fs, "")
 	fs.Parse(args)
-	cfg := core.Config{Workers: *jobs, Passes: splitIDs(*passIDs), DisablePasses: disable, PModel: *pmodel}
+	cfg := core.Config{Workers: *jobs, PModel: *pmodel}
+	selectPasses(&cfg)
 	if err := setupCache(&cfg, *cacheDir); err != nil {
 		return err
 	}
@@ -491,12 +515,10 @@ func cmdCrashsim(args []string) error {
 	prune := fs.Bool("prune", true, "restrict crash points to persist-relevant boundaries")
 	entry := fs.String("entry", "main", "entry function (file mode)")
 	timeout := fs.Duration("timeout", 0, "enumeration deadline (0 = none)")
-	faults := fs.String("faults", "", "fault classes to inject (torn,dropped,reordered,delayed or \"all\")")
-	faultSeed := fs.Int64("fault-seed", 1, "fault-injection schedule seed")
-	faultRate := fs.Float64("fault-rate", 1, "per-opportunity injection probability (0,1]")
-	pmodel := fs.String("pmodel", "x86", "hardware persistency contract: x86 or cxl (adds the device-failure image to every enumeration)")
+	faults := faultFlags(fs)
+	pmodel := pmodelFlag(fs, "adds the device-failure image to every enumeration")
 	fs.Parse(args)
-	fc, err := parseFaults(*faults, *faultSeed, *faultRate)
+	fc, err := faults()
 	if err != nil {
 		return err
 	}
@@ -513,7 +535,7 @@ func cmdCrashsim(args []string) error {
 			// Fault-gate mode: per selected class, every bug must still
 			// be detected under injection and every fix stay clean, with
 			// a byte-replayable schedule.
-			rs, err := corpus.FaultDifferential(ctx, *faultSeed, o, fc.Classes...)
+			rs, err := corpus.FaultDifferential(ctx, fc.Seed, o, fc.Classes...)
 			if err != nil {
 				return err
 			}
@@ -586,7 +608,7 @@ func cmdFuzz(args []string) error {
 	corpusDir := fs.String("corpus-dir", "", "persist coverage-increasing genomes here and seed from them")
 	target := fs.String("target", "", "built-in target name or a .pir file (empty = all built-ins)")
 	timeout := fs.Duration("timeout", 0, "fuzzing deadline (0 = none)")
-	pmodel := fs.String("pmodel", "x86", "hardware persistency contract: x86 or cxl (witnesses record and replay under it)")
+	pmodel := pmodelFlag(fs, "witnesses record and replay under it")
 	fs.Parse(args)
 	if fs.NArg() != 0 {
 		return fmt.Errorf("fuzz: unexpected arguments %q (use -target)", fs.Args())
@@ -731,10 +753,14 @@ func cmdTier(args []string) error {
 	if *dir == "" {
 		return fmt.Errorf("tier: -dir is required")
 	}
-	tier, err := fleet.NewVerdictTier(*dir, *cap_, *flushEvery)
+	tier, err := anacache.NewLazy(*dir)
 	if err != nil {
 		return err
 	}
+	if *cap_ > 0 {
+		tier.SetDiskCap(*cap_)
+	}
+	stopFlush := tier.FlushLoop(*flushEvery)
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -756,7 +782,7 @@ func cmdTier(args []string) error {
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	srv.Shutdown(sctx)
-	if err := tier.Close(); err != nil {
+	if err := stopFlush(); err != nil {
 		return fmt.Errorf("tier: flush: %w", err)
 	}
 	fmt.Fprintln(os.Stderr, "deepmc tier: flushed and stopped")
@@ -768,6 +794,7 @@ func cmdFleet(args []string) error {
 	shards := fs.Int("shards", 4, "failure-independent shard workers")
 	model := fs.String("model", "strict", "persistency model for .pir inputs")
 	all := fs.Bool("all", false, "check every function standalone")
+	// Default 1, unlike check: the shards carry the fan-out.
 	jobsN := fs.Int("jobs", 1, "per-analysis checker workers (0 = GOMAXPROCS; shard fan-out carries throughput)")
 	cacheDir := fs.String("cache-dir", "", "shared verdict tier directory (read-through/write-behind)")
 	cacheCap := fs.Int("cache-cap", 0, "max disk entries in the shared tier, LRU-evicted (0 = unbounded)")
@@ -776,23 +803,16 @@ func cmdFleet(args []string) error {
 	kill := fs.Int("kill", 0, "chaos: kill and restart this many random shards mid-run")
 	seed := fs.Int64("seed", 1, "chaos and backoff-jitter seed")
 	timeout := fs.Duration("timeout", 0, "whole-run deadline (0 = none)")
-	passIDs := fs.String("passes", "", "comma-separated pass IDs to enable (default: all)")
+	selectPasses := passFlags(fs)
 	shardURLs := fs.String("shard-urls", "", "comma-separated shard daemon base URLs; jobs travel over HTTP instead of in-process workers (overrides -shards)")
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request deadline against HTTP shards")
 	netFaults := fs.String("net-faults", "", "inject transport faults against HTTP shards: all or comma-set of latency,slowbytes,reset,blackhole")
 	netRate := fs.Float64("net-fault-rate", 0.1, "per-dial probability of each enabled network fault class")
 	netSeed := fs.Int64("net-seed", 1, "network fault schedule seed (same seed = same per-dial schedule)")
-	var disable stringList
-	fs.Var(&disable, "disable-pass", "pass ID to disable (repeatable)")
 	fs.Parse(args)
 
-	base := core.Config{
-		Model:         *model,
-		AllFunctions:  *all,
-		Workers:       *jobsN,
-		Passes:        splitIDs(*passIDs),
-		DisablePasses: disable,
-	}
+	base := core.Config{Model: *model, AllFunctions: *all, Workers: *jobsN}
+	selectPasses(&base)
 	var jobs []fleet.Job
 	if fs.NArg() == 0 {
 		for _, p := range corpus.All() {
@@ -849,7 +869,7 @@ func cmdFleet(args []string) error {
 			}
 			inj = netfault.New(netfault.Config{Classes: classes, Rate: *netRate, Seed: *netSeed})
 		}
-		fcfg.NewTransport = func(shard int, _ *fleet.VerdictTier) (fleet.Transport, error) {
+		fcfg.NewTransport = func(shard int, _ *anacache.Cache) (fleet.Transport, error) {
 			opts := fleet.HTTPOptions{RequestTimeout: *reqTimeout}
 			if inj != nil {
 				opts.Dial = inj.WrapDial(nil)
@@ -940,7 +960,7 @@ func cmdSoak(args []string) error {
 	tracked := fs.Bool("tracked", false, "attach the sharded dynamic checker to every partition")
 	stripes := fs.Int("stripes", 0, "checker shadow-directory stripes (0 = default, 1 = global-mutex baseline)")
 	buggy := fs.Bool("buggy", false, "plant the app's crash-consistency bug (memcache, nstore)")
-	pmodel := fs.String("pmodel", "x86", "hardware persistency contract: x86 or cxl (a whole-heap persistence domain heals the planted flush/fence bugs)")
+	pmodel := pmodelFlag(fs, "a whole-heap persistence domain heals the planted flush/fence bugs")
 	fs.Parse(args)
 	if fs.NArg() != 0 {
 		return fmt.Errorf("soak: unexpected arguments %q", fs.Args())
@@ -1000,20 +1020,6 @@ func lookupMix(name string) (workload.Mix, error) {
 		}
 	}
 	return workload.Mix{}, fmt.Errorf("soak: unknown mix %q (have %s)", name, strings.Join(names, ", "))
-}
-
-// splitIDs parses a comma-separated -passes value (empty = all passes).
-func splitIDs(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, id := range strings.Split(s, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // setupCache enables the analysis cache when -cache-dir is given: one

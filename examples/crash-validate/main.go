@@ -76,7 +76,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := crashsim.Enumerate(m, "main", invariant, 1)
+		res, err := crashsim.EnumerateOpts(m, "main", invariant, crashsim.Options{Stride: 1, Workers: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

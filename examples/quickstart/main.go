@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"deepmc/internal/core"
+	"deepmc/internal/ir"
 )
 
 // program is a small strict-persistency NVM routine with two planted
@@ -49,8 +50,12 @@ func main() {
 `
 
 func main() {
+	m, err := ir.Parse(program)
+	if err != nil {
+		log.Fatal(err)
+	}
 	// The only configuration DeepMC needs is the model flag (paper §4.5).
-	rep, err := core.AnalyzeSource(program, core.Config{Model: "strict"})
+	rep, err := core.Analyze(m, core.Config{Model: "strict"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -75,14 +76,14 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("Running the racy strand program under DeepMC's runtime:")
-	rep, err := core.RunDynamic(m, "main_racy")
+	rep, _, err := core.RunDynamic(context.Background(), m, core.Config{}, "main_racy", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(rep)
 
 	fmt.Println("\nRunning the barrier-ordered variant:")
-	rep, err = core.RunDynamic(m, "main_ordered")
+	rep, _, err = core.RunDynamic(context.Background(), m, core.Config{}, "main_ordered", nil)
 	if err != nil {
 		log.Fatal(err)
 	}

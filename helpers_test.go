@@ -1,6 +1,7 @@
 package deepmc_test
 
 import (
+	"context"
 	"testing"
 
 	"deepmc/internal/corpus"
@@ -22,7 +23,7 @@ func mustModule(tb testing.TB, p *corpus.Program) *ir.Module {
 // test on a corpus error.
 func mustEval(tb testing.TB, p *corpus.Program) *corpus.Evaluation {
 	tb.Helper()
-	ev, err := corpus.Evaluate(p)
+	ev, err := corpus.Evaluate(context.Background(), p, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package deepmc_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -69,7 +70,7 @@ func TestCleanFileReportsNothing(t *testing.T) {
 		t.Errorf("clean program flagged:\n%s", rep)
 	}
 	// Dynamic execution is clean too.
-	dyn, err := core.RunDynamic(m, "main")
+	dyn, _, err := core.RunDynamic(context.Background(), m, core.Config{}, "main", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestCleanFileReportsNothing(t *testing.T) {
 
 func TestStrandsFileDynamicDetection(t *testing.T) {
 	m := loadTestdata(t, "strands.pir")
-	rep, err := core.RunDynamic(m, "main")
+	rep, _, err := core.RunDynamic(context.Background(), m, core.Config{}, "main", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

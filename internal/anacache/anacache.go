@@ -80,17 +80,18 @@ type Stats struct {
 
 // Backing is a shared verdict tier behind a Cache: read-through on
 // verdict lookups that miss both local tiers, write-behind on verdict
-// stores.  The fleet coordinator implements it over one shared
-// content-addressed store so every shard warms from (and feeds) the
-// same tier while keeping its own failure-independent local cache.
-// Implementations must be safe for concurrent use.
+// stores.  A lazy *Cache is itself a Backing — the fleet's shared tier
+// is one NewLazy cache over a common directory, so every shard warms
+// from (and feeds) the same tier while keeping its own
+// failure-independent local cache — and RemoteBacking reaches such a
+// cache over HTTP.  Implementations must be safe for concurrent use.
 type Backing interface {
-	// Load returns the warning list memoized under k, if any.
-	Load(k Key) ([]report.Warning, bool)
-	// Store forwards a complete per-function verdict for sharing.
-	// It must not block on durability — writes behind are the
+	// LookupVerdicts returns the warning list memoized under k, if any.
+	LookupVerdicts(k Key) ([]report.Warning, bool)
+	// StoreVerdicts forwards a complete per-function verdict for
+	// sharing.  It must not block on durability — writes behind are the
 	// implementation's concern.
-	Store(k Key, ws []report.Warning, sum dsa.FuncSummary)
+	StoreVerdicts(k Key, ws []report.Warning, sum dsa.FuncSummary)
 }
 
 // Cache is the two-tier artifact cache.  Safe for concurrent use; one
@@ -190,6 +191,41 @@ func NewLazy(dir string) (*Cache, error) {
 	return c, nil
 }
 
+// FlushLoop flushes the deferred disk writes every period from a
+// background goroutine — a long-lived shared tier's write-behind
+// cadence.  The returned stop ends the loop and performs a final Flush,
+// so a restarted process warms from everything this one stored; it
+// returns that flush's error and is safe to call more than once.  For a
+// non-lazy cache or a non-positive period no goroutine starts and stop
+// only flushes.
+func (c *Cache) FlushLoop(every time.Duration) (stop func() error) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	if c.lazy && every > 0 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tick := time.NewTicker(every)
+			defer tick.Stop()
+			for {
+				select {
+				case <-tick.C:
+					c.Flush()
+				case <-done:
+					return
+				}
+			}
+		}()
+	}
+	var once sync.Once
+	return func() error {
+		once.Do(func() { close(done) })
+		wg.Wait()
+		_, err := c.Flush()
+		return err
+	}
+}
+
 // Flush writes every deferred verdict entry to the disk tier and clears
 // the backlog.  It reports how many entries were written and the first
 // write error (later entries are still attempted).  No-op for non-lazy
@@ -222,45 +258,76 @@ func (c *Cache) Flush() (int, error) {
 func (c *Cache) Dir() string { return c.dir }
 
 // LookupVerdicts returns the memoized warning list for a verdict key,
-// consulting memory first, then disk.  The returned slice must not be
-// mutated.
+// consulting memory first, then disk, then the backing tier.  The
+// returned slice must not be mutated.
+//
+// Disk reads happen under the lock, so a second concurrent load of the
+// same key waits and then hits memory: one disk read per key.  The
+// backing is consulted outside the lock — a remote tier's bounded GET
+// must not stall this cache's other lookups, stores and Stats — at the
+// cost that two concurrent misses on one key may each consult it.
 func (c *Cache) LookupVerdicts(k Key) ([]report.Warning, bool) {
 	c.mu.Lock()
+	if ws, ok := c.lookupLocalLocked(k); ok {
+		c.mu.Unlock()
+		return ws, true
+	}
+	b := c.backing
+	if b == nil {
+		c.stats.VerdictMisses++
+		c.mu.Unlock()
+		return nil, false
+	}
+	c.mu.Unlock()
+
+	ws, ok := b.LookupVerdicts(k)
+
+	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !ok {
+		c.stats.VerdictMisses++
+		return nil, false
+	}
+	if cur, ok := c.verdicts[k]; ok {
+		ws = cur // a concurrent store or load got here first
+	} else {
+		if ws == nil {
+			ws = []report.Warning{}
+		}
+		c.verdicts[k] = ws
+	}
+	c.stats.VerdictHits++
+	c.stats.BackingHits++
+	return ws, true
+}
+
+// lookupLocalLocked serves a verdict from memory or the disk tier
+// (c.mu held), counting the hit.
+func (c *Cache) lookupLocalLocked(k Key) ([]report.Warning, bool) {
 	if ws, ok := c.verdicts[k]; ok {
 		c.stats.VerdictHits++
 		return ws, true
 	}
-	if c.dir != "" {
-		if e, ok := c.readDisk(k); ok {
-			ws := e.Warnings
-			if ws == nil {
-				ws = []report.Warning{}
-			}
-			c.verdicts[k] = ws
-			c.stats.VerdictHits++
-			c.stats.DiskHits++
-			// Touch the entry so LRU-by-mtime eviction treats a served
-			// verdict as recently used (best effort — a failed touch
-			// only makes the entry evictable sooner).
-			now := time.Now()
-			_ = os.Chtimes(c.path(k), now, now)
-			return ws, true
-		}
+	if c.dir == "" {
+		return nil, false
 	}
-	if c.backing != nil {
-		if ws, ok := c.backing.Load(k); ok {
-			if ws == nil {
-				ws = []report.Warning{}
-			}
-			c.verdicts[k] = ws
-			c.stats.VerdictHits++
-			c.stats.BackingHits++
-			return ws, true
-		}
+	e, ok := c.readDisk(k)
+	if !ok {
+		return nil, false
 	}
-	c.stats.VerdictMisses++
-	return nil, false
+	ws := e.Warnings
+	if ws == nil {
+		ws = []report.Warning{}
+	}
+	c.verdicts[k] = ws
+	c.stats.VerdictHits++
+	c.stats.DiskHits++
+	// Touch the entry so LRU-by-mtime eviction treats a served verdict
+	// as recently used (best effort — a failed touch only makes the
+	// entry evictable sooner).
+	now := time.Now()
+	_ = os.Chtimes(c.path(k), now, now)
+	return ws, true
 }
 
 // StoreVerdicts memoizes a complete per-function warning list under a
@@ -288,7 +355,7 @@ func (c *Cache) StoreVerdicts(k Key, ws []report.Warning, sum dsa.FuncSummary) {
 	// Forwarded outside the lock: the backing tier's durability is its
 	// own concern and must not serialize local cache traffic.
 	if b != nil {
-		b.Store(k, cp, sum)
+		b.StoreVerdicts(k, cp, sum)
 	}
 }
 

@@ -364,7 +364,7 @@ type memBacking struct {
 
 func newMemBacking() *memBacking { return &memBacking{m: make(map[Key][]report.Warning)} }
 
-func (b *memBacking) Load(k Key) ([]report.Warning, bool) {
+func (b *memBacking) LookupVerdicts(k Key) ([]report.Warning, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.loads++
@@ -372,7 +372,7 @@ func (b *memBacking) Load(k Key) ([]report.Warning, bool) {
 	return ws, ok
 }
 
-func (b *memBacking) Store(k Key, ws []report.Warning, _ dsa.FuncSummary) {
+func (b *memBacking) StoreVerdicts(k Key, ws []report.Warning, _ dsa.FuncSummary) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.stores++
@@ -414,6 +414,111 @@ func TestCacheBackingReadThroughWriteBehind(t *testing.T) {
 	// A genuine miss everywhere stays a miss.
 	if _, ok := c.LookupVerdicts(keyN(3)); ok {
 		t.Fatal("phantom hit")
+	}
+}
+
+// blockingBacking is a Backing whose lookups park until released — a
+// stalled remote tier.
+type blockingBacking struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingBacking) LookupVerdicts(Key) ([]report.Warning, bool) {
+	b.entered <- struct{}{}
+	<-b.release
+	return nil, false
+}
+
+func (b *blockingBacking) StoreVerdicts(Key, []report.Warning, dsa.FuncSummary) {}
+
+// TestSlowBackingDoesNotStallCache: while one lookup waits on a stalled
+// backing tier, memory hits on other keys, stores and Stats on the same
+// cache must still answer promptly.
+func TestSlowBackingDoesNotStallCache(t *testing.T) {
+	b := &blockingBacking{entered: make(chan struct{}), release: make(chan struct{})}
+	c, _ := New("")
+	c.SetBacking(b)
+	c.StoreVerdicts(keyN(2), []report.Warning{{Rule: report.RuleUnflushedWrite, Func: "hot"}}, dsa.FuncSummary{})
+
+	missed := make(chan bool)
+	go func() {
+		_, ok := c.LookupVerdicts(keyN(1))
+		missed <- !ok
+	}()
+	<-b.entered
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if ws, ok := c.LookupVerdicts(keyN(2)); !ok || ws[0].Func != "hot" {
+			t.Errorf("memory hit lost behind the stalled backing: ok=%v ws=%+v", ok, ws)
+		}
+		c.StoreVerdicts(keyN(3), nil, dsa.FuncSummary{})
+		c.Stats()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Error("memory hit, store and Stats blocked behind a stalled backing lookup")
+	}
+	close(b.release)
+	<-done
+	if !<-missed {
+		t.Error("a backing miss came back as a hit")
+	}
+	if st := c.Stats(); st.VerdictMisses != 1 || st.VerdictHits != 1 {
+		t.Errorf("stats = %+v, want 1 miss and 1 hit", st)
+	}
+}
+
+// TestLazyCacheIsSharedTier: a lazy Cache is itself the shared tier — a
+// shard cache backed by it reads through and writes behind, and the
+// flush loop persists the write-behind state, finally on stop.
+func TestLazyCacheIsSharedTier(t *testing.T) {
+	dir := t.TempDir()
+	tier, err := NewLazy(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := tier.FlushLoop(time.Hour) // only stop's final flush can fire
+	shard, _ := New("")
+	shard.SetBacking(tier)
+	shard.StoreVerdicts(keyN(1), []report.Warning{{Rule: report.RuleUnflushedWrite, Func: "w"}}, dsa.FuncSummary{})
+
+	other, _ := New("")
+	other.SetBacking(tier)
+	if ws, ok := other.LookupVerdicts(keyN(1)); !ok || ws[0].Func != "w" {
+		t.Fatalf("verdict did not travel through the tier: ok=%v ws=%+v", ok, ws)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("lazy tier wrote %d entries before a flush", len(ents))
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil { // idempotent
+		t.Fatal(err)
+	}
+	fresh, _ := New(dir)
+	if _, ok := fresh.LookupVerdicts(keyN(1)); !ok {
+		t.Fatal("stop did not flush the tier to disk")
+	}
+
+	// A running loop flushes without waiting for stop.
+	tier2, _ := NewLazy(t.TempDir())
+	stop2 := tier2.FlushLoop(5 * time.Millisecond)
+	defer stop2()
+	tier2.StoreVerdicts(keyN(2), nil, dsa.FuncSummary{})
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if ents, _ := os.ReadDir(tier2.Dir()); len(ents) == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("flush loop never persisted the pending entry")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

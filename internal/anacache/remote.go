@@ -1,7 +1,7 @@
 // The wire form of the shared verdict tier: BackingHandler serves any
-// Backing over HTTP (the fleet coordinator mounts its VerdictTier
-// here), and RemoteBacking is the client side a shard daemon attaches
-// under its local cache.
+// Backing over HTTP (`deepmc tier` and the net-fleet gate mount a lazy
+// Cache here), and RemoteBacking is the client side a shard daemon
+// attaches under its local cache.
 //
 // The trust model is deliberately asymmetric to the local disk tier:
 // the network can truncate, corrupt or reorder bytes in ways a local
@@ -52,7 +52,7 @@ type RemoteStats struct {
 }
 
 // RemoteBacking implements Backing over a tier served by
-// BackingHandler.  Loads are synchronous bounded GETs; Stores queue
+// BackingHandler.  Lookups are synchronous bounded GETs; stores queue
 // behind a single writer goroutine (write-behind — the analysis hot
 // path never waits on the wire), and Flush drains that queue for the
 // daemon's graceful shutdown so an acknowledged verdict survives a
@@ -110,9 +110,9 @@ func NewRemoteBacking(base string, opts RemoteOptions) *RemoteBacking {
 
 func (rb *RemoteBacking) url(k Key) string { return rb.base + "/" + k.Hex() }
 
-// Load implements Backing: a checksummed GET.  Any failure — refused,
-// timed out, short, corrupt, wrong status — is a miss.
-func (rb *RemoteBacking) Load(k Key) ([]report.Warning, bool) {
+// LookupVerdicts implements Backing: a checksummed GET.  Any failure —
+// refused, timed out, short, corrupt, wrong status — is a miss.
+func (rb *RemoteBacking) LookupVerdicts(k Key) ([]report.Warning, bool) {
 	rb.bump(func(s *RemoteStats) { s.Gets++ })
 	ctx, cancel := context.WithTimeout(context.Background(), rb.timeout)
 	defer cancel()
@@ -171,8 +171,8 @@ func decodeWireEntry(sum string, contentLength int64, body []byte) (diskEntry, b
 	return e, true
 }
 
-// Store implements Backing: enqueue for the write-behind writer.
-func (rb *RemoteBacking) Store(k Key, ws []report.Warning, sum dsa.FuncSummary) {
+// StoreVerdicts implements Backing: enqueue for the write-behind writer.
+func (rb *RemoteBacking) StoreVerdicts(k Key, ws []report.Warning, sum dsa.FuncSummary) {
 	rb.mu.Lock()
 	defer rb.mu.Unlock()
 	if rb.closed {
@@ -308,7 +308,7 @@ func BackingHandler(b Backing) http.Handler {
 		copy(k[:], raw)
 		switch r.Method {
 		case http.MethodGet:
-			ws, ok := b.Load(k)
+			ws, ok := b.LookupVerdicts(k)
 			if !ok {
 				http.Error(w, "miss", http.StatusNotFound)
 				return
@@ -337,7 +337,7 @@ func BackingHandler(b Backing) http.Handler {
 				http.Error(w, "checksum or format mismatch", http.StatusBadRequest)
 				return
 			}
-			b.Store(k, e.Warnings, e.DSA)
+			b.StoreVerdicts(k, e.Warnings, e.DSA)
 			w.WriteHeader(http.StatusNoContent)
 		default:
 			http.Error(w, "GET or PUT", http.StatusMethodNotAllowed)

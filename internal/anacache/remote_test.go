@@ -45,7 +45,7 @@ func TestRemoteBackingRoundTrip(t *testing.T) {
 	defer rb.Close()
 
 	k := testKey(1)
-	rb.Store(k, testWarnings(), dsa.FuncSummary{})
+	rb.StoreVerdicts(k, testWarnings(), dsa.FuncSummary{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := rb.Flush(ctx); err != nil {
@@ -55,11 +55,11 @@ func TestRemoteBackingRoundTrip(t *testing.T) {
 		t.Fatalf("server saw %d puts, want 1", server.storeCount())
 	}
 
-	ws, ok := rb.Load(k)
+	ws, ok := rb.LookupVerdicts(k)
 	if !ok || len(ws) != 1 || ws[0].Rule != report.RuleUnflushedWrite || ws[0].Line != 12 {
 		t.Fatalf("round trip lost the verdict: ok=%v ws=%v", ok, ws)
 	}
-	if _, ok := rb.Load(testKey(2)); ok {
+	if _, ok := rb.LookupVerdicts(testKey(2)); ok {
 		t.Fatal("load of an absent key reported a hit")
 	}
 	st := rb.Stats()
@@ -94,13 +94,13 @@ func corruptor(next http.Handler) http.Handler {
 
 func TestRemoteBackingCorruptBodyIsAMiss(t *testing.T) {
 	server := newMemBacking()
-	server.Store(testKey(3), testWarnings(), dsa.FuncSummary{})
+	server.StoreVerdicts(testKey(3), testWarnings(), dsa.FuncSummary{})
 	ts := httptest.NewServer(corruptor(BackingHandler(server)))
 	defer ts.Close()
 
 	rb := NewRemoteBacking(ts.URL, RemoteOptions{})
 	defer rb.Close()
-	if _, ok := rb.Load(testKey(3)); ok {
+	if _, ok := rb.LookupVerdicts(testKey(3)); ok {
 		t.Fatal("corrupted body was trusted as a verdict")
 	}
 	st := rb.Stats()
@@ -130,7 +130,7 @@ func TestRemoteBackingTruncatedBodyIsAMiss(t *testing.T) {
 
 	rb := NewRemoteBacking(ts.URL, RemoteOptions{Timeout: time.Second})
 	defer rb.Close()
-	if _, ok := rb.Load(testKey(4)); ok {
+	if _, ok := rb.LookupVerdicts(testKey(4)); ok {
 		t.Fatal("truncated body was trusted as a verdict")
 	}
 	st := rb.Stats()
@@ -178,7 +178,7 @@ func TestRemoteBackingFlushTimesOutAgainstDeadTier(t *testing.T) {
 	// No server at all: puts fail fast, flush still returns.
 	rb := NewRemoteBacking("http://127.0.0.1:1", RemoteOptions{Timeout: 200 * time.Millisecond})
 	defer rb.Close()
-	rb.Store(testKey(6), testWarnings(), dsa.FuncSummary{})
+	rb.StoreVerdicts(testKey(6), testWarnings(), dsa.FuncSummary{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := rb.Flush(ctx); err != nil {

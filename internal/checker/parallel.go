@@ -26,21 +26,15 @@ import (
 	"deepmc/internal/report"
 )
 
-// CheckModuleParallel is CheckModule fanned out over the given number of
-// worker goroutines (0 or less = runtime.GOMAXPROCS).  The resulting
-// report is identical to CheckModule's regardless of worker count or
-// interleaving.
-func (c *Checker) CheckModuleParallel(workers int) *report.Report {
-	return c.CheckModuleParallelCtx(context.Background(), workers)
-}
-
-// CheckModuleParallelCtx is CheckModuleParallel with cancellation and
-// panic isolation.  It never returns an error: when ctx is done, trace
-// exploration stops forking, unscanned functions are skipped, and every
-// affected function gets a skip annotation on the (partial) report; a
-// panic while scanning one function is recovered into a skip annotation
-// without aborting sibling workers.  With a background context and no
-// panics the report is byte-identical to CheckModule's.
+// CheckModuleParallelCtx is CheckModule fanned out over the given
+// number of worker goroutines (0 or less = runtime.GOMAXPROCS), with
+// cancellation and panic isolation.  It never returns an error: when
+// ctx is done, trace exploration stops forking, unscanned functions are
+// skipped, and every affected function gets a skip annotation on the
+// (partial) report; a panic while scanning one function is recovered
+// into a skip annotation without aborting sibling workers.  With a
+// background context and no panics the report is byte-identical to
+// CheckModule's, regardless of worker count or interleaving.
 func (c *Checker) CheckModuleParallelCtx(ctx context.Context, workers int) *report.Report {
 	return MergeOutcomes(c.CheckFunctionsCtx(ctx, workers, nil))
 }
@@ -220,11 +214,4 @@ func runParallel(workers, n int, fn func(i int)) {
 	}
 	close(next)
 	wg.Wait()
-}
-
-// CheckParallel is the convenience entry point mirroring Check: analyze
-// m under the given model with default options and the given worker
-// count.
-func CheckParallel(m *ir.Module, model Model, workers int) *report.Report {
-	return New(m, DefaultOptions(model)).CheckModuleParallel(workers)
 }

@@ -107,7 +107,7 @@ func TestParallelMatchesCheckModule(t *testing.T) {
 	}
 	for iter := 0; iter < 5; iter++ {
 		for _, workers := range []int{0, 1, 2, 8} {
-			got := render(CheckParallel(ir.MustParse(parSrc), Strict, workers))
+			got := render(New(ir.MustParse(parSrc), DefaultOptions(Strict)).CheckModuleParallelCtx(context.Background(), workers))
 			if got != want {
 				t.Fatalf("iter %d workers %d: parallel report diverged\n--- serial:\n%s--- parallel:\n%s",
 					iter, workers, want, got)
@@ -123,7 +123,7 @@ func TestParallelAllFunctions(t *testing.T) {
 	opts.AllFunctions = true
 	want := render(New(ir.MustParse(parSrc), opts).CheckModule())
 	for _, workers := range []int{2, 8} {
-		got := render(New(ir.MustParse(parSrc), opts).CheckModuleParallel(workers))
+		got := render(New(ir.MustParse(parSrc), opts).CheckModuleParallelCtx(context.Background(), workers))
 		if got != want {
 			t.Fatalf("workers %d: AllFunctions parallel report diverged\n--- serial:\n%s--- parallel:\n%s",
 				workers, want, got)

@@ -68,7 +68,7 @@ func TestCacheWarmMatchesCold(t *testing.T) {
 
 func mustAnalyze(t *testing.T, src string, cfg Config) *report.Report {
 	t.Helper()
-	rep, err := AnalyzeSource(src, cfg)
+	rep, err := analyzeSource(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,10 +277,10 @@ func wasteful() {
 	}
 
 	// Unknown pass IDs are configuration errors, not silent no-ops.
-	if _, err := AnalyzeSource(src, Config{DisablePasses: []string{"DMC-S99"}}); err == nil {
+	if _, err := analyzeSource(src, Config{DisablePasses: []string{"DMC-S99"}}); err == nil {
 		t.Error("unknown pass ID in DisablePasses was accepted")
 	}
-	if _, err := AnalyzeSource(src, Config{Passes: []string{"nope"}}); err == nil {
+	if _, err := analyzeSource(src, Config{Passes: []string{"nope"}}); err == nil {
 		t.Error("unknown pass ID in Passes was accepted")
 	}
 }
@@ -317,7 +317,7 @@ func main() {
 }
 `
 	m := ir.MustParse(src)
-	rep, _, err := RunDynamicCfg(context.Background(), m, Config{}, "main", nil)
+	rep, _, err := RunDynamic(context.Background(), m, Config{}, "main", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func main() {
 		t.Fatalf("test premise broken: expected a WAW race, report:\n%s", rep)
 	}
 
-	rep, _, err = RunDynamicCfg(context.Background(), m,
+	rep, _, err = RunDynamic(context.Background(), m,
 		Config{DisablePasses: []string{report.CodeDynWAW}}, "main", nil)
 	if err != nil {
 		t.Fatal(err)

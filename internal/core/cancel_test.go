@@ -88,7 +88,7 @@ func TestRunDynamicCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	rep, sched, err := RunDynamicFaulted(ctx, m, "main", nil)
+	rep, sched, err := RunDynamic(ctx, m, Config{}, "main", nil)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("cancelled run returned error: %v", err)
@@ -168,7 +168,7 @@ func TestAnalyzeJobsCtxPartialResults(t *testing.T) {
 		{Module: slow, Config: Config{ModuleTimeout: time.Nanosecond}},
 		{Module: fast, Config: Config{}},
 	}
-	reps, errs := AnalyzeJobsCtx(context.Background(), jobs, 2)
+	reps, errs := AnalyzeJobs(context.Background(), jobs, 2)
 	if len(reps) != 2 || len(errs) != 2 {
 		t.Fatalf("got %d reports, %d errors", len(reps), len(errs))
 	}
@@ -196,21 +196,11 @@ func TestAnalyzeJobsCtxPanicIsolation(t *testing.T) {
 		{Module: nil, Config: Config{}},
 		{Module: good, Config: Config{}},
 	}
-	reps, errs := AnalyzeJobsCtx(context.Background(), jobs, 2)
+	reps, errs := AnalyzeJobs(context.Background(), jobs, 2)
 	if errs[0] == nil {
 		t.Error("nil-module job reported no error")
 	}
 	if errs[1] != nil || reps[1] == nil {
 		t.Errorf("healthy job failed alongside: %v", errs[1])
-	}
-}
-
-// TestAnalyzeJobsFirstErrorCompat pins the legacy wrapper: AnalyzeJobs
-// surfaces the first failure as its single error.
-func TestAnalyzeJobsFirstErrorCompat(t *testing.T) {
-	jobs := []Job{{Module: nil, Config: Config{}}}
-	_, err := AnalyzeJobs(jobs, 1)
-	if err == nil {
-		t.Fatal("AnalyzeJobs swallowed the job error")
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"deepmc/internal/anacache"
 	"deepmc/internal/checker"
-	"deepmc/internal/dsa"
 	"deepmc/internal/dynamic"
 	"deepmc/internal/faultinj"
 	"deepmc/internal/interp"
@@ -66,10 +65,10 @@ type Config struct {
 	// call-graph post-order waves into a shared memoized cache, and
 	// per-function findings merge in module declaration order.
 	Workers int
-	// ModuleTimeout bounds each module's analysis in batch runs
-	// (AnalyzeJobs/AnalyzeAll); 0 means no per-module deadline.  A
-	// module that exceeds it comes back as a partial report annotated
-	// with the skipped functions, not as an error.
+	// ModuleTimeout bounds each module's analysis in AnalyzeJobs batch
+	// runs; 0 means no per-module deadline.  A module that exceeds it
+	// comes back as a partial report annotated with the skipped
+	// functions, not as an error.
 	ModuleTimeout time.Duration
 	// Passes restricts the enabled pass set to the given pass IDs (see
 	// package passes; `deepmc passes` lists them).  Empty enables every
@@ -90,19 +89,20 @@ type Config struct {
 	Cache *anacache.Cache
 }
 
-// ResolvedWorkers resolves the configured worker count: 0 becomes
-// runtime.GOMAXPROCS(0), negative values clamp to 1.
-func (c Config) ResolvedWorkers() int { return c.workers() }
-
 // workers resolves the configured worker count.
-func (c Config) workers() int {
-	if c.Workers == 0 {
+func (c Config) workers() int { return resolveWorkers(c.Workers) }
+
+// resolveWorkers is the worker-count rule shared by Config.Workers and
+// AnalyzeJobs: 0 selects runtime.GOMAXPROCS(0), negative values clamp
+// to 1.
+func resolveWorkers(n int) int {
+	if n == 0 {
 		return runtime.GOMAXPROCS(0)
 	}
-	if c.Workers < 0 {
+	if n < 0 {
 		return 1
 	}
-	return c.Workers
+	return n
 }
 
 // contract parses the configured hardware persistency contract.
@@ -202,27 +202,13 @@ type Job struct {
 }
 
 // AnalyzeJobs runs the static analysis over a batch of modules with up
-// to workers (0 = runtime.GOMAXPROCS) modules in flight at once; each
-// module's own check additionally fans out per its Config.Workers.  The
-// returned reports align with jobs.  Partial-results semantics: every
-// completed report is returned even when sibling jobs fail — failing
-// slots are nil and the first error in input order is returned
-// alongside them.
-func AnalyzeJobs(jobs []Job, workers int) ([]*report.Report, error) {
-	reports, errs := AnalyzeJobsCtx(context.Background(), jobs, workers)
-	for _, err := range errs {
-		if err != nil {
-			return reports, err
-		}
-	}
-	return reports, nil
-}
-
-// AnalyzeJobsCtx is AnalyzeJobs with cancellation, per-module
-// deadlines, and panic isolation; it returns every job's outcome
-// individually (slices align with jobs; a slot has a report, an error,
-// or — for a module canceled mid-analysis — a partial report with skip
-// annotations and no error).
+// to workers modules in flight at once (resolved like Config.Workers: 0
+// = runtime.GOMAXPROCS, negative = 1); each module's own check
+// additionally fans out per its Config.Workers.  It returns every job's
+// outcome individually: the slices align with jobs, and a slot has a
+// report, an error, or — for a module canceled mid-analysis — a partial
+// report with skip annotations and no error.  Completed reports are
+// never discarded because a sibling failed.
 //
 //   - A job whose Config.ModuleTimeout is set runs under its own
 //     deadline nested in ctx; exceeding it degrades that module to a
@@ -231,10 +217,8 @@ func AnalyzeJobs(jobs []Job, workers int) ([]*report.Report, error) {
 //     ctx.Err().
 //   - A panic inside one job (malformed module, rule bug) is recovered
 //     into that job's error slot; sibling jobs keep running.
-func AnalyzeJobsCtx(ctx context.Context, jobs []Job, workers int) ([]*report.Report, []error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func AnalyzeJobs(ctx context.Context, jobs []Job, workers int) ([]*report.Report, []error) {
+	workers = resolveWorkers(workers)
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
@@ -283,57 +267,24 @@ func AnalyzeJobsCtx(ctx context.Context, jobs []Job, workers int) ([]*report.Rep
 	return reports, errs
 }
 
-// AnalyzeAll analyzes a whole corpus of modules under one shared
-// configuration, pipelining the per-module runs across cfg.Workers.
-func AnalyzeAll(ms []*ir.Module, cfg Config) ([]*report.Report, error) {
-	reports, errs := AnalyzeAllCtx(context.Background(), ms, cfg)
-	for _, err := range errs {
-		if err != nil {
-			return reports, err
-		}
-	}
-	return reports, nil
-}
-
-// AnalyzeAllCtx is AnalyzeAll with AnalyzeJobsCtx's per-job outcome
-// semantics.
-func AnalyzeAllCtx(ctx context.Context, ms []*ir.Module, cfg Config) ([]*report.Report, []error) {
-	jobs := make([]Job, len(ms))
-	for i, m := range ms {
-		jobs[i] = Job{Module: m, Config: cfg}
-	}
-	return AnalyzeJobsCtx(ctx, jobs, cfg.workers())
-}
-
-// AnalyzeSource parses PIR text and analyzes it.
-func AnalyzeSource(src string, cfg Config) (*report.Report, error) {
-	m, err := ir.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return Analyze(m, cfg)
-}
-
 // RunDynamic executes an entry function under the instrumented runtime
 // (online analysis) and returns the dynamic report.
-func RunDynamic(m *ir.Module, entry string, args ...int64) (*report.Report, error) {
-	rep, _, err := RunDynamicFaulted(context.Background(), m, entry, nil, args...)
-	return rep, err
-}
-
-// RunDynamicCtx is RunDynamic with cancellation: a run canceled
-// mid-execution returns the findings accumulated so far as a partial
-// report (annotated, nil error) rather than discarding them.
-func RunDynamicCtx(ctx context.Context, m *ir.Module, entry string, args ...int64) (*report.Report, error) {
-	rep, _, err := RunDynamicFaulted(ctx, m, entry, nil, args...)
-	return rep, err
-}
-
-// RunDynamicCfg is RunDynamicFaulted honoring cfg's pass selection:
-// dynamic detectors disabled by -disable-pass (DMC-D01 WAW, DMC-D02
-// RAW) are gated at their emission sites, so disabling one leaves the
-// other's verdicts untouched.
-func RunDynamicCfg(ctx context.Context, m *ir.Module, cfg Config, entry string, faults *faultinj.Config, args ...int64) (*report.Report, *faultinj.Schedule, error) {
+//
+//   - cfg's contract is modeled by the runtime (in-domain stores record
+//     pre-flushed) and tags the report; cfg's pass selection gates the
+//     dynamic detectors (DMC-D01 WAW, DMC-D02 RAW, DMC-D03 unflushed
+//     RAW) at their emission sites, so disabling one leaves the others'
+//     verdicts untouched.
+//   - A non-nil faults wraps the runtime in deterministic fault
+//     injection (package faultinj); the returned schedule carries the
+//     injection log (nil when faults is nil).  The happens-before
+//     detector sees the same event stream plus injected legal
+//     perturbations — dropped flushes retried at fences keep the
+//     GlobalFence epoch advancing, so strand-race verdicts converge.
+//   - A run canceled mid-execution returns the findings accumulated so
+//     far as a partial report (annotated, nil error) rather than
+//     discarding them.
+func RunDynamic(ctx context.Context, m *ir.Module, cfg Config, entry string, faults *faultinj.Config, args ...int64) (rep *report.Report, sched *faultinj.Schedule, err error) {
 	enabled, err := cfg.enabledPasses()
 	if err != nil {
 		return nil, nil, err
@@ -342,33 +293,8 @@ func RunDynamicCfg(ctx context.Context, m *ir.Module, cfg Config, entry string, 
 	if err != nil {
 		return nil, nil, err
 	}
-	return runDynamicContract(ctx, m, entry, faults, passes.DisabledDynamicCodes(enabled), ct, args...)
-}
-
-// RunDynamicFaulted is RunDynamicCtx with deterministic fault injection
-// (package faultinj) wrapped around the instrumented runtime; the
-// returned schedule carries the injection log (nil when faults is nil).
-// The happens-before detector sees the same event stream plus injected
-// legal perturbations — dropped flushes retried at fences keep the
-// GlobalFence epoch advancing, so strand-race detection converges to
-// the same verdicts.
-func RunDynamicFaulted(ctx context.Context, m *ir.Module, entry string, faults *faultinj.Config, args ...int64) (*report.Report, *faultinj.Schedule, error) {
-	return runDynamic(ctx, m, entry, faults, nil, args...)
-}
-
-// runDynamic is the shared dynamic-run engine beneath the RunDynamic*
-// wrappers.  disabled maps dynamic diagnostic codes to suppress.
-func runDynamic(ctx context.Context, m *ir.Module, entry string, faults *faultinj.Config, disabled map[string]bool, args ...int64) (*report.Report, *faultinj.Schedule, error) {
-	return runDynamicContract(ctx, m, entry, faults, disabled, pmcontract.Contract{}, args...)
-}
-
-// runDynamicContract is runDynamic under an explicit hardware contract:
-// the instrumented runtime models it (in-domain stores record
-// pre-flushed), the fault wrapper discovers it through the runtime's
-// ContractHolder, and the report is tagged with its name.
-func runDynamicContract(ctx context.Context, m *ir.Module, entry string, faults *faultinj.Config, disabled map[string]bool, ct pmcontract.Contract, args ...int64) (rep *report.Report, sched *faultinj.Schedule, err error) {
-	if verr := ir.Verify(m); verr != nil {
-		return nil, nil, verr
+	if err := ir.Verify(m); err != nil {
+		return nil, nil, err
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -376,7 +302,7 @@ func runDynamicContract(ctx context.Context, m *ir.Module, entry string, faults 
 		}
 	}()
 	rt := dynamic.NewRuntime(true)
-	rt.Checker.Disabled = disabled
+	rt.Checker.Disabled = passes.DisabledDynamicCodes(enabled)
 	rt.Contract = ct
 	var hooks interp.Hooks = rt
 	if faults != nil {
@@ -387,7 +313,7 @@ func runDynamicContract(ctx context.Context, m *ir.Module, entry string, faults 
 	ip.SetContext(ctx)
 	if _, rerr := ip.Run(entry, args...); rerr != nil {
 		if ip.Canceled() {
-			rep := rt.Checker.Report()
+			rep = rt.Checker.Report()
 			rep.Contract = ct.Name()
 			rep.AddSkipStage(entry, report.StageDynamic,
 				fmt.Sprintf("dynamic run canceled after %d steps: %v", ip.Steps()-1, ctx.Err()))
@@ -399,68 +325,6 @@ func runDynamicContract(ctx context.Context, m *ir.Module, entry string, faults 
 	rep = rt.Checker.Report()
 	rep.Contract = ct.Name()
 	return rep, sched, nil
-}
-
-// Check runs both analyses: static over the whole module, dynamic over
-// the given entry points, merged into one report — the full Figure 8
-// pipeline.
-func Check(m *ir.Module, cfg Config, entries []string, args ...int64) (*report.Report, error) {
-	rep, err := Analyze(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		dyn, _, err := RunDynamicCfg(context.Background(), m, cfg, e, nil, args...)
-		if err != nil {
-			return nil, err
-		}
-		rep.Merge(dyn)
-	}
-	rep.Sort()
-	return rep, nil
-}
-
-// PipelineStats quantifies one analysis run for the Table 9 experiment.
-type PipelineStats struct {
-	Funcs   int
-	Instrs  int
-	Traces  int
-	Nodes   int // DSG nodes across all functions
-	Reports int
-}
-
-// AnalyzeWithStats is Analyze plus pipeline accounting.
-func AnalyzeWithStats(m *ir.Module, cfg Config) (*report.Report, PipelineStats, error) {
-	var st PipelineStats
-	if err := ir.Verify(m); err != nil {
-		return nil, st, err
-	}
-	opts, err := cfg.checkerOptions()
-	if err != nil {
-		return nil, st, err
-	}
-	ck := checker.New(m, opts)
-	rep := ck.CheckModuleParallel(cfg.workers())
-	st.Funcs = len(m.Funcs)
-	st.Instrs = m.NumInstrs()
-	for _, fn := range m.FuncNames() {
-		st.Nodes += len(ck.Analysis.Graph(fn).Nodes())
-		st.Traces += len(ck.Collector.FunctionTraces(fn))
-	}
-	st.Reports = len(rep.Warnings)
-	return rep, st, nil
-}
-
-// InstrumentationPlan exposes the dynamic instrumenter's static plan.
-func InstrumentationPlan(m *ir.Module, cfg Config, onlyAnnotated bool) (*dynamic.Plan, error) {
-	if err := ir.Verify(m); err != nil {
-		return nil, err
-	}
-	a := dsa.Analyze(m, dsa.Options{
-		FieldSensitive:     !cfg.FieldInsensitive,
-		PersistentAllocFns: cfg.PersistentAllocFns,
-	})
-	return dynamic.Instrument(m, a, onlyAnnotated), nil
 }
 
 // Traces exposes the collected traces of one function (CLI inspection).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -24,23 +25,23 @@ func f() {
 	ret
 }
 `
-	rep, err := AnalyzeSource(src, Config{Model: "strict"})
+	rep, err := analyzeSource(src, Config{Model: "strict"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Warnings) == 0 {
 		t.Error("unflushed write not reported")
 	}
-	if _, err := AnalyzeSource(src, Config{Model: "bogus"}); err == nil {
+	if _, err := analyzeSource(src, Config{Model: "bogus"}); err == nil {
 		t.Error("bogus model accepted")
 	}
-	if _, err := AnalyzeSource("not pir", Config{}); err == nil {
+	if _, err := analyzeSource("not pir", Config{}); err == nil {
 		t.Error("parse error not surfaced")
 	}
 }
 
 func TestDefaultModelIsStrict(t *testing.T) {
-	rep, err := AnalyzeSource(`
+	rep, err := analyzeSource(`
 module m
 
 type o struct {
@@ -93,10 +94,19 @@ func main() {
 }
 `
 	m := ir.MustParse(src)
-	rep, err := Check(m, Config{Model: "strand"}, []string{"main"})
+	cfg := Config{Model: "strand"}
+	rep, err := Analyze(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The Figure 8 pipeline: the dynamic report merges into the static
+	// one.
+	dyn, _, err := RunDynamic(context.Background(), m, cfg, "main", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Merge(dyn)
+	rep.Sort()
 	// Static and dynamic find the same defect; the merged report
 	// deduplicates it to one warning.
 	found := 0
@@ -109,26 +119,12 @@ func main() {
 		t.Errorf("strand WAW warnings = %d, want 1 (deduplicated):\n%s", found, rep)
 	}
 	// Running the dynamic analysis alone shows its own report.
-	dyn, err := RunDynamic(m, "main")
+	dyn, _, err = RunDynamic(context.Background(), m, Config{}, "main", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dyn.Warnings) != 1 || !dyn.Warnings[0].Dynamic {
 		t.Errorf("dynamic-only report wrong:\n%s", dyn)
-	}
-}
-
-func TestAnalyzeWithStats(t *testing.T) {
-	p := corpus.PMDK()
-	rep, st, err := AnalyzeWithStats(mustModule(t, p), Config{Model: "strict"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Funcs == 0 || st.Instrs == 0 || st.Nodes == 0 || st.Traces == 0 {
-		t.Errorf("stats empty: %+v", st)
-	}
-	if st.Reports != len(rep.Warnings) {
-		t.Errorf("stats.Reports=%d, warnings=%d", st.Reports, len(rep.Warnings))
 	}
 }
 
@@ -160,20 +156,6 @@ func TestGenerateAppDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a, "txbegin") || !strings.Contains(a, "palloc") {
 		t.Error("generated app misses expected constructs")
-	}
-}
-
-func TestInstrumentationPlanOnCorpus(t *testing.T) {
-	p := corpus.Mnemosyne()
-	plan, err := InstrumentationPlan(mustModule(t, p), Config{Model: "epoch"}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.PersistentMemOps == 0 {
-		t.Error("plan found no persistent ops in the Mnemosyne corpus")
-	}
-	if plan.AnnotatedMemOps > plan.PersistentMemOps {
-		t.Error("annotated ops exceed persistent ops")
 	}
 }
 

@@ -63,7 +63,7 @@ func main() {
 // identical — same WAW race found, nothing extra.
 func TestDynamicConvergesUnderInjection(t *testing.T) {
 	m := ir.MustParse(strandSrc)
-	base, err := RunDynamic(m, "main")
+	base, _, err := RunDynamic(context.Background(), m, Config{}, "main", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestDynamicConvergesUnderInjection(t *testing.T) {
 		t.Fatal("baseline dynamic run found no strand race")
 	}
 	fc := &faultinj.Config{Classes: faultinj.AllClasses(), Rate: 1, Seed: 3}
-	faulted, sched, err := RunDynamicFaulted(context.Background(), m, "main", fc)
+	faulted, sched, err := RunDynamic(context.Background(), m, Config{}, "main", fc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestDynamicCleanStaysCleanUnderInjection(t *testing.T) {
 	m := ir.MustParse(cleanSrc)
 	for seed := int64(1); seed <= 5; seed++ {
 		fc := &faultinj.Config{Classes: faultinj.AllClasses(), Rate: 1, Seed: seed}
-		rep, _, err := RunDynamicFaulted(context.Background(), m, "main", fc)
+		rep, _, err := RunDynamic(context.Background(), m, Config{}, "main", fc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,11 +106,11 @@ func TestDynamicCleanStaysCleanUnderInjection(t *testing.T) {
 func TestRunDynamicFaultedReplay(t *testing.T) {
 	m := ir.MustParse(strandSrc)
 	fc := &faultinj.Config{Classes: faultinj.AllClasses(), Rate: 0.5, Seed: 17}
-	r1, s1, err := RunDynamicFaulted(context.Background(), m, "main", fc)
+	r1, s1, err := RunDynamic(context.Background(), m, Config{}, "main", fc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, s2, err := RunDynamicFaulted(context.Background(), m, "main", fc)
+	r2, s2, err := RunDynamic(context.Background(), m, Config{}, "main", fc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 // FuzzAnalyze drives the full static pipeline (parse → verify → DSA →
 // trace collection → parallel rule checking) end to end on mutated PIR
 // sources, complementing the parser-only fuzz target in internal/ir.
-// Invariants: AnalyzeSource never panics, and it returns exactly one of
+// Invariants: parse + Analyze never panics, and it returns exactly one of
 // (report, error) — never both, never neither.
 func FuzzAnalyze(f *testing.F) {
 	for _, p := range corpus.All() {
@@ -46,12 +46,12 @@ func main() {
 		// Pick the model from the input so all three rule sets get
 		// exercised, deterministically per input.
 		model := models[len(src)%len(models)]
-		rep, err := AnalyzeSource(src, Config{Model: model, Workers: 2})
+		rep, err := analyzeSource(src, Config{Model: model, Workers: 2})
 		if err != nil && rep != nil {
-			t.Fatalf("model %s: AnalyzeSource returned both a report and an error: %v", model, err)
+			t.Fatalf("model %s: analyzeSource returned both a report and an error: %v", model, err)
 		}
 		if err == nil && rep == nil {
-			t.Fatalf("model %s: AnalyzeSource returned neither report nor error", model)
+			t.Fatalf("model %s: analyzeSource returned neither report nor error", model)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 
 	"deepmc/internal/corpus"
 	"deepmc/internal/ir"
+	"deepmc/internal/report"
 )
 
 // mustModule parses a corpus program, failing the test on error — the
@@ -16,4 +17,14 @@ func mustModule(tb testing.TB, p *corpus.Program) *ir.Module {
 		tb.Fatal(err)
 	}
 	return m
+}
+
+// analyzeSource parses PIR text and analyzes it; a parse failure comes
+// back as the error, like any other setup failure.
+func analyzeSource(src string, cfg Config) (*report.Report, error) {
+	m, err := ir.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return Analyze(m, cfg)
 }

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"deepmc/internal/corpus"
-	"deepmc/internal/ir"
 )
 
 func modelName(p *corpus.Program) string {
@@ -62,15 +62,15 @@ func TestAnalyzeJobsMatchesSequential(t *testing.T) {
 		}
 		want[i] = rep.String()
 	}
-	for _, workers := range []int{1, 4} {
-		reps, err := AnalyzeJobs(jobs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(reps) != len(jobs) {
-			t.Fatalf("workers=%d: got %d reports for %d jobs", workers, len(reps), len(jobs))
+	for _, workers := range []int{1, 4, 0, -2} {
+		reps, errs := AnalyzeJobs(context.Background(), jobs, workers)
+		if len(reps) != len(jobs) || len(errs) != len(jobs) {
+			t.Fatalf("workers=%d: got %d reports, %d errors for %d jobs", workers, len(reps), len(errs), len(jobs))
 		}
 		for i, rep := range reps {
+			if errs[i] != nil {
+				t.Fatalf("workers=%d: job %d (%s): %v", workers, i, progs[i].Name, errs[i])
+			}
 			if rep.String() != want[i] {
 				t.Errorf("workers=%d: job %d (%s) report differs from sequential run", workers, i, progs[i].Name)
 			}
@@ -78,48 +78,30 @@ func TestAnalyzeJobsMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestAnalyzeAllSharedConfig covers the single-config batch wrapper.
-func TestAnalyzeAllSharedConfig(t *testing.T) {
-	var ms []*ir.Module
-	for _, p := range corpus.All() {
-		ms = append(ms, mustModule(t, p))
-	}
-	reps, err := AnalyzeAll(ms, Config{Model: "strict", Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != len(ms) {
-		t.Fatalf("got %d reports for %d modules", len(reps), len(ms))
-	}
-	for i, rep := range reps {
-		if rep == nil {
-			t.Fatalf("module %d: nil report without error", i)
-		}
-	}
-}
-
-// TestAnalyzeJobsFirstErrorWins pins the error contract: the first
-// failing job (in input order) supplies the returned error, healthy
-// slots still carry their reports.
-func TestAnalyzeJobsFirstErrorWins(t *testing.T) {
+// TestAnalyzeJobsErrorsAlignWithJobs pins the per-job error contract:
+// every failing job's error lands in its own slot (in input order), and
+// healthy slots still carry their reports.
+func TestAnalyzeJobsErrorsAlignWithJobs(t *testing.T) {
 	good := mustModule(t, corpus.PMDK())
 	jobs := []Job{
 		{Module: good, Config: Config{Model: "strict"}},
 		{Module: good, Config: Config{Model: "bogus-a"}},
 		{Module: good, Config: Config{Model: "bogus-b"}},
 	}
-	reps, err := AnalyzeJobs(jobs, 4)
-	if err == nil {
-		t.Fatal("expected an error from the bogus-model jobs")
+	reps, errs := AnalyzeJobs(context.Background(), jobs, 4)
+	if errs[0] != nil || reps[0] == nil {
+		t.Errorf("healthy job lost its report: %v", errs[0])
 	}
-	if !strings.Contains(err.Error(), "bogus-a") {
-		t.Errorf("error is not the first failing job's: %v", err)
-	}
-	if reps[0] == nil {
-		t.Error("healthy job lost its report")
-	}
-	if reps[1] != nil || reps[2] != nil {
-		t.Error("failing jobs should have nil reports")
+	for i, want := range []string{"", "bogus-a", "bogus-b"} {
+		if want == "" {
+			continue
+		}
+		if errs[i] == nil || !strings.Contains(errs[i].Error(), want) {
+			t.Errorf("job %d: error %v, want one naming %q", i, errs[i], want)
+		}
+		if reps[i] != nil {
+			t.Errorf("job %d: failing job should have a nil report", i)
+		}
 	}
 }
 

@@ -67,7 +67,7 @@ type Program struct {
 
 // Module parses and verifies the program's PIR source.  A malformed
 // program is a diagnostic, not a panic, so one bad corpus entry
-// degrades gracefully inside a batch AnalyzeAll run.
+// degrades gracefully inside a batch run.
 func (p *Program) Module() (*ir.Module, error) {
 	m, err := ir.Parse(p.Source)
 	if err != nil {
@@ -77,17 +77,6 @@ func (p *Program) Module() (*ir.Module, error) {
 		return nil, fmt.Errorf("corpus %s: %w", p.Name, err)
 	}
 	return m, nil
-}
-
-// ValidBugs counts ground-truth entries that are real bugs.
-func (p *Program) ValidBugs() int {
-	n := 0
-	for _, g := range p.Truth {
-		if g.Valid {
-			n++
-		}
-	}
-	return n
 }
 
 // All returns the four corpus programs in the paper's order.
@@ -105,34 +94,13 @@ type Evaluation struct {
 	Unexpected []report.Warning
 }
 
-// Evaluate runs the static checker over the program and scores the
-// result.
-func Evaluate(p *Program) (*Evaluation, error) {
-	m, err := p.Module()
-	if err != nil {
-		return nil, err
-	}
-	return Score(p, checker.Check(m, p.Model)), nil
-}
-
-// EvaluateParallel is Evaluate with the checker fanned out over the
-// given worker count.  The deterministic-merge guarantee makes the
-// score identical to Evaluate's for any worker count.
-func EvaluateParallel(p *Program, workers int) (*Evaluation, error) {
-	if workers == 1 {
-		return Evaluate(p)
-	}
-	m, err := p.Module()
-	if err != nil {
-		return nil, err
-	}
-	return Score(p, checker.CheckParallel(m, p.Model, workers)), nil
-}
-
-// EvaluateParallelCtx is EvaluateParallel with cancellation: when ctx
-// expires mid-analysis the score is computed over a partial report whose
-// skip annotations name the unscanned functions, instead of an error.
-func EvaluateParallelCtx(ctx context.Context, p *Program, workers int) (*Evaluation, error) {
+// Evaluate runs the static checker over the program with the given
+// worker count and scores the result.  The deterministic-merge
+// guarantee makes the score identical for any worker count.  When ctx
+// expires mid-analysis the score is computed over a partial report
+// whose skip annotations name the unscanned functions, instead of an
+// error.
+func Evaluate(ctx context.Context, p *Program, workers int) (*Evaluation, error) {
 	m, err := p.Module()
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -245,7 +246,7 @@ func TestWarningInventory(t *testing.T) {
 // corpus error.
 func mustEval(t *testing.T, p *Program) *Evaluation {
 	t.Helper()
-	ev, err := Evaluate(p)
+	ev, err := Evaluate(context.Background(), p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

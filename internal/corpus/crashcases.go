@@ -59,7 +59,7 @@ func fld(im *crashsim.Image, obj int, name string) int64 {
 
 // CrashCases builds the harness pair (buggy, fixed) for every
 // model-violation bug in the corpus.  Flagged is left false; the
-// CrossValidate glue fills it from a static-checker run.
+// CrossValidateCtx glue fills it from a static-checker run.
 func CrashCases() ([]crashsim.CrossCase, error) {
 	var out []crashsim.CrossCase
 	for _, s := range crashCaseSpecs() {
@@ -111,15 +111,10 @@ func parseHarness(s crashCaseSpec, variant, src string) (*ir.Module, error) {
 	return m, nil
 }
 
-// CrossValidate runs the full differential harness: the static checker
-// over each corpus program supplies the Flagged verdicts, and the crash
-// enumerator (with the given options) supplies reproduction and
-// fixed-clean verdicts.
-func CrossValidate(o crashsim.Options) (*crashsim.CrossReport, error) {
-	return CrossValidateCtx(context.Background(), o)
-}
-
-// CrossValidateCtx is CrossValidate under a deadline; see
+// CrossValidateCtx runs the full differential harness: the static
+// checker over each corpus program supplies the Flagged verdicts, and
+// the crash enumerator (with the given options) supplies reproduction
+// and fixed-clean verdicts.  ctx bounds the enumeration only; see
 // crashsim.CrossValidateCtx for the partial-result caveat.
 func CrossValidateCtx(ctx context.Context, o crashsim.Options) (*crashsim.CrossReport, error) {
 	cases, err := CrashCases()
@@ -128,7 +123,9 @@ func CrossValidateCtx(ctx context.Context, o crashsim.Options) (*crashsim.CrossR
 	}
 	flagged := make(map[string]bool)
 	for _, p := range All() {
-		ev, err := Evaluate(p)
+		// The static verdicts run to completion whatever the deadline:
+		// only the enumeration is bounded by ctx.
+		ev, err := Evaluate(context.Background(), p, 1)
 		if err != nil {
 			return nil, err
 		}

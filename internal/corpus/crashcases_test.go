@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestCrashCasesBuild(t *testing.T) {
 // the crash enumerator reproduces it with a concrete crash point, and
 // the repaired harness enumerates clean.
 func TestCrossValidateAgreement(t *testing.T) {
-	rep, err := CrossValidate(crashsim.Options{Prune: true, Workers: 2})
+	rep, err := CrossValidateCtx(context.Background(), crashsim.Options{Prune: true, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +92,12 @@ func TestEnumerateDeterministicOverCorpus(t *testing.T) {
 // across worker counts and pruning modes (reproduction verdicts must
 // not depend on scheduling).
 func TestCrossValidateDeterministic(t *testing.T) {
-	base, err := CrossValidate(crashsim.Options{Prune: true, Workers: 1})
+	base, err := CrossValidateCtx(context.Background(), crashsim.Options{Prune: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 8} {
-		rep, err := CrossValidate(crashsim.Options{Prune: true, Workers: w})
+		rep, err := CrossValidateCtx(context.Background(), crashsim.Options{Prune: true, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -232,7 +232,7 @@ func InterThreadCases() ([]crashsim.CrossCase, error) {
 // happens-before checker and reports whether it warned about a
 // cross-strand dependence in the case's file.  This is the
 // inter-thread cases' Flagged oracle — the analogue of the
-// static-checker run CrossValidate uses for the single-strand corpus:
+// static-checker run CrossValidateCtx uses for the single-strand corpus:
 // the static passes see each strand's persists as locally well-ordered,
 // so only the dynamic analysis can supply this verdict.
 func dynamicFlagged(c *crashsim.CrossCase) (bool, error) {
@@ -249,18 +249,13 @@ func dynamicFlagged(c *crashsim.CrossCase) (bool, error) {
 	return false, nil
 }
 
-// CrossValidateInterThread runs the three-way differential gate over
-// the planted inter-thread bugs: the dynamic checker supplies Flagged,
-// and the crash enumerator (with the given options — pass a faultinj
-// config or a schedule-fuzzer injector to open the cross-strand drain
-// windows) supplies Reproduced and FixedClean.
-func CrossValidateInterThread(o crashsim.Options) (*crashsim.CrossReport, error) {
-	return CrossValidateInterThreadCtx(context.Background(), o)
-}
-
-// CrossValidateInterThreadCtx is CrossValidateInterThread under a
-// deadline; see crashsim.CrossValidateCtx for the partial-result
-// caveat.
+// CrossValidateInterThreadCtx runs the three-way differential gate
+// over the planted inter-thread bugs: the dynamic checker supplies
+// Flagged, and the crash enumerator (with the given options — pass a
+// faultinj config or a schedule-fuzzer injector to open the
+// cross-strand drain windows) supplies Reproduced and FixedClean.  See
+// crashsim.CrossValidateCtx for the partial-result caveat under a
+// deadline.
 func CrossValidateInterThreadCtx(ctx context.Context, o crashsim.Options) (*crashsim.CrossReport, error) {
 	cases, err := InterThreadCases()
 	if err != nil {

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -65,10 +66,10 @@ func TestInterThreadDynamicCodes(t *testing.T) {
 
 // Three-way gate: dynamic checker flags each planted bug, crash
 // enumeration reproduces it, and the reordered fixed variant is clean —
-// mirroring CrossValidate's static-checker gate for the single-strand
+// mirroring CrossValidateCtx's static-checker gate for the single-strand
 // corpus.
 func TestCrossValidateInterThread(t *testing.T) {
-	rep, err := CrossValidateInterThread(crashsim.Options{Prune: true, Workers: 1})
+	rep, err := CrossValidateInterThreadCtx(context.Background(), crashsim.Options{Prune: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,6 @@ import (
 	"strings"
 
 	"deepmc/internal/interp"
-	"deepmc/internal/ir"
 	"deepmc/internal/pmcontract"
 )
 
@@ -389,25 +388,6 @@ const maxExactOutcomes = 10
 // sampledOutcomes is how many random persist subsets are tried when the
 // in-flight set is too large to enumerate.
 const sampledOutcomes = 256
-
-// Enumerate runs entry to completion to count steps, then re-executes
-// with a crash after every step prefix.  At each crash point the
-// guaranteed-durable image is extended with every possible persist
-// outcome of the in-flight words — dirty cachelines may be evicted and
-// clwb'd lines may drain at any time before the fence, so any subset of
-// them may have reached the medium.  The invariant must hold for every
-// outcome; one counterexample marks the crash point violated (that is
-// precisely how unflushed writes and missing barriers manifest on real
-// hardware: as one unlucky persist ordering).
-//
-// Stride > 1 samples every Nth crash point (for long programs);
-// stride <= 1 checks all of them.
-//
-// Enumerate is the legacy single-threaded, unpruned entry point; it is
-// equivalent to EnumerateOpts with Options{Stride: stride, Workers: 1}.
-func Enumerate(m *ir.Module, entry string, inv Invariant, stride int) (*Result, error) {
-	return EnumerateOpts(m, entry, inv, Options{Stride: stride, Workers: 1})
-}
 
 // inFlight returns the words that may or may not have persisted at the
 // crash: dirty (evictable) plus staged (clwb'd, awaiting fence), sorted

@@ -50,7 +50,7 @@ func commitInvariant(im *Image) error {
 
 func TestUnflushedWriteLosesDataAtSomeCrashPoint(t *testing.T) {
 	m := ir.MustParse(commitProtocol(false))
-	res, err := Enumerate(m, "main", commitInvariant, 1)
+	res, err := EnumerateOpts(m, "main", commitInvariant, Options{Stride: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestUnflushedWriteLosesDataAtSomeCrashPoint(t *testing.T) {
 
 func TestFixedProtocolSurvivesEveryCrashPoint(t *testing.T) {
 	m := ir.MustParse(commitProtocol(true))
-	res, err := Enumerate(m, "main", commitInvariant, 1)
+	res, err := EnumerateOpts(m, "main", commitInvariant, Options{Stride: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func orderInvariant(im *Image) error {
 
 func TestMissingBarrierAllowsReordering(t *testing.T) {
 	m := ir.MustParse(missingBarrier(false))
-	res, err := Enumerate(m, "main", orderInvariant, 1)
+	res, err := EnumerateOpts(m, "main", orderInvariant, Options{Stride: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestMissingBarrierAllowsReordering(t *testing.T) {
 
 func TestBarrierEnforcesOrdering(t *testing.T) {
 	m := ir.MustParse(missingBarrier(true))
-	res, err := Enumerate(m, "main", orderInvariant, 1)
+	res, err := EnumerateOpts(m, "main", orderInvariant, Options{Stride: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func main() {
 		return nil
 	}
 	m := ir.MustParse(src)
-	res, err := Enumerate(m, "main", inv, 1)
+	res, err := EnumerateOpts(m, "main", inv, Options{Stride: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +179,11 @@ func main() {
 
 func TestStrideSampling(t *testing.T) {
 	m := ir.MustParse(commitProtocol(true))
-	full, err := Enumerate(m, "main", commitInvariant, 1)
+	full, err := EnumerateOpts(m, "main", commitInvariant, Options{Stride: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := Enumerate(m, "main", commitInvariant, 3)
+	sampled, err := EnumerateOpts(m, "main", commitInvariant, Options{Stride: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestStrideSampling(t *testing.T) {
 
 func TestImageAccessors(t *testing.T) {
 	m := ir.MustParse(commitProtocol(true))
-	res, err := Enumerate(m, "main", func(im *Image) error {
+	res, err := EnumerateOpts(m, "main", func(im *Image) error {
 		if len(im.Objects()) > 1 {
 			return fmt.Errorf("too many objects")
 		}
@@ -205,7 +205,7 @@ func TestImageAccessors(t *testing.T) {
 			return fmt.Errorf("unknown field resolved")
 		}
 		return nil
-	}, 1)
+	}, Options{Stride: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

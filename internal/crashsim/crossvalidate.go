@@ -96,20 +96,15 @@ func (r *CrossReport) String() string {
 	return b.String()
 }
 
-// CrossValidate runs the crash enumerator over every case's buggy and
-// fixed harness with the given options.  A bug agrees when the static
-// verdict (Flagged), the reproduction (a violating crash point in the
-// buggy harness) and the repair (a clean enumeration of the fixed
-// harness) all line up.
-func CrossValidate(cases []CrossCase, o Options) (*CrossReport, error) {
-	return CrossValidateCtx(context.Background(), cases, o)
-}
-
-// CrossValidateCtx is CrossValidate under a deadline: when ctx expires
-// mid-corpus, already-enumerated cases keep their verdicts and the
-// remaining enumerations return partial results (which typically read
-// as disagreement — a timed-out differential run is not trustworthy, so
-// callers should check ctx.Err() before acting on a FAIL).
+// CrossValidateCtx runs the crash enumerator over every case's buggy
+// and fixed harness with the given options.  A bug agrees when the
+// static verdict (Flagged), the reproduction (a violating crash point in
+// the buggy harness) and the repair (a clean enumeration of the fixed
+// harness) all line up.  When ctx expires mid-corpus, already-enumerated
+// cases keep their verdicts and the remaining enumerations return
+// partial results (which typically read as disagreement — a timed-out
+// differential run is not trustworthy, so callers should check
+// ctx.Err() before acting on a FAIL).
 func CrossValidateCtx(ctx context.Context, cases []CrossCase, o Options) (*CrossReport, error) {
 	rep := &CrossReport{}
 	for i := range cases {

@@ -78,11 +78,22 @@ type Injector interface {
 	Log() string
 }
 
-// EnumerateOpts is Enumerate with pruning, a worker pool, and optional
-// fault injection.  See Enumerate for the crash-simulation model; this
-// variant first executes the program once to discover crash points (all
-// steps, or only the persist-relevant deduped ones when o.Prune is
-// set), then shards the surviving points across o.Workers workers.
+// EnumerateOpts runs entry and checks the invariant at every crash
+// point.  At each crash point the guaranteed-durable image is extended
+// with every possible persist outcome of the in-flight words — dirty
+// cachelines may be evicted and clwb'd lines may drain at any time
+// before the fence, so any subset of them may have reached the medium.
+// The invariant must hold for every outcome; one counterexample marks
+// the crash point violated (that is precisely how unflushed writes and
+// missing barriers manifest on real hardware: as one unlucky persist
+// ordering).
+//
+// The program first executes once to discover crash points (all steps,
+// or only the persist-relevant deduped ones when o.Prune is set); the
+// surviving points are sharded across o.Workers workers.  o.Stride > 1
+// samples every Nth crash point (for long programs); Options{Stride: 1,
+// Workers: 1} is the exhaustive single-threaded enumeration the pruned
+// path is checked against.  o.Faults optionally injects faults.
 func EnumerateOpts(m *ir.Module, entry string, inv Invariant, o Options) (*Result, error) {
 	return EnumerateCtx(context.Background(), m, entry, inv, o)
 }

@@ -2,6 +2,7 @@ package crashsim
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"deepmc/internal/ir"
@@ -201,7 +202,7 @@ func main() {
 }
 `
 	m := ir.MustParse(src)
-	sawBoth := false
+	var sawBoth atomic.Bool // set from the enumeration's worker pool
 	inv := func(im *Image) error {
 		objs := im.Objects()
 		for _, o := range objs {
@@ -218,7 +219,7 @@ func main() {
 			if len(objs) != 2 {
 				return fmt.Errorf("durable image has %d objects, want 2 (ID gap truncated)", len(objs))
 			}
-			sawBoth = true
+			sawBoth.Store(true)
 		}
 		return nil
 	}
@@ -229,7 +230,7 @@ func main() {
 	if !res.Clean() {
 		t.Fatalf("image invariant violated:\n%s", res.Detail())
 	}
-	if !sawBoth {
+	if !sawBoth.Load() {
 		t.Fatal("no crash point reached the fully-persisted state with both objects")
 	}
 }

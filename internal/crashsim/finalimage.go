@@ -82,14 +82,3 @@ func (im *Image) Diff(other *Image) string {
 	}
 	return b.String()
 }
-
-// Words lists the image's durable words in canonical (object, offset)
-// order — the deterministic iteration a witness serializer needs.
-func (im *Image) Words() []Word {
-	out := make([]Word, 0, len(im.durable))
-	for w := range im.durable {
-		out = append(out, w)
-	}
-	sortWords(out)
-	return out
-}

@@ -53,7 +53,7 @@ func figure2Invariant(im *Image) error {
 
 func TestFigure2UnloggedWriteViolatesAtomicity(t *testing.T) {
 	m := ir.MustParse(figure2Program(false))
-	res, err := Enumerate(m, "main", figure2Invariant, 1)
+	res, err := EnumerateOpts(m, "main", figure2Invariant, Options{Stride: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFigure2UnloggedWriteViolatesAtomicity(t *testing.T) {
 
 func TestFigure2LoggedWriteIsAtomic(t *testing.T) {
 	m := ir.MustParse(figure2Program(true))
-	res, err := Enumerate(m, "main", figure2Invariant, 1)
+	res, err := EnumerateOpts(m, "main", figure2Invariant, Options{Stride: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func main() {
 		return nil
 	}
 	m := ir.MustParse(src)
-	res, err := Enumerate(m, "main", inv, 1)
+	res, err := EnumerateOpts(m, "main", inv, Options{Stride: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func main() {
 		return nil
 	}
 	m := ir.MustParse(src)
-	res, err := Enumerate(m, "main", inv, 1)
+	res, err := EnumerateOpts(m, "main", inv, Options{Stride: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

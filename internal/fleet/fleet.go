@@ -91,17 +91,18 @@ type Config struct {
 	BreakerCooldown  time.Duration
 	// ProbeEvery is the health-probe cadence (default 50ms).
 	ProbeEvery time.Duration
-	// FlushEvery is the tier's write-behind flush cadence
-	// (default 200ms).
-	FlushEvery time.Duration
 	// Seed drives backoff jitter (and nothing else: output is
 	// schedule-independent by construction).
 	Seed int64
 	// NewTransport overrides shard transport construction, keeping the
-	// process boundary abstract (tests; a future HTTP transport).  Nil
+	// process boundary abstract (tests; the HTTP transport).  Nil
 	// selects the in-process transport over the shared tier.
-	NewTransport func(shard int, tier *VerdictTier) (Transport, error)
+	NewTransport func(shard int, tier *anacache.Cache) (Transport, error)
 }
+
+// tierFlushEvery is the shared verdict tier's write-behind flush
+// cadence.
+const tierFlushEvery = 200 * time.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -134,9 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeEvery <= 0 {
 		c.ProbeEvery = 50 * time.Millisecond
-	}
-	if c.FlushEvery <= 0 {
-		c.FlushEvery = 200 * time.Millisecond
 	}
 	return c
 }
@@ -245,11 +243,18 @@ type shard struct {
 // RestartShard against an in-progress Run — that interleaving is the
 // chaos gate's whole subject.
 type Fleet struct {
-	cfg      Config
-	ring     *ring
-	tier     *VerdictTier
-	breakers *serve.BreakerSet
-	stats    Stats
+	cfg  Config
+	ring *ring
+	// tier is the shared content-addressed verdict store: one lazy
+	// cache over Config.CacheDir behind every shard's local cache.
+	// Shards read through it on local misses (a verdict computed
+	// anywhere warms everywhere) and write behind it on stores; the
+	// flush loop batches its deferred disk writes, and stopFlush does
+	// the final flush.
+	tier      *anacache.Cache
+	stopFlush func() error
+	breakers  *serve.BreakerSet
+	stats     Stats
 
 	mu     sync.Mutex
 	shards []*shard
@@ -263,25 +268,29 @@ type Fleet struct {
 // New builds a fleet per cfg and starts its health prober.  Close it.
 func New(cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
-	tier, err := NewVerdictTier(cfg.CacheDir, cfg.CacheCap, cfg.FlushEvery)
+	tier, err := anacache.NewLazy(cfg.CacheDir)
 	if err != nil {
 		return nil, err
 	}
+	if cfg.CacheCap > 0 {
+		tier.SetDiskCap(cfg.CacheCap)
+	}
 	baseCtx, stop := context.WithCancel(context.Background())
 	f := &Fleet{
-		cfg:      cfg,
-		ring:     newRing(cfg.Shards, cfg.Replicas),
-		tier:     tier,
-		breakers: serve.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		shards:   make([]*shard, cfg.Shards),
-		baseCtx:  baseCtx,
-		stop:     stop,
+		cfg:       cfg,
+		ring:      newRing(cfg.Shards, cfg.Replicas),
+		tier:      tier,
+		stopFlush: tier.FlushLoop(tierFlushEvery),
+		breakers:  serve.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		shards:    make([]*shard, cfg.Shards),
+		baseCtx:   baseCtx,
+		stop:      stop,
 	}
 	for i := range f.shards {
 		s, err := f.newShard(i, 0)
 		if err != nil {
 			stop()
-			tier.Close()
+			f.stopFlush()
 			return nil, err
 		}
 		f.shards[i] = s
@@ -533,7 +542,7 @@ func (f *Fleet) Close() error {
 		s.tr.Close()
 	}
 	f.mu.Unlock()
-	return f.tier.Close()
+	return f.stopFlush()
 }
 
 // prober is the fleet's health loop.  Each tick it (a) health-checks

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"deepmc/internal/anacache"
 	"deepmc/internal/core"
 	"deepmc/internal/corpus"
 	"deepmc/internal/report"
@@ -240,7 +241,7 @@ func TestFleetRetriesTransientFailures(t *testing.T) {
 		RetryBase:  time.Millisecond,
 		RetryMax:   4 * time.Millisecond,
 		HedgeAfter: -1, // isolate the retry path from hedging
-		NewTransport: func(shard int, tier *VerdictTier) (Transport, error) {
+		NewTransport: func(shard int, tier *anacache.Cache) (Transport, error) {
 			real, err := newLocalTransport(tier)
 			if err != nil {
 				return nil, err
@@ -278,7 +279,7 @@ func TestFleetRetryBudgetExhaustion(t *testing.T) {
 		RetryBase:  time.Millisecond,
 		RetryMax:   4 * time.Millisecond,
 		HedgeAfter: -1,
-		NewTransport: func(shard int, tier *VerdictTier) (Transport, error) {
+		NewTransport: func(shard int, tier *anacache.Cache) (Transport, error) {
 			real, err := newLocalTransport(tier)
 			if err != nil {
 				return nil, err
@@ -338,7 +339,7 @@ func TestFleetHedgesStragglers(t *testing.T) {
 		Shards:     3,
 		Seed:       5,
 		HedgeAfter: 25 * time.Millisecond,
-		NewTransport: func(shard int, tier *VerdictTier) (Transport, error) {
+		NewTransport: func(shard int, tier *anacache.Cache) (Transport, error) {
 			real, err := newLocalTransport(tier)
 			if err != nil {
 				return nil, err
@@ -472,7 +473,7 @@ func TestFleetRunCancellation(t *testing.T) {
 	f, err := New(Config{
 		Shards:     2,
 		HedgeAfter: -1,
-		NewTransport: func(shard int, tier *VerdictTier) (Transport, error) {
+		NewTransport: func(shard int, tier *anacache.Cache) (Transport, error) {
 			return transportFunc(func(ctx context.Context, job Job) (*report.Report, error) {
 				select {
 				case <-block:

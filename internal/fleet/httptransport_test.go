@@ -77,7 +77,7 @@ func httpFleet(t *testing.T, urls []string, mutate func(*Config)) *Fleet {
 	cfg := Config{
 		Shards: len(urls),
 		Seed:   7,
-		NewTransport: func(shard int, _ *VerdictTier) (Transport, error) {
+		NewTransport: func(shard int, _ *anacache.Cache) (Transport, error) {
 			return NewHTTPTransport(urls[shard], HTTPOptions{RequestTimeout: 20 * time.Second}), nil
 		},
 	}
@@ -233,11 +233,11 @@ func TestTierWireCorruptionDegradesToRecompute(t *testing.T) {
 	jobs := httpJobs(t, 3)
 	ref := batchRender(t, jobs)
 
-	tier, err := NewVerdictTier(t.TempDir(), 0, 50*time.Millisecond)
+	tier, err := anacache.NewLazy(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tier.Close()
+	defer tier.FlushLoop(50 * time.Millisecond)()
 	tierSrv := httptest.NewServer(corruptTierGETs(anacache.BackingHandler(tier)))
 	defer tierSrv.Close()
 
@@ -293,7 +293,7 @@ func TestThrottleHonorsRetryAfter(t *testing.T) {
 		MaxRetries: 3,
 		RetryBase:  time.Millisecond, RetryMax: 2 * time.Millisecond, // default backoff would be ~instant
 		HedgeAfter: -1,
-		NewTransport: func(shard int, tier *VerdictTier) (Transport, error) {
+		NewTransport: func(shard int, tier *anacache.Cache) (Transport, error) {
 			real, err := newLocalTransport(tier)
 			if err != nil {
 				return nil, err

@@ -33,7 +33,7 @@ type localTransport struct {
 // newLocalTransport builds a fresh shard cache wired to the tier.  A
 // restarted shard gets a new one: its memory is gone (that is what a
 // restart means) but it re-warms from the tier on first touch.
-func newLocalTransport(tier *VerdictTier) (*localTransport, error) {
+func newLocalTransport(tier *anacache.Cache) (*localTransport, error) {
 	c, err := anacache.New("")
 	if err != nil {
 		return nil, err

@@ -42,30 +42,6 @@ func CorpusWitnesses() ([]*Witness, error) {
 	return out, nil
 }
 
-// ReplayCorpus replays every embedded witness against its target,
-// asserting byte-identical evidence.  Any error means a witness went
-// stale — a behavior change in the interpreter, the fault machinery, or
-// the harness broke schedule replay.
-func ReplayCorpus(ctx context.Context) error {
-	ws, err := CorpusWitnesses()
-	if err != nil {
-		return err
-	}
-	if len(ws) == 0 {
-		return fmt.Errorf("fuzzsched: embedded witness corpus is empty")
-	}
-	for _, w := range ws {
-		t, err := LookupTarget(w.Target)
-		if err != nil {
-			return err
-		}
-		if err := w.Replay(ctx, t, 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Gate is the fuzz CI gate:
 //
 //  1. every embedded witness replays byte-identically, and

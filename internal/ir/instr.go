@@ -170,7 +170,7 @@ func (in *Instr) String() string {
 		b.WriteString(in.Type.String())
 	case OpGEP:
 		if in.Field != "" {
-			fmt.Fprintf(&b, "field %s, %q", in.Args[0], in.Field)
+			fmt.Fprintf(&b, "field %s, \"%s\"", in.Args[0], in.Field) // verbatim, as lexed
 		} else {
 			fmt.Fprintf(&b, "index %s, %s", in.Args[0], in.Args[1])
 		}

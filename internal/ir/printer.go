@@ -64,7 +64,9 @@ func printFunc(b *strings.Builder, f *Function) {
 	}
 	b.WriteString(" {\n")
 	if f.File != "" {
-		fmt.Fprintf(b, "\tfile %q\n", f.File)
+		// PIR string literals have no escapes: the lexer takes the bytes
+		// between the quotes verbatim, so they print verbatim.
+		fmt.Fprintf(b, "\tfile \"%s\"\n", f.File)
 	}
 	line := 0
 	for bi, blk := range f.Blocks {

@@ -245,14 +245,9 @@ func New() *Report {
 	return &Report{seen: make(map[string]bool), seenSkip: make(map[string]bool)}
 }
 
-// AddSkip records a skipped unit unless an identical annotation exists.
-func (r *Report) AddSkip(subject, reason string) {
-	r.AddSkipStage(subject, "", reason)
-}
-
-// AddSkipStage is AddSkip with the pipeline stage (or pass ID) that was
-// skipped, so partial reports are attributable to the exact missing
-// analysis.
+// AddSkipStage records a skipped unit, with the pipeline stage (or pass
+// ID) that was skipped, unless an identical annotation exists — partial
+// reports are attributable to the exact missing analysis.
 func (r *Report) AddSkipStage(subject, stage, reason string) {
 	if r.seenSkip == nil {
 		r.seenSkip = make(map[string]bool)

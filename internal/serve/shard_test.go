@@ -28,14 +28,14 @@ func newRecordingTier() *recordingTier {
 	return &recordingTier{m: make(map[anacache.Key][]report.Warning)}
 }
 
-func (rt *recordingTier) Load(k anacache.Key) ([]report.Warning, bool) {
+func (rt *recordingTier) LookupVerdicts(k anacache.Key) ([]report.Warning, bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	ws, ok := rt.m[k]
 	return ws, ok
 }
 
-func (rt *recordingTier) Store(k anacache.Key, ws []report.Warning, _ dsa.FuncSummary) {
+func (rt *recordingTier) StoreVerdicts(k anacache.Key, ws []report.Warning, _ dsa.FuncSummary) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.m[k] = ws

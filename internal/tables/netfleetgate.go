@@ -248,11 +248,11 @@ func netFleetRound(bin string, jobs []fleet.Job, ref string, shards int, faults 
 		return fail("%v", err)
 	}
 	defer os.RemoveAll(tierDir)
-	tier, err := fleet.NewVerdictTier(tierDir, 0, 50*time.Millisecond)
+	tier, err := anacache.NewLazy(tierDir)
 	if err != nil {
 		return fail("%v", err)
 	}
-	defer tier.Close()
+	defer tier.FlushLoop(50 * time.Millisecond)()
 	tl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return fail("%v", err)
@@ -296,7 +296,7 @@ func netFleetRound(bin string, jobs []fleet.Job, ref string, shards int, faults 
 		Seed:       seed,
 		RetryBase:  10 * time.Millisecond,
 		ProbeEvery: 25 * time.Millisecond,
-		NewTransport: func(shard int, _ *fleet.VerdictTier) (fleet.Transport, error) {
+		NewTransport: func(shard int, _ *anacache.Cache) (fleet.Transport, error) {
 			opts := fleet.HTTPOptions{RequestTimeout: reqTimeout}
 			if inj != nil {
 				opts.Dial = inj.WrapDial(nil)

@@ -7,6 +7,7 @@
 package tables
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -73,7 +74,7 @@ type CorpusRun struct {
 func RunCorpus() []CorpusRun {
 	var out []CorpusRun
 	for _, p := range corpus.All() {
-		ev, err := corpus.EvaluateParallel(p, resolvedWorkers())
+		ev, err := corpus.Evaluate(context.Background(), p, resolvedWorkers())
 		out = append(out, CorpusRun{Program: p, Eval: ev, Err: err})
 	}
 	return out
@@ -347,7 +348,7 @@ func Table9Measure() []Table9Row {
 		if err := ir.Verify(parsed2); err != nil {
 			panic(err)
 		}
-		if _, _, err := core.AnalyzeWithStats(parsed2, core.Config{Model: "strict"}); err != nil {
+		if _, err := core.Analyze(parsed2, core.Config{Model: "strict"}); err != nil {
 			panic(err)
 		}
 		full := time.Since(start)
