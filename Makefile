@@ -6,6 +6,7 @@
 #   make vet         go vet
 #   make fuzz-short  30s per fuzz target (FuzzParse, FuzzAnalyze, FuzzEnumerate, FuzzGenome)
 #   make bench       speedup benchmark for the parallel checker
+#   make bench-trace trace-collection benchmark (PMDK and a 335-function generated app)
 #   make cache-gate  incremental-cache byte-identity gate (cold vs warm, workers 1/2/8)
 #   make serve-gate  analysis-daemon chaos/soak gate (graceful restarts, shedding, breakers)
 #   make crashsim    cross-validate the static checker against crash enumeration
@@ -24,7 +25,7 @@ GO ?= go
 FUZZTIME ?= 30s
 FAULTSEED ?= 42
 
-.PHONY: build test race vet fuzz-short bench cache-gate serve-gate crashsim faults fuzz-gate soak-short soak fleet-gate net-fleet-gate pmodel-gate stress bench-selftest ci clean
+.PHONY: build test race vet fuzz-short bench bench-trace cache-gate serve-gate crashsim faults fuzz-gate soak-short soak fleet-gate net-fleet-gate pmodel-gate stress bench-selftest ci clean
 
 build:
 	$(GO) build ./...
@@ -46,6 +47,9 @@ fuzz-short:
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkAnalyzeParallel -benchtime 200x .
+
+bench-trace:
+	$(GO) test -run '^$$' -bench BenchmarkTraceCollection -benchmem -benchtime 5x .
 
 # The cache gate: a warm (fully memoized) corpus analysis must render
 # byte-identical reports to a cold one at workers 1, 2 and 8, and the

@@ -415,15 +415,30 @@ func BenchmarkDSA(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceCollection isolates trace collection on the PMDK corpus.
+// BenchmarkTraceCollection isolates trace collection: on the PMDK
+// corpus, and on a generated app whose root function splices about a
+// hundred call sites into continuations that grow to the entry budget —
+// the workload where copying path prefixes would turn quadratic.
 func BenchmarkTraceCollection(b *testing.B) {
-	m := mustModule(b, corpus.PMDK())
-	a := dsa.Analyze(m, dsa.DefaultOptions())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := trace.NewCollector(a, trace.DefaultOptions())
-		for _, fn := range m.FuncNames() {
-			c.FunctionTraces(fn)
-		}
+	cases := []struct {
+		name string
+		m    *ir.Module
+	}{
+		{"PMDK", mustModule(b, corpus.PMDK())},
+		{"app335", core.GenerateApp(core.AppSpec{Name: "app335", Funcs: 335, CallDepth: 3, Seed: 44})},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			a := dsa.Analyze(tc.m, dsa.DefaultOptions())
+			fns := tc.m.FuncNames()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := trace.NewCollector(a, trace.DefaultOptions())
+				for _, fn := range fns {
+					c.FunctionTraces(fn)
+				}
+			}
+		})
 	}
 }

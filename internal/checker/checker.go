@@ -176,8 +176,7 @@ type txFrame struct {
 	beginEntry    trace.Entry
 	logged        []dsa.Cell
 	writes        int
-	flushesPerObj map[*dsa.Node][]trace.Entry
-	writtenObjs   map[*dsa.Node]bool
+	flushesPerObj map[*dsa.Node]int
 	fenceLast     bool // the most recent persistency op inside was a fence
 }
 
@@ -191,9 +190,9 @@ type scanner struct {
 	txStack  []*txFrame
 	epochSeq int // running epoch counter; -1 before any epoch
 	inEpoch  bool
-	// barrier bookkeeping
-	fenceSinceFlush bool
-	unfencedFlushes []trace.Entry
+	// barrier bookkeeping: lastUnfenced is the most recent flush not yet
+	// followed by a barrier (nil when there is none).
+	lastUnfenced *trace.Entry
 	// region bookkeeping for the semantic-mismatch rule: persistent
 	// objects written by the previous and current tx/epoch region.
 	prevRegion map[*dsa.Node]trace.Entry
@@ -228,7 +227,6 @@ type flushRec struct {
 func (s *scanner) run() {
 	s.epochSeq = -1
 	s.curStrand = -1
-	s.fenceSinceFlush = true
 	s.fenceSinceEpochEnd = true
 	s.strandWrites = make(map[int64][]trace.Entry)
 	s.writtenFields = make(map[*dsa.Node]map[string]bool)
@@ -323,7 +321,6 @@ func (s *scanner) onWrite(i int, e trace.Entry) {
 	}
 	for _, f := range s.txStack {
 		f.writes++
-		f.writtenObjs[e.Cell.Obj] = true
 		f.fenceLast = false
 	}
 	if s.inRegion {
@@ -354,15 +351,11 @@ func (s *scanner) onFlush(i int, e trace.Entry) {
 		return
 	}
 	// Cover pending writes.
-	anyCovered := false
 	hadOverlapWrite := false
 	for pi := range s.pending {
 		w := &s.pending[pi]
 		if dsa.SameObject(w.e.Cell, e.Cell) && dsa.FieldCovers(e.Cell.Field, w.e.Cell.Field) {
-			if !w.covered {
-				w.covered = true
-				anyCovered = true
-			}
+			w.covered = true
 			hadOverlapWrite = true
 		}
 	}
@@ -397,17 +390,14 @@ func (s *scanner) onFlush(i int, e trace.Entry) {
 	s.flushHist[obj] = append(s.flushHist[obj], flushRec{field: e.Cell.Field, e: e})
 	// Transaction-scope persist accounting.
 	if f := s.tx(); f != nil {
-		obj := e.Cell.Obj
-		f.flushesPerObj[obj] = append(f.flushesPerObj[obj], e)
-		if len(f.flushesPerObj[obj]) == 2 {
+		f.flushesPerObj[e.Cell.Obj]++
+		if f.flushesPerObj[e.Cell.Obj] == 2 {
 			s.warn(report.RuleMultiplePersist, e,
 				"object %s persisted multiple times within one transaction", cellDesc(e.Cell))
 		}
 		f.fenceLast = false
 	}
-	s.fenceSinceFlush = false
-	s.unfencedFlushes = append(s.unfencedFlushes, e)
-	_ = anyCovered
+	s.lastUnfenced = &s.trace.Entries[i]
 }
 
 // anyWriteOverlaps consults the per-object write summary for an earlier
@@ -519,8 +509,7 @@ func (s *scanner) onFence(e trace.Entry) {
 		}
 		s.pending = kept
 	}
-	s.fenceSinceFlush = true
-	s.unfencedFlushes = nil
+	s.lastUnfenced = nil
 	s.fenceSinceEpochEnd = true
 	// The global persist barrier commits every buffered domain write.
 	s.unbarriered = nil
@@ -559,16 +548,14 @@ func (s *scanner) distinctPendingCells() int {
 func (s *scanner) onTxBegin(e trace.Entry) {
 	// Strict persistency requires flushes to be fenced before the next
 	// transaction begins (Figure 3 of the paper).
-	if s.model == Strict && len(s.unfencedFlushes) > 0 {
-		fl := s.unfencedFlushes[len(s.unfencedFlushes)-1]
-		s.warn(report.RuleMissingBarrier, fl,
+	if fl := s.lastUnfenced; s.model == Strict && fl != nil {
+		s.warn(report.RuleMissingBarrier, *fl,
 			"flush of %s has no persist barrier before the next transaction begins", cellDesc(fl.Cell))
-		s.unfencedFlushes = nil
+		s.lastUnfenced = nil
 	}
 	s.txStack = append(s.txStack, &txFrame{
 		beginEntry:    e,
-		flushesPerObj: make(map[*dsa.Node][]trace.Entry),
-		writtenObjs:   make(map[*dsa.Node]bool),
+		flushesPerObj: make(map[*dsa.Node]int),
 	})
 	if len(s.txStack) == 1 {
 		s.beginRegion()
@@ -609,7 +596,7 @@ func (s *scanner) onTxEnd(e trace.Entry) {
 	// At commit of the outermost transaction, judge the writes made
 	// inside it: unlogged, unflushed writes are not durable (Figure 2).
 	// Commit includes a persist barrier, so buffered domain writes are
-	// committed too (same reading as fenceSinceFlush below).
+	// committed too (the same reading that clears lastUnfenced below).
 	if len(s.txStack) == 0 {
 		s.unbarriered = nil
 		kept := s.pending[:0]
@@ -626,8 +613,7 @@ func (s *scanner) onTxEnd(e trace.Entry) {
 		s.pending = kept
 		s.endRegion()
 	}
-	s.unfencedFlushes = nil
-	s.fenceSinceFlush = true
+	s.lastUnfenced = nil
 }
 
 func (s *scanner) onTxAdd(e trace.Entry) {
@@ -750,9 +736,8 @@ func (s *scanner) atTraceEnd() {
 		}
 	}
 	// Strict: flushes with no barrier at all before the path ends.
-	if s.model == Strict && len(s.unfencedFlushes) > 0 {
-		fl := s.unfencedFlushes[len(s.unfencedFlushes)-1]
-		s.warn(report.RuleMissingBarrier, fl,
+	if fl := s.lastUnfenced; s.model == Strict && fl != nil {
+		s.warn(report.RuleMissingBarrier, *fl,
 			"flush of %s is never followed by a persist barrier on this path", cellDesc(fl.Cell))
 	}
 	// CXL: domain writes never committed by a global persist barrier are

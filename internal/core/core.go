@@ -328,9 +328,13 @@ func RunDynamic(ctx context.Context, m *ir.Module, cfg Config, entry string, fau
 }
 
 // Traces exposes the collected traces of one function (CLI inspection).
+// A function the module does not define is an error.
 func Traces(m *ir.Module, cfg Config, fn string) ([]*trace.Trace, error) {
 	if err := ir.Verify(m); err != nil {
 		return nil, err
+	}
+	if m.Funcs[fn] == nil {
+		return nil, fmt.Errorf("traces: module %s defines no function %q", m.Name, fn)
 	}
 	opts, err := cfg.checkerOptions()
 	if err != nil {

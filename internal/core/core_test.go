@@ -169,3 +169,11 @@ func TestTracesAccessor(t *testing.T) {
 		t.Error("no traces for demo_btree")
 	}
 }
+
+func TestTracesUndefinedFunction(t *testing.T) {
+	m := mustModule(t, corpus.PMDK())
+	ts, err := Traces(m, Config{Model: "strict"}, "nosuch")
+	if err == nil || !strings.Contains(err.Error(), `"nosuch"`) {
+		t.Fatalf("Traces(nosuch) = %d traces, err %v; want an error naming the function", len(ts), err)
+	}
+}

@@ -285,7 +285,7 @@ func (c *Collector) collect(fn string, visiting map[string]bool) []*Trace {
 		return nil
 	}
 	dsg := c.Analysis.Graph(fn)
-	e := &explorer{c: c, f: f, g: g, dsg: dsg, visiting: visiting}
+	e := &explorer{c: c, f: f, g: g, dsg: dsg, visiting: visiting, steps: make(map[*ir.Block][]step)}
 	e.reach = e.computeReach()
 	var paths []*Trace
 	if entry := g.Entry(); entry != nil {
@@ -311,14 +311,71 @@ func (c *Collector) collect(fn string, visiting map[string]bool) []*Trace {
 }
 
 // sortTraces orders traces by descending persistent-op count, stable.
+// Each trace's count is computed once, before the insertion sort.
 func sortTraces(ts []*Trace) {
-	// Insertion sort keeps stability without importing sort.SliceStable
-	// gymnastics on a tiny slice.
+	keys := make([]int, len(ts))
+	for i, t := range ts {
+		keys[i] = t.PersistentOps()
+	}
 	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j].PersistentOps() > ts[j-1].PersistentOps(); j-- {
+		for j := i; j > 0 && keys[j] > keys[j-1]; j-- {
 			ts[j], ts[j-1] = ts[j-1], ts[j]
+			keys[j], keys[j-1] = keys[j-1], keys[j]
 		}
 	}
+}
+
+// path is a trace under construction: an immutable chain of read-only
+// entry runs, newest last.  Paths that fork share their common prefix,
+// so extending one never copies entries; a finished path is copied once,
+// by entries.  The nil path is the empty prefix.
+type path struct {
+	prev *path
+	run  []Entry
+	n    int // total entries along the chain
+}
+
+// len returns the number of entries on the path.
+func (p *path) len() int {
+	if p == nil {
+		return 0
+	}
+	return p.n
+}
+
+// extend links run onto p.  The run must never be written again: other
+// paths may share it.
+func (p *path) extend(run []Entry) *path {
+	if len(run) == 0 {
+		return p
+	}
+	return &path{prev: p, run: run, n: p.len() + len(run)}
+}
+
+// entries materializes the path in one exact-size allocation, filled
+// back to front.  The empty path yields nil.
+func (p *path) entries() []Entry {
+	if p.len() == 0 {
+		return nil
+	}
+	out := make([]Entry, p.n)
+	for q := p; q != nil; q = q.prev {
+		copy(out[q.n-len(q.run):q.n], q.run)
+	}
+	return out
+}
+
+// step is one stage of a block's expansion: a run of consecutive
+// non-call entries, or one call site.
+type step struct {
+	run  []Entry
+	call *ir.Instr
+	ref  ir.InstrRef
+	// variants memoizes calleeVariants for the call site once resolved:
+	// a loop body is revisited up to LoopIterations times, and the
+	// translated callee traces are the same on every visit.
+	variants [][]Entry
+	resolved bool
 }
 
 // explorer enumerates paths through one function.
@@ -333,6 +390,8 @@ type explorer struct {
 	// reach[block] reports whether any persistent op is reachable from
 	// the block within this function (prioritization metric).
 	reach map[string]bool
+	// steps memoizes each block's expansion plan (blockSteps).
+	steps map[*ir.Block][]step
 	// truncated latches when any continuation hits the trace-entry
 	// budget, or a spliced callee's traces were themselves truncated.
 	truncated bool
@@ -391,7 +450,7 @@ func (e *explorer) cellOf(v ir.Value) dsa.Cell {
 
 // walk explores paths depth-first.  prefix holds entries accumulated so
 // far; visits counts block occurrences on the current path.
-func (e *explorer) walk(n *cfg.Node, prefix []Entry, visits map[string]int, out *[]*Trace) {
+func (e *explorer) walk(n *cfg.Node, prefix *path, visits map[string]int, out *[]*Trace) {
 	if len(*out) >= e.c.Opts.MaxPaths {
 		return
 	}
@@ -412,8 +471,7 @@ func (e *explorer) walk(n *cfg.Node, prefix []Entry, visits map[string]int, out 
 	for _, cont := range conts {
 		if len(succs) == 0 {
 			// Path ends here (ret).
-			t := &Trace{Func: e.f.Name, Entries: append([]Entry(nil), cont...)}
-			*out = append(*out, t)
+			*out = append(*out, &Trace{Func: e.f.Name, Entries: cont.entries()})
 			if len(*out) >= e.c.Opts.MaxPaths {
 				return
 			}
@@ -450,75 +508,109 @@ func (e *explorer) orderedSuccs(n *cfg.Node) []*cfg.Node {
 	return ordered
 }
 
-// expandBlock appends the block's entries to prefix.  Call sites to
+// expandBlock extends prefix by the block's entries.  Call sites to
 // defined callees splice in callee traces (several variants fork the
 // path).  It returns all resulting continuations.
-func (e *explorer) expandBlock(b *ir.Block, prefix []Entry) [][]Entry {
-	conts := [][]Entry{append([]Entry(nil), prefix...)}
-	for i := range b.Instrs {
-		in := &b.Instrs[i]
-		switch in.Op {
-		case ir.OpCall:
-			ref := ir.InstrRef{Func: e.f.Name, Block: b.Name, Index: i}
-			variants := e.calleeVariants(in, ref)
-			if len(variants) == 0 {
-				continue
-			}
-			cap := e.c.Opts.MaxTraceEntries
-			var next [][]Entry
-			for _, cont := range conts {
-				for _, v := range variants {
-					if len(cont) >= cap {
-						// The path already hit the entry budget; keep it
-						// as-is instead of splicing further callees.
-						e.truncated = true
-						next = append(next, cont)
-						break
-					}
-					room := cap - len(cont)
-					if room >= len(v) {
-						room = len(v)
-					} else {
-						// Only a prefix of the callee trace fits.
-						e.truncated = true
-					}
-					merged := make([]Entry, 0, len(cont)+room)
-					merged = append(merged, cont...)
-					merged = append(merged, v[:room]...)
-					next = append(next, merged)
-					if len(next) >= e.c.Opts.MaxPaths {
-						break
-					}
+func (e *explorer) expandBlock(b *ir.Block, prefix *path) []*path {
+	cap := e.c.Opts.MaxTraceEntries
+	conts := []*path{prefix}
+	steps := e.blockSteps(b)
+	for si := range steps {
+		st := &steps[si]
+		if st.call == nil {
+			// The same entries extend every continuation, up to the room
+			// each has left; any entry that does not fit is dropped.
+			for ci, cont := range conts {
+				room := cap - cont.len()
+				if room < len(st.run) {
+					e.truncated = true
+				} else {
+					room = len(st.run)
 				}
+				conts[ci] = cont.extend(st.run[:room])
+			}
+			continue
+		}
+		variants := e.calleeVariants(st)
+		if len(variants) == 0 {
+			continue
+		}
+		var next []*path
+		for _, cont := range conts {
+			for _, v := range variants {
+				if cont.len() >= cap {
+					// The path already hit the entry budget; keep it
+					// as-is instead of splicing further callees.
+					e.truncated = true
+					next = append(next, cont)
+					break
+				}
+				room := cap - cont.len()
+				if room >= len(v) {
+					room = len(v)
+				} else {
+					// Only a prefix of the callee trace fits.
+					e.truncated = true
+				}
+				next = append(next, cont.extend(v[:room]))
 				if len(next) >= e.c.Opts.MaxPaths {
 					break
 				}
 			}
-			conts = next
-		default:
-			if entry, ok := e.entryFor(in); ok {
-				for ci := range conts {
-					if len(conts[ci]) < e.c.Opts.MaxTraceEntries {
-						conts[ci] = append(conts[ci], entry)
-					} else {
-						// Entry dropped: the budget is exhausted.
-						e.truncated = true
-					}
-				}
+			if len(next) >= e.c.Opts.MaxPaths {
+				break
 			}
 		}
+		conts = next
 	}
 	return conts
 }
 
-// calleeVariants returns the callee's merged trace entry lists translated
-// into this function's DSG context, capped at MaxCalleeVariants.
-func (e *explorer) calleeVariants(in *ir.Instr, ref ir.InstrRef) [][]Entry {
-	if _, defined := e.c.Analysis.Module.Funcs[in.Callee]; !defined {
+// blockSteps returns the block's expansion plan: its non-call entries
+// grouped into one run between consecutive call sites, and the call
+// sites themselves, in instruction order.  Entries depend only on the
+// instruction and the DSG, so the plan is built once per block.
+func (e *explorer) blockSteps(b *ir.Block) []step {
+	if steps, ok := e.steps[b]; ok {
+		return steps
+	}
+	var steps []step
+	var run []Entry
+	for i := range b.Instrs {
+		in := &b.Instrs[i]
+		if in.Op == ir.OpCall {
+			if len(run) > 0 {
+				steps = append(steps, step{run: run})
+				run = nil
+			}
+			steps = append(steps, step{call: in, ref: ir.InstrRef{Func: e.f.Name, Block: b.Name, Index: i}})
+			continue
+		}
+		if entry, ok := e.entryFor(in); ok {
+			run = append(run, entry)
+		}
+	}
+	if len(run) > 0 {
+		steps = append(steps, step{run: run})
+	}
+	e.steps[b] = steps
+	return steps
+}
+
+// calleeVariants returns the call site's callee merged trace entry lists
+// translated into this function's DSG context, capped at
+// MaxCalleeVariants.  The result is memoized on the step.
+func (e *explorer) calleeVariants(st *step) [][]Entry {
+	if st.resolved {
+		return st.variants
+	}
+	st.resolved = true
+	callee := st.call.Callee
+	if _, defined := e.c.Analysis.Module.Funcs[callee]; !defined {
 		return nil
 	}
-	calleeTraces := e.c.collect(in.Callee, e.visiting)
-	if e.c.Truncated(in.Callee) {
+	calleeTraces := e.c.collect(callee, e.visiting)
+	if e.c.Truncated(callee) {
 		// The splice inherits the callee's budget exhaustion: the merged
 		// caller trace covers only a prefix of the callee's behavior.
 		e.truncated = true
@@ -526,12 +618,12 @@ func (e *explorer) calleeVariants(in *ir.Instr, ref ir.InstrRef) [][]Entry {
 	if len(calleeTraces) == 0 {
 		return nil
 	}
-	mapping := e.dsg.CallMaps[ref]
+	mapping := e.dsg.CallMaps[st.ref]
 	limit := e.c.Opts.MaxCalleeVariants
 	if limit > len(calleeTraces) {
 		limit = len(calleeTraces)
 	}
-	out := make([][]Entry, 0, limit)
+	st.variants = make([][]Entry, 0, limit)
 	for _, t := range calleeTraces[:limit] {
 		entries := make([]Entry, 0, len(t.Entries))
 		for _, en := range t.Entries {
@@ -539,9 +631,9 @@ func (e *explorer) calleeVariants(in *ir.Instr, ref ir.InstrRef) [][]Entry {
 			te.Cell = translateCell(en.Cell, mapping)
 			entries = append(entries, te)
 		}
-		out = append(out, entries)
+		st.variants = append(st.variants, entries)
 	}
-	return out
+	return st.variants
 }
 
 // translateCell maps a callee-context cell into the caller's context via

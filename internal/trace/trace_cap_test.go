@@ -77,3 +77,43 @@ func TestMemoizationReturnsSameTraces(t *testing.T) {
 		}
 	}
 }
+
+// TestBudgetBoundary pins the entry budget at its exact boundary: a run
+// of non-call entries that just fits is kept whole and untruncated, one
+// entry over drops the excess and latches truncation, and a caller whose
+// only entries are a truncated callee's inherits the flag even though
+// the splice itself fits.
+func TestBudgetBoundary(t *testing.T) {
+	const stores = 12
+	var b strings.Builder
+	b.WriteString("module edge\n\ntype o struct {\n\ta: int\n}\n\nfunc fill() {\n\t%p = palloc o\n")
+	for i := 0; i < stores; i++ {
+		fmt.Fprintf(&b, "\tstore %%p.a, %d\n", i)
+	}
+	b.WriteString("\tret\n}\n\nfunc wrap() {\n\tcall fill()\n\tret\n}\n")
+	a := dsa.Analyze(ir.MustParse(b.String()), dsa.DefaultOptions())
+	for _, tc := range []struct {
+		budget, want int
+		truncated    bool
+	}{
+		{stores + 1, stores, false},
+		{stores, stores, false},
+		{stores - 1, stores - 1, true},
+	} {
+		opts := DefaultOptions()
+		opts.MaxTraceEntries = tc.budget
+		c := NewCollector(a, opts)
+		for _, fn := range []string{"fill", "wrap"} {
+			ts := c.FunctionTraces(fn)
+			if len(ts) != 1 {
+				t.Fatalf("budget %d: %s has %d traces, want 1", tc.budget, fn, len(ts))
+			}
+			if got := len(ts[0].Entries); got != tc.want {
+				t.Errorf("budget %d: %s trace has %d entries, want %d", tc.budget, fn, got, tc.want)
+			}
+			if got := c.Truncated(fn); got != tc.truncated {
+				t.Errorf("budget %d: Truncated(%s) = %v, want %v", tc.budget, fn, got, tc.truncated)
+			}
+		}
+	}
+}
