@@ -375,7 +375,7 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 	models := make([]string, len(progs))
 	for i, p := range progs {
 		mods[i] = mustModule(b, p)
-		models[i] = tables.ModelFor(p)
+		models[i] = p.Model.String()
 	}
 	analyzeAll := func(b *testing.B, workers int) {
 		for i := 0; i < b.N; i++ {

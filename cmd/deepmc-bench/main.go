@@ -1,192 +1,99 @@
 // Command deepmc-bench regenerates the paper's tables and figures from
-// this repository's implementations.
+// this repository's implementations and runs the CI gates, by name:
 //
-// Usage:
+//	deepmc-bench [-jobs N] NAME...
+//	deepmc-bench all                # every paper entry, in order
+//	deepmc-bench table1             # the headline detection table
+//	deepmc-bench -jobs 0 speedup    # serial vs. parallel corpus analysis
+//	deepmc-bench fleet-gate         # a CI gate, named like its make target
+//	deepmc-bench -h                 # every name with what it runs
 //
-//	deepmc-bench -all
-//	deepmc-bench -table 1            # Tables: 1 2 3 6 7 8 9
-//	deepmc-bench -figure 12          # Figure 12 (runs the app workloads)
-//	deepmc-bench -perffix            # §5.1 fix-improvement experiment
-//	deepmc-bench -fp                 # §5.4 false-positive analysis
-//	deepmc-bench -completeness       # §5.3 studied-bug re-detection
-//	deepmc-bench -figure 12 -ops 20000 -clients 4
-//	deepmc-bench -speedup -jobs 0       # serial vs. parallel corpus analysis
-//	deepmc-bench -cache -jobs 0         # cold vs. warm cached corpus analysis (BENCH_cache.json)
-//	deepmc-bench -cache-gate            # warm==cold byte-identity gate (workers 1/2/8 + disk tier)
-//	deepmc-bench -crashsim -jobs 4      # legacy vs. pruned-parallel crash enumeration
-//	deepmc-bench -faultinj -fault-seed 42  # per-class fault-injection differential
-//	deepmc-bench -serve                 # serve daemon chaos/soak gate (restarts, shedding, breakers)
-//	deepmc-bench -fuzz                  # schedule-fuzzer gate (witness replay + planted-bug re-discovery)
-//	deepmc-bench -soak                  # heavy-traffic soak gate (overhead + crash/recover audits, BENCH_soak.json)
-//	deepmc-bench -soak-short            # bounded soak gate for CI
-//	deepmc-bench -net-fleet             # multi-process HTTP fleet gate (network chaos, BENCH_net_fleet.json)
-//	deepmc-bench -fleet-http            # wire overhead vs in-process shards (BENCH_fleet_http.json)
-//	deepmc-bench -pmodel                # x86 vs CXL contract pricing (BENCH_pmodel.json)
-//	deepmc-bench -pmodel-gate           # persistency-contract differential gate
-//	deepmc-bench -all -jobs 8           # fan the checker out for every table
+// The names are the entries of tables.Entries.  -jobs sets the checker
+// fan-out for corpus runs (0 = GOMAXPROCS, below 1 = serial).  An entry
+// with bench rows writes them to BENCH_<name>.json, with "-" in the
+// name written as "_".  The exit status is 1 if any entry fails and 2
+// on a usage error.
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"deepmc/internal/cli"
 	"deepmc/internal/tables"
 )
 
 func main() {
-	table := flag.Int("table", 0, "regenerate one table (1,2,3,6,7,8,9)")
-	figure := flag.Int("figure", 0, "regenerate one figure (12)")
-	perffix := flag.Bool("perffix", false, "run the §5.1 perf-bug fix experiment")
-	fp := flag.Bool("fp", false, "run the §5.4 false-positive analysis")
-	completeness := flag.Bool("completeness", false, "run the §5.3 completeness check")
-	ablations := flag.Bool("ablations", false, "run the DESIGN.md §6 ablations")
-	all := flag.Bool("all", false, "regenerate everything")
-	ops := flag.Int("ops", 8000, "Figure 12: operations per client")
-	clients := flag.Int("clients", 4, "Figure 12: concurrent clients")
-	jobs := flag.Int("jobs", 1, "checker worker count for corpus runs (0 = GOMAXPROCS)")
-	speedup := flag.Bool("speedup", false, "time serial vs. parallel corpus analysis")
-	cacheBench := flag.Bool("cache", false, "time cold vs. warm cached corpus analysis (writes BENCH_cache.json)")
-	cacheGate := flag.Bool("cache-gate", false, "run the incremental-cache byte-identity gate (workers 1/2/8 + disk tier)")
-	crashsim := flag.Bool("crashsim", false, "time legacy vs. pruned-parallel crash enumeration")
-	faultinj := flag.Bool("faultinj", false, "run the per-class fault-injection differential")
-	serveGate := flag.Bool("serve", false, "run the serve chaos/soak gate (graceful restarts, serve==batch byte-identity, breaker trip/recover, load shedding)")
-	soakGate := flag.Bool("soak", false, "run the heavy-traffic soak gate (tracked/untracked overhead, sharded vs global-mutex checker, crash+recover audits; writes BENCH_soak.json)")
-	soakShort := flag.Bool("soak-short", false, "bounded soak gate for CI (same checks, smaller op budgets)")
-	fuzzGate := flag.Bool("fuzz", false, "run the schedule-fuzzer gate (witness corpus replays byte-identically, planted bugs re-found, fixed targets clean)")
-	fleetGate := flag.Bool("fleet", false, "run the sharded-fleet chaos gate (fleet == batch byte-identity at shards 1/4/8, with mid-run kills and restarts; writes BENCH_fleet.json)")
-	netFleetGate := flag.Bool("net-fleet", false, "run the multi-process HTTP fleet gate (real shard processes, seeded network fault injection, process kill/restart; writes BENCH_net_fleet.json)")
-	fleetHTTP := flag.Bool("fleet-http", false, "measure wire overhead: in-process vs HTTP shard transports at shards 1/4/8 (writes BENCH_fleet_http.json)")
-	pmodelBench := flag.Bool("pmodel", false, "price x86 vs CXL persistency contracts on the same commit workload (writes BENCH_pmodel.json)")
-	pmodelGate := flag.Bool("pmodel-gate", false, "run the persistency-contract differential gate (per-contract verdict matrix, empty-domain cxl==x86 equivalence, crash-sim cell)")
-	faultSeed := flag.Int64("fault-seed", 1, "fault-injection schedule seed")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], tables.Entries))
+}
+
+// run parses args, runs the named entries in order and returns the
+// exit status.
+func run(args []string, entries []tables.Entry) int {
+	fs := flag.NewFlagSet("deepmc-bench", flag.ContinueOnError)
+	jobs := fs.Int("jobs", 1, "checker worker count for corpus runs (0 = GOMAXPROCS)")
+	fs.Usage = func() {
+		out := fs.Output()
+		fmt.Fprintln(out, "usage: deepmc-bench [-jobs N] NAME...")
+		fs.PrintDefaults()
+		fmt.Fprintf(out, "\nnames:\n  %-13s every paper entry below, in order\n", "all")
+		for _, e := range entries {
+			fmt.Fprintf(out, "  %-13s %s\n", e.Name, e.Doc)
+		}
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cli.ExitOK
+		}
+		return cli.ExitFailed
+	}
+
+	var todo []tables.Entry
+	for _, name := range fs.Args() {
+		n := len(todo)
+		for _, e := range entries {
+			if e.Name == name || name == "all" && e.Paper {
+				todo = append(todo, e)
+			}
+		}
+		if len(todo) == n {
+			fmt.Fprintf(fs.Output(), "deepmc-bench: unknown name %q\n", name)
+			fs.Usage()
+			return cli.ExitFailed
+		}
+	}
+	if len(todo) == 0 {
+		fs.Usage()
+		return cli.ExitFailed
+	}
 
 	tables.Workers = *jobs
+	status := cli.ExitOK
+	for _, e := range todo {
+		r := e.Run()
+		fmt.Println(r.Text)
+		if r.Bench != nil {
+			if err := writeBench(e.Name, r.Bench); err != nil {
+				fmt.Fprintf(os.Stderr, "deepmc-bench: %s: %v\n", e.Name, err)
+				r.OK = false
+			}
+		}
+		if !r.OK {
+			status = cli.ExitViolations
+		}
+	}
+	return status
+}
 
-	ran := false
-	emit := func(s string) {
-		fmt.Println(s)
-		ran = true
+// writeBench writes an entry's bench rows to BENCH_<name>.json.
+func writeBench(name string, rows any) error {
+	b, err := json.MarshalIndent(rows, "", "  ")
+	if err != nil {
+		return err
 	}
-	if *all || *table == 1 {
-		emit(tables.Table1())
-	}
-	if *all || *table == 2 {
-		emit(tables.Table2())
-	}
-	if *all || *table == 3 {
-		emit(tables.Table3())
-	}
-	if *all || *table == 6 {
-		emit(tables.Table6())
-	}
-	if *all || *table == 7 {
-		emit(tables.Table7())
-	}
-	if *all || *table == 8 {
-		emit(tables.Table8())
-	}
-	if *all || *table == 9 {
-		emit(tables.Table9())
-	}
-	if *all || *completeness {
-		emit(tables.Completeness())
-	}
-	if *all || *fp {
-		emit(tables.FalsePositives())
-	}
-	if *all || *perffix {
-		emit(tables.PerfFix())
-	}
-	if *all || *ablations {
-		emit(tables.Ablations())
-	}
-	if *all || *speedup {
-		emit(tables.ParallelBench(*jobs))
-	}
-	if *all || *cacheBench {
-		emit(tables.CacheBench(*jobs))
-	}
-	if *cacheGate {
-		s, ok := tables.CacheGate()
-		emit(s)
-		if !ok {
-			os.Exit(cli.ExitViolations)
-		}
-	}
-	if *serveGate {
-		s, ok := tables.ServeGate()
-		emit(s)
-		if !ok {
-			os.Exit(cli.ExitViolations)
-		}
-	}
-	if *fuzzGate {
-		s, ok := tables.FuzzGate()
-		emit(s)
-		if !ok {
-			os.Exit(cli.ExitViolations)
-		}
-	}
-	if *fleetGate {
-		s, ok := tables.FleetGate()
-		emit(s)
-		if !ok {
-			os.Exit(cli.ExitViolations)
-		}
-	}
-	if *netFleetGate {
-		s, ok := tables.NetFleetGate()
-		emit(s)
-		if !ok {
-			os.Exit(cli.ExitViolations)
-		}
-	}
-	if *fleetHTTP {
-		s, ok := tables.FleetHTTPBench()
-		emit(s)
-		if !ok {
-			os.Exit(cli.ExitViolations)
-		}
-	}
-	if *pmodelGate {
-		s, ok := tables.PModelGate()
-		emit(s)
-		if !ok {
-			os.Exit(cli.ExitViolations)
-		}
-	}
-	if *all || *pmodelBench {
-		emit(tables.PModelBench(*jobs))
-	}
-	if *soakGate || *soakShort {
-		s, ok := tables.SoakGate(*soakShort)
-		emit(s)
-		if !ok {
-			os.Exit(cli.ExitViolations)
-		}
-	}
-	if *all || *crashsim {
-		emit(tables.CrashsimBench(*jobs))
-	}
-	if *all || *faultinj {
-		emit(tables.FaultDifferential(*faultSeed))
-	}
-	if *all || *figure == 12 {
-		cfg := tables.DefaultFig12Config()
-		cfg.OpsPerClient = *ops
-		cfg.Clients = *clients
-		s, err := tables.Figure12(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "deepmc-bench: figure 12: %v\n", err)
-			os.Exit(cli.ExitFailed)
-		}
-		emit(s)
-	}
-	if !ran {
-		flag.Usage()
-		os.Exit(cli.ExitFailed)
-	}
+	return os.WriteFile("BENCH_"+strings.ReplaceAll(name, "-", "_")+".json", append(b, '\n'), 0o644)
 }

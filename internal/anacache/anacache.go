@@ -61,7 +61,7 @@ type TraceArtifact struct {
 	Truncated bool
 }
 
-// Stats counts cache traffic, for `deepmc-bench -cache` and the
+// Stats counts cache traffic, for `deepmc-bench cache` and the
 // incremental-recompute tests.
 type Stats struct {
 	VerdictHits   uint64 `json:"verdict_hits"`

@@ -1,7 +1,7 @@
 // The wire form of the shared verdict tier: BackingHandler serves any
-// Backing over HTTP (`deepmc tier` and the net-fleet gate mount a lazy
-// Cache here), and RemoteBacking is the client side a shard daemon
-// attaches under its local cache.
+// Backing over HTTP (`deepmc tier` and the fleet gate's HTTP rounds
+// mount a lazy Cache here), and RemoteBacking is the client side a
+// shard daemon attaches under its local cache.
 //
 // The trust model is deliberately asymmetric to the local disk tier:
 // the network can truncate, corrupt or reorder bytes in ways a local

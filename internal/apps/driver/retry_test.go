@@ -14,11 +14,11 @@ var errTransient = errors.New("transient wire error")
 var errFatal = errors.New("fatal: store corrupted")
 
 // flakyKV fails every failEvery-th operation with the configured error,
-// succeeding on retry (the failure is counted per attempt, so the next
-// attempt of the same op passes).
+// succeeding on retry (the failure is counted per attempt of each
+// thread, so the next attempt of the same op passes).
 type flakyKV struct {
 	mu        sync.Mutex
-	attempts  int
+	attempts  map[int64]int // by thread
 	failEvery int
 	err       error
 }
@@ -26,8 +26,11 @@ type flakyKV struct {
 func (f *flakyKV) Do(thread int64, op workload.Op) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.attempts++
-	if f.failEvery > 0 && f.attempts%f.failEvery == 0 {
+	if f.attempts == nil {
+		f.attempts = make(map[int64]int)
+	}
+	f.attempts[thread]++
+	if f.failEvery > 0 && f.attempts[thread]%f.failEvery == 0 {
 		return f.err
 	}
 	return nil

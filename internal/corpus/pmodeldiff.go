@@ -367,8 +367,10 @@ func CrashPModelDifferential(ctx context.Context, workers int) (CrashPModelResul
 	return res, nil
 }
 
-// FormatPModelDiff renders the whole contract-differential gate report.
-func FormatPModelDiff(rs []PModelDiffResult, crash CrashPModelResult, equivChecked int, equivDiverged []string) string {
+// FormatPModelDiff renders the whole contract-differential gate report
+// and reports whether the gate passed: every case, the crash cell and
+// the corpus equivalence over at least one configuration.
+func FormatPModelDiff(rs []PModelDiffResult, crash CrashPModelResult, equivChecked int, equivDiverged []string) (string, bool) {
 	var b strings.Builder
 	b.WriteString("persistency-contract differential: per-case verdict matrix\n")
 	for _, r := range rs {
@@ -380,10 +382,11 @@ func FormatPModelDiff(rs []PModelDiffResult, crash CrashPModelResult, equivCheck
 		eq = "FAIL: " + strings.Join(equivDiverged, ", ")
 	}
 	fmt.Fprintf(&b, "  corpus equivalence: empty-domain cxl == x86 over %d configurations  %s\n", equivChecked, eq)
+	ok := PModelDiffOK(rs) && crash.OK() && len(equivDiverged) == 0 && equivChecked > 0
 	verdict := "PASS"
-	if !PModelDiffOK(rs) || !crash.OK() || len(equivDiverged) > 0 || equivChecked == 0 {
+	if !ok {
 		verdict = "FAIL"
 	}
 	fmt.Fprintf(&b, "pmodel differential: %s\n", verdict)
-	return b.String()
+	return b.String(), ok
 }

@@ -56,7 +56,7 @@ func httpJobs(t *testing.T, n int) []Job {
 
 // startShardServer runs an in-process serve daemon on a loopback
 // listener — the package-test stand-in for a real shard process (the
-// net-fleet gate spawns genuine processes).
+// fleet gate's HTTP rounds spawn genuine processes).
 func startShardServer(t *testing.T, tierURL string) (*serve.Server, string) {
 	t.Helper()
 	s, err := serve.NewServer(serve.Config{TierURL: tierURL, DrainTimeout: 2 * time.Second})

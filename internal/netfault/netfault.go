@@ -163,7 +163,7 @@ func (r *stream) chance(rate float64) bool {
 
 // PlanFor derives dial ordinal's fault plan: a pure function of the
 // injector's (seed, classes, rate) and the ordinal — the replay
-// contract the net-fleet gate asserts.
+// contract the fleet gate's replay round asserts.
 func (in *Injector) PlanFor(dial uint64) Plan {
 	p := Plan{Dial: dial}
 	r := &stream{s: splitmix64(uint64(in.cfg.Seed)) ^ splitmix64(dial+0x51ab_1ded)}

@@ -1,58 +1,14 @@
 package tables
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"deepmc/internal/anacache"
 	"deepmc/internal/core"
-	"deepmc/internal/corpus"
-	"deepmc/internal/ir"
 )
-
-// cacheCorpus loads every corpus program's module once, paired with its
-// analysis configuration (model from the program, workers and cache
-// from the caller).
-type cacheCase struct {
-	name string
-	mod  *ir.Module
-	cfg  core.Config
-}
-
-func cacheCases(jobs int, cache *anacache.Cache) ([]cacheCase, error) {
-	var cases []cacheCase
-	for _, p := range corpus.All() {
-		m, err := p.Module()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
-		}
-		cases = append(cases, cacheCase{
-			name: p.Name,
-			mod:  m,
-			cfg:  core.Config{Model: p.Model.String(), Workers: jobs, Cache: cache},
-		})
-	}
-	return cases, nil
-}
-
-// renderAll analyzes every case and concatenates the rendered reports —
-// the byte stream the gate diffs.
-func renderAll(cases []cacheCase) (string, error) {
-	var b strings.Builder
-	for _, c := range cases {
-		rep, err := core.AnalyzeCtx(context.Background(), c.mod, c.cfg)
-		if err != nil {
-			return "", fmt.Errorf("%s: %w", c.name, err)
-		}
-		fmt.Fprintf(&b, "== %s\n%s", c.name, rep)
-	}
-	return b.String(), nil
-}
 
 // cacheBenchResult is the BENCH_cache.json schema.
 type cacheBenchResult struct {
@@ -65,68 +21,53 @@ type cacheBenchResult struct {
 	Stats     anacache.Stats `json:"cache_stats"`
 }
 
-// CacheBench times the whole-corpus static analysis cold (empty cache)
-// versus warm (every verdict memoized) and records the result in
-// BENCH_cache.json.  The warm run must be byte-identical to the cold
-// one — the speedup may not cost determinism.
-func CacheBench(jobs int) string {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
+// cacheBench times the whole-corpus static analysis cold (empty cache)
+// versus warm (every verdict memoized).  The warm run must be
+// byte-identical to the cold one — the speedup may not cost
+// determinism.
+func cacheBench() Result {
+	workers := resolvedWorkers()
 	const rounds = 5
+	jobs, err := corpusJobs(core.Config{Workers: workers})
+	if err != nil {
+		return fail("cache bench", err)
+	}
+	withCache := func(c *anacache.Cache) {
+		for i := range jobs {
+			jobs[i].Config.Cache = c
+		}
+	}
 
 	// Cold: a fresh cache per round, so every round pays full analysis.
-	var coldBest time.Duration
-	var coldOut string
-	for r := 0; r < rounds; r++ {
+	coldBest, coldOut, err := bestOf(rounds, func() (string, error) {
 		cache, err := anacache.New("")
 		if err != nil {
-			return fmt.Sprintf("cache bench: %v\n", err)
+			return "", err
 		}
-		cases, err := cacheCases(jobs, cache)
-		if err != nil {
-			return fmt.Sprintf("cache bench: %v\n", err)
-		}
-		start := time.Now()
-		out, err := renderAll(cases)
-		if err != nil {
-			return fmt.Sprintf("cache bench: %v\n", err)
-		}
-		if elapsed := time.Since(start); coldBest == 0 || elapsed < coldBest {
-			coldBest = elapsed
-		}
-		coldOut = out
+		withCache(cache)
+		return batchRender(jobs)
+	})
+	if err != nil {
+		return fail("cache bench", err)
 	}
 
 	// Warm: one shared cache, populated by an untimed priming run; every
 	// timed round is all-hit.
 	cache, err := anacache.New("")
 	if err != nil {
-		return fmt.Sprintf("cache bench: %v\n", err)
+		return fail("cache bench", err)
 	}
-	cases, err := cacheCases(jobs, cache)
+	withCache(cache)
+	if _, err := batchRender(jobs); err != nil {
+		return fail("cache bench", err)
+	}
+	warmBest, warmOut, err := bestOf(rounds, func() (string, error) { return batchRender(jobs) })
 	if err != nil {
-		return fmt.Sprintf("cache bench: %v\n", err)
-	}
-	if _, err := renderAll(cases); err != nil {
-		return fmt.Sprintf("cache bench: %v\n", err)
-	}
-	var warmBest time.Duration
-	var warmOut string
-	for r := 0; r < rounds; r++ {
-		start := time.Now()
-		out, err := renderAll(cases)
-		if err != nil {
-			return fmt.Sprintf("cache bench: %v\n", err)
-		}
-		if elapsed := time.Since(start); warmBest == 0 || elapsed < warmBest {
-			warmBest = elapsed
-		}
-		warmOut = out
+		return fail("cache bench", err)
 	}
 
 	res := cacheBenchResult{
-		Jobs:      jobs,
+		Jobs:      workers,
 		Rounds:    rounds,
 		ColdNs:    coldBest.Nanoseconds(),
 		WarmNs:    warmBest.Nanoseconds(),
@@ -134,14 +75,11 @@ func CacheBench(jobs int) string {
 		Identical: warmOut == coldOut,
 		Stats:     cache.Stats(),
 	}
-	if b, err := json.MarshalIndent(res, "", "  "); err == nil {
-		_ = os.WriteFile("BENCH_cache.json", append(b, '\n'), 0o644)
-	}
 
 	var b strings.Builder
 	b.WriteString("Incremental cache: whole-corpus analysis, cold vs warm\n")
 	b.WriteString("------------------------------------------------------\n")
-	fmt.Fprintf(&b, "jobs %d, best of %d rounds\n", jobs, rounds)
+	fmt.Fprintf(&b, "jobs %d, best of %d rounds\n", workers, rounds)
 	fmt.Fprintf(&b, "  cold (empty cache):    %10s\n", coldBest.Round(time.Microsecond))
 	fmt.Fprintf(&b, "  warm (all verdicts):   %10s\n", warmBest.Round(time.Microsecond))
 	fmt.Fprintf(&b, "  speedup:               %10.2fx\n", res.Speedup)
@@ -149,20 +87,19 @@ func CacheBench(jobs int) string {
 	st := res.Stats
 	fmt.Fprintf(&b, "  verdict hits/misses:   %d/%d (disk %d), trace hits/misses: %d/%d\n",
 		st.VerdictHits, st.VerdictMisses, st.DiskHits, st.TraceHits, st.TraceMisses)
-	b.WriteString("results written to BENCH_cache.json\n")
 	if !res.Identical {
 		b.WriteString("FAIL: warm output diverged from cold\n")
 	}
-	return b.String()
+	return Result{Text: b.String(), Bench: res, OK: res.Identical}
 }
 
-// CacheGate is the CI gate for the incremental cache: over the full
+// cacheGate is the CI gate for the incremental cache: over the full
 // corpus it checks that (1) at every worker count in {1, 2, 8} a warm
 // run reproduces the cold run byte for byte, (2) all worker counts
 // agree with each other, and (3) the disk tier round-trips — a fresh
 // process pointed at the same -cache-dir serves the memoized verdicts
 // and still renders identical bytes.
-func CacheGate() (string, bool) {
+func cacheGate() Result {
 	var b strings.Builder
 	ok := true
 	b.WriteString("Incremental cache gate\n")
@@ -172,19 +109,19 @@ func CacheGate() (string, bool) {
 	for _, workers := range []int{1, 2, 8} {
 		cache, err := anacache.New("")
 		if err != nil {
-			return fmt.Sprintf("cache gate: %v\n", err), false
+			return fail("cache gate", err)
 		}
-		cases, err := cacheCases(workers, cache)
+		jobs, err := corpusJobs(core.Config{Workers: workers, Cache: cache})
 		if err != nil {
-			return fmt.Sprintf("cache gate: %v\n", err), false
+			return fail("cache gate", err)
 		}
-		cold, err := renderAll(cases)
+		cold, err := batchRender(jobs)
 		if err != nil {
-			return fmt.Sprintf("cache gate: %v\n", err), false
+			return fail("cache gate", err)
 		}
-		warm, err := renderAll(cases)
+		warm, err := batchRender(jobs)
 		if err != nil {
-			return fmt.Sprintf("cache gate: %v\n", err), false
+			return fail("cache gate", err)
 		}
 		st := cache.Stats()
 		line := "ok"
@@ -206,32 +143,32 @@ func CacheGate() (string, bool) {
 	// fresh process would and analyze warm from disk alone.
 	dir, err := os.MkdirTemp("", "deepmc-cache-gate-")
 	if err != nil {
-		return fmt.Sprintf("cache gate: %v\n", err), false
+		return fail("cache gate", err)
 	}
 	defer os.RemoveAll(dir)
 	prime, err := anacache.New(dir)
 	if err != nil {
-		return fmt.Sprintf("cache gate: %v\n", err), false
+		return fail("cache gate", err)
 	}
-	cases, err := cacheCases(2, prime)
+	jobs, err := corpusJobs(core.Config{Workers: 2, Cache: prime})
 	if err != nil {
-		return fmt.Sprintf("cache gate: %v\n", err), false
+		return fail("cache gate", err)
 	}
-	cold, err := renderAll(cases)
+	cold, err := batchRender(jobs)
 	if err != nil {
-		return fmt.Sprintf("cache gate: %v\n", err), false
+		return fail("cache gate", err)
 	}
 	reopened, err := anacache.New(dir)
 	if err != nil {
-		return fmt.Sprintf("cache gate: %v\n", err), false
+		return fail("cache gate", err)
 	}
-	cases2, err := cacheCases(2, reopened)
+	jobs, err = corpusJobs(core.Config{Workers: 2, Cache: reopened})
 	if err != nil {
-		return fmt.Sprintf("cache gate: %v\n", err), false
+		return fail("cache gate", err)
 	}
-	warm, err := renderAll(cases2)
+	warm, err := batchRender(jobs)
 	if err != nil {
-		return fmt.Sprintf("cache gate: %v\n", err), false
+		return fail("cache gate", err)
 	}
 	st := reopened.Stats()
 	line := "ok"
@@ -247,5 +184,5 @@ func CacheGate() (string, bool) {
 	} else {
 		b.WriteString("cache gate FAILED\n")
 	}
-	return b.String(), ok
+	return Result{Text: b.String(), OK: ok}
 }

@@ -3,6 +3,7 @@ package tables
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -10,74 +11,53 @@ import (
 	"deepmc/internal/crashsim"
 )
 
-// CrashsimBench times crash-point enumeration over the differential
+// crashsimBench times crash-point enumeration over the differential
 // harness corpus in three configurations: the legacy exhaustive
 // enumerator (every step is a crash point, one worker), the pruned
 // enumerator (persist-relevant points only, image-hash deduped), and
-// the pruned enumerator fanned out over a worker pool.  The pruned
-// runs must render byte-identical results at every worker count — the
-// speedup is free of any nondeterminism tax.
-func CrashsimBench(jobs int) string {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
+// the pruned enumerator fanned out over Workers.  The pruned runs must
+// render byte-identical results at every worker count — the speedup is
+// free of any nondeterminism tax.
+func crashsimBench() Result {
+	workers := resolvedWorkers()
 	cases, err := corpus.CrashCases()
 	if err != nil {
-		return fmt.Sprintf("crashsim bench: %v\n", err)
+		return fail("crashsim bench", err)
 	}
 
-	run := func(o crashsim.Options) ([]string, error) {
-		var details []string
-		for i := range cases {
-			c := &cases[i]
-			br, err := crashsim.EnumerateOpts(c.Buggy, c.Entry, c.Invariant, o)
-			if err != nil {
-				return nil, err
+	run := func(o crashsim.Options) func() ([]string, error) {
+		return func() ([]string, error) {
+			var details []string
+			for i := range cases {
+				c := &cases[i]
+				br, err := crashsim.EnumerateOpts(c.Buggy, c.Entry, c.Invariant, o)
+				if err != nil {
+					return nil, err
+				}
+				fr, err := crashsim.EnumerateOpts(c.Fixed, c.Entry, c.Invariant, o)
+				if err != nil {
+					return nil, err
+				}
+				details = append(details, br.Detail(), fr.Detail())
 			}
-			fr, err := crashsim.EnumerateOpts(c.Fixed, c.Entry, c.Invariant, o)
-			if err != nil {
-				return nil, err
-			}
-			details = append(details, br.Detail(), fr.Detail())
+			return details, nil
 		}
-		return details, nil
 	}
 
 	const rounds = 20
-	measure := func(o crashsim.Options) (time.Duration, []string, error) {
-		var best time.Duration
-		var details []string
-		for r := 0; r < rounds; r++ {
-			start := time.Now()
-			d, err := run(o)
-			if err != nil {
-				return 0, nil, err
-			}
-			if elapsed := time.Since(start); best == 0 || elapsed < best {
-				best = elapsed
-			}
-			details = d
-		}
-		return best, details, nil
-	}
-
-	legacy, _, err := measure(crashsim.Options{Workers: 1})
+	legacy, _, err := bestOf(rounds, run(crashsim.Options{Workers: 1}))
 	if err != nil {
-		return fmt.Sprintf("crashsim bench: %v\n", err)
+		return fail("crashsim bench", err)
 	}
-	prunedSerial, serialDetails, err := measure(crashsim.Options{Prune: true, Workers: 1})
+	prunedSerial, serialDetails, err := bestOf(rounds, run(crashsim.Options{Prune: true, Workers: 1}))
 	if err != nil {
-		return fmt.Sprintf("crashsim bench: %v\n", err)
+		return fail("crashsim bench", err)
 	}
-	prunedPar, parDetails, err := measure(crashsim.Options{Prune: true, Workers: jobs})
+	prunedPar, parDetails, err := bestOf(rounds, run(crashsim.Options{Prune: true, Workers: workers}))
 	if err != nil {
-		return fmt.Sprintf("crashsim bench: %v\n", err)
+		return fail("crashsim bench", err)
 	}
-
-	identical := len(serialDetails) == len(parDetails)
-	for i := 0; identical && i < len(serialDetails); i++ {
-		identical = serialDetails[i] == parDetails[i]
-	}
+	identical := slices.Equal(serialDetails, parDetails)
 
 	var b strings.Builder
 	b.WriteString("Crash enumeration: differential harness corpus, 15 bugs x (buggy + fixed)\n\n")
@@ -85,9 +65,9 @@ func CrashsimBench(jobs int) string {
 	fmt.Fprintf(&b, "%-34s %14s %9s\n", "legacy exhaustive (serial)", legacy.Round(time.Microsecond), "1.00x")
 	fmt.Fprintf(&b, "%-34s %14s %8.2fx\n", "pruned (serial)",
 		prunedSerial.Round(time.Microsecond), float64(legacy)/float64(prunedSerial))
-	fmt.Fprintf(&b, "%-34s %14s %8.2fx\n", fmt.Sprintf("pruned (workers=%d)", jobs),
+	fmt.Fprintf(&b, "%-34s %14s %8.2fx\n", fmt.Sprintf("pruned (workers=%d)", workers),
 		prunedPar.Round(time.Microsecond), float64(legacy)/float64(prunedPar))
 	fmt.Fprintf(&b, "\nBest of %d rounds on %d logical CPUs; pruned results byte-identical across worker counts: %v\n",
 		rounds, runtime.NumCPU(), identical)
-	return b.String()
+	return Result{Text: b.String(), OK: identical}
 }

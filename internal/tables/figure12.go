@@ -43,72 +43,59 @@ type Fig12Config struct {
 // DefaultFig12Config mirrors Table 6's client counts at reduced op
 // counts.
 func DefaultFig12Config() Fig12Config {
-	return Fig12Config{OpsPerClient: 4000, Clients: 4, Keyspace: 2048}
-}
-
-// bestOf runs a measurement trials times and keeps the best throughput,
-// damping scheduler and allocator noise as benchmark harnesses do.
-func bestOf(trials int, run func() (driver.Result, error)) (driver.Result, error) {
-	var best driver.Result
-	for i := 0; i < trials; i++ {
-		r, err := run()
-		if err != nil {
-			return r, err
-		}
-		if r.Throughput() > best.Throughput() {
-			best = r
-		}
-	}
-	return best, nil
+	return Fig12Config{OpsPerClient: 8000, Clients: 4, Keyspace: 2048}
 }
 
 // Figure12Measure runs every application x workload with and without
 // the runtime tracker.
 func Figure12Measure(cfg Fig12Config) ([]Fig12Row, error) {
 	var rows []Fig12Row
+	add := func(app, wl string, run func(pmem.Tracker) (driver.Result, error)) error {
+		row, err := fig12Row(app, wl, run)
+		rows = append(rows, row)
+		return err
+	}
 	// Memcached over Mnemosyne, memslap mixes.
 	for _, mix := range workload.MemslapMixes() {
-		mix := mix
-		base, err := bestOf(2, func() (driver.Result, error) { return runMemcache(cfg, mix, nil) })
-		if err != nil {
+		if err := add("Memcached", mix.Name, func(tr pmem.Tracker) (driver.Result, error) { return runMemcache(cfg, mix, tr) }); err != nil {
 			return nil, err
 		}
-		inst, err := bestOf(2, func() (driver.Result, error) { return runMemcache(cfg, mix, pmem.NewCheckerTracker()) })
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig12Row{App: "Memcached", Workload: mix.Name,
-			BaseTput: base.Throughput(), InstTput: inst.Throughput()})
 	}
 	// Redis over PMDK, redis-benchmark default suite.
 	for _, cmd := range workload.RedisOps {
-		cmd := cmd
-		base, err := bestOf(2, func() (driver.Result, error) { return runRedis(cfg, cmd, nil) })
-		if err != nil {
+		if err := add("Redis", cmd, func(tr pmem.Tracker) (driver.Result, error) { return runRedis(cfg, cmd, tr) }); err != nil {
 			return nil, err
 		}
-		inst, err := bestOf(2, func() (driver.Result, error) { return runRedis(cfg, cmd, pmem.NewCheckerTracker()) })
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig12Row{App: "Redis", Workload: cmd,
-			BaseTput: base.Throughput(), InstTput: inst.Throughput()})
 	}
 	// NStore over raw NVM ops, YCSB A-F.
 	for _, mix := range workload.YCSBMixes() {
-		mix := mix
-		base, err := bestOf(2, func() (driver.Result, error) { return runNStore(cfg, mix, nil) })
-		if err != nil {
+		if err := add("NStore", mix.Name, func(tr pmem.Tracker) (driver.Result, error) { return runNStore(cfg, mix, tr) }); err != nil {
 			return nil, err
 		}
-		inst, err := bestOf(2, func() (driver.Result, error) { return runNStore(cfg, mix, pmem.NewCheckerTracker()) })
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig12Row{App: "NStore", Workload: mix.Name,
-			BaseTput: base.Throughput(), InstTput: inst.Throughput()})
 	}
 	return rows, nil
+}
+
+// fig12Row measures one bar: two uninstrumented runs, then two under
+// the runtime tracker, keeping each side's best throughput to damp
+// scheduler and allocator noise as benchmark harnesses do.
+func fig12Row(app, wl string, run func(pmem.Tracker) (driver.Result, error)) (Fig12Row, error) {
+	row := Fig12Row{App: app, Workload: wl}
+	for _, tracked := range []bool{false, true} {
+		for trial := 0; trial < 2; trial++ {
+			var tr pmem.Tracker
+			tput := &row.BaseTput
+			if tracked {
+				tr, tput = pmem.NewCheckerTracker(), &row.InstTput
+			}
+			r, err := run(tr)
+			if err != nil {
+				return row, err
+			}
+			*tput = max(*tput, r.Throughput())
+		}
+	}
+	return row, nil
 }
 
 func runMemcache(cfg Fig12Config, mix workload.Mix, tr pmem.Tracker) (driver.Result, error) {
@@ -153,11 +140,11 @@ func runNStore(cfg Fig12Config, mix workload.Mix, tr pmem.Tracker) (driver.Resul
 	return driver.Run(kv, mix, cfg.Clients, cfg.OpsPerClient, cfg.Keyspace)
 }
 
-// Figure12 renders the measurement.
-func Figure12(cfg Fig12Config) (string, error) {
-	rows, err := Figure12Measure(cfg)
+// figure12 renders the measurement at DefaultFig12Config.
+func figure12() Result {
+	rows, err := Figure12Measure(DefaultFig12Config())
 	if err != nil {
-		return "", err
+		return fail("figure 12", err)
 	}
 	var b strings.Builder
 	b.WriteString("Figure 12: throughput impact of DeepMC's dynamic analysis\n\n")
@@ -174,5 +161,5 @@ func Figure12(cfg Fig12Config) (string, error) {
 			r.App, r.Workload, r.BaseTput, r.InstTput, r.OverheadPct())
 	}
 	b.WriteString("\nPaper shape: 1.7-14.2% (Memcached), 2.5-16.1% (Redis), 3.12-15.7% (NStore); overhead grows with persistent write ratio.\n")
-	return b.String(), nil
+	return Result{Text: b.String(), OK: true}
 }

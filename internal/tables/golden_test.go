@@ -10,8 +10,8 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files")
 
 // goldenCases maps golden file names to their render functions.  Only
-// the fully deterministic corpus-derived tables are pinned here; the
-// timing tables (7, 9) depend on the host and are excluded.
+// the fully deterministic renders are pinned here; Table 7 depends on
+// the host and Table 9 and Figure 12 on timing, so they are excluded.
 var goldenCases = []struct {
 	Name   string
 	Render func() string
@@ -19,13 +19,20 @@ var goldenCases = []struct {
 	{"table1", Table1},
 	{"table2", Table2},
 	{"table3", Table3},
+	{"table6", Table6},
 	{"table8", Table8},
+	{"completeness", Completeness},
+	{"fp", FalsePositives},
+	{"perffix", PerfFix},
+	{"ablations", Ablations},
 }
 
-// TestGoldenTables pins the rendered byte content of Tables 1, 2, 3 and
-// 8 against checked-in golden files, at both the serial checker and a
-// parallel fan-out — so a formatting change, a corpus drift, or a crack
-// in the deterministic-merge guarantee all show up as a diff.
+// TestGoldenTables pins the rendered byte content of Tables 1, 2, 3, 6
+// and 8, the §5.3 completeness, §5.4 false-positive and §5.1 fix
+// experiments and the ablations against checked-in golden files, at
+// both the serial checker and a parallel fan-out — so a formatting
+// change, a corpus drift, or a crack in the deterministic-merge
+// guarantee all show up as a diff.
 // Regenerate with: go test ./internal/tables -run TestGoldenTables -update
 func TestGoldenTables(t *testing.T) {
 	defer func(w int) { Workers = w }(Workers)

@@ -1,8 +1,8 @@
-// Persistency-contract gate and bench.  PModelGate asserts the
+// Persistency-contract gate and bench.  pmodelGate asserts the
 // per-contract verdict matrix the contract refactor promises (bug under
 // x86 + clean under a CXL persistence domain, CXL-only findings
 // invisible to x86, empty-domain CXL byte-identical to x86, and
-// deterministic CXL analysis at any worker count).  PModelBench prices
+// deterministic CXL analysis at any worker count).  pmodelBench prices
 // the two contracts against each other: the same commit workload on an
 // x86 pool vs a CXL domain pool (with and without the flushes DMC-X01
 // calls wasted), plus the static-analysis overhead of the CXL pass set.
@@ -10,10 +10,7 @@ package tables
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -23,29 +20,28 @@ import (
 	"deepmc/internal/pmcontract"
 )
 
-// PModelGate is the CI gate for the persistency-contract abstraction.
+// pmodelGate is the CI gate for the persistency-contract abstraction.
 // It renders the full differential report and fails if any matrix cell
 // diverges from the contract semantics.
-func PModelGate() (string, bool) {
+func pmodelGate() Result {
 	ctx := context.Background()
 	w := resolvedWorkers()
 
 	rs, err := corpus.PModelDifferential(ctx, w)
 	if err != nil {
-		return fmt.Sprintf("pmodel gate: %v\n", err), false
+		return fail("pmodel gate", err)
 	}
 	crash, err := corpus.CrashPModelDifferential(ctx, w)
 	if err != nil {
-		return fmt.Sprintf("pmodel gate: %v\n", err), false
+		return fail("pmodel gate", err)
 	}
 	checked, diverged, err := corpus.PModelEquivalence(ctx, w)
 	if err != nil {
-		return fmt.Sprintf("pmodel gate: %v\n", err), false
+		return fail("pmodel gate", err)
 	}
 
-	s := corpus.FormatPModelDiff(rs, crash, checked, diverged)
-	ok := corpus.PModelDiffOK(rs) && crash.OK() && len(diverged) == 0 && checked > 0
-	return s, ok
+	s, ok := corpus.FormatPModelDiff(rs, crash, checked, diverged)
+	return Result{Text: s, OK: ok}
 }
 
 // pmodelBenchResult is the BENCH_pmodel.json schema.
@@ -53,12 +49,12 @@ type pmodelBenchResult struct {
 	Jobs    int `json:"jobs"`
 	Records int `json:"records"`
 	// Simulated pool time for the same record-commit workload.
-	X86Ns        int64   `json:"x86_ns"`          // store+clwb+sfence per record
-	CXLLegacyNs  int64   `json:"cxl_legacy_ns"`   // x86-idiomatic code on a domain pool
-	CXLBarrierNs int64   `json:"cxl_barrier_ns"`  // contract-aware: stores + batched barriers
-	Speedup      float64 `json:"speedup"`         // x86_ns / cxl_barrier_ns
-	DomainStores uint64  `json:"domain_stores"`   // store-time-durable stores (barrier run)
-	WastedFlush  uint64  `json:"wasted_flushes"`  // DMC-X01 flushes in the legacy-on-CXL run
+	X86Ns        int64   `json:"x86_ns"`         // store+clwb+sfence per record
+	CXLLegacyNs  int64   `json:"cxl_legacy_ns"`  // x86-idiomatic code on a domain pool
+	CXLBarrierNs int64   `json:"cxl_barrier_ns"` // contract-aware: stores + batched barriers
+	Speedup      float64 `json:"speedup"`        // x86_ns / cxl_barrier_ns
+	DomainStores uint64  `json:"domain_stores"`  // store-time-durable stores (barrier run)
+	WastedFlush  uint64  `json:"wasted_flushes"` // DMC-X01 flushes in the legacy-on-CXL run
 	// Wall-clock static analysis of the whole corpus per contract.
 	AnalysisX86Ns int64   `json:"analysis_x86_ns"`
 	AnalysisCXLNs int64   `json:"analysis_cxl_ns"`
@@ -94,71 +90,56 @@ func pmodelWorkload(p *nvm.Pool, n int, flush bool, fenceEvery int) (nvm.Stats, 
 	return p.Stats(), nil
 }
 
-// analyzeCorpusUnder times one whole-corpus static analysis under the
-// given -pmodel, best of rounds.
-func analyzeCorpusUnder(pmodel string, jobs, rounds int) (time.Duration, error) {
-	var best time.Duration
-	for r := 0; r < rounds; r++ {
-		start := time.Now()
-		for _, p := range corpus.All() {
-			m, err := p.Module()
-			if err != nil {
-				return 0, fmt.Errorf("%s: %w", p.Name, err)
-			}
-			cfg := core.Config{Model: p.Model.String(), Workers: jobs, PModel: pmodel}
-			if _, err := core.AnalyzeCtx(context.Background(), m, cfg); err != nil {
-				return 0, fmt.Errorf("%s under %s: %w", p.Name, pmodel, err)
-			}
-		}
-		if elapsed := time.Since(start); best == 0 || elapsed < best {
-			best = elapsed
-		}
-	}
-	return best, nil
-}
-
-// PModelBench prices the x86 contract against the CXL contract and
-// records the result in BENCH_pmodel.json.  Three pool runs share one
+// pmodelBench prices the x86 contract against the CXL contract.  Three
+// pool runs share one
 // workload (commit 4096 records): x86-idiomatic store+clwb+sfence on an
 // x86 pool, the same code on a whole-domain CXL pool (the flushes are
 // the waste DMC-X01 flags), and contract-aware CXL code that drops the
 // flushes and batches global persist barriers.  The analysis half times
 // the whole-corpus static scan under each -pmodel.
-func PModelBench(jobs int) string {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
+func pmodelBench() Result {
+	workers := resolvedWorkers()
 	const records = 4096
 	const batch = 64
 
 	x86Pool := nvm.NewPool(nvm.Config{})
 	x86St, err := pmodelWorkload(x86Pool, records, true, 1)
 	if err != nil {
-		return fmt.Sprintf("pmodel bench: %v\n", err)
+		return fail("pmodel bench", err)
 	}
 	legacyPool := nvm.NewCXLPool(nvm.Config{}, pmcontract.WholeDomain())
 	legacySt, err := pmodelWorkload(legacyPool, records, true, 1)
 	if err != nil {
-		return fmt.Sprintf("pmodel bench: %v\n", err)
+		return fail("pmodel bench", err)
 	}
 	barrierPool := nvm.NewCXLPool(nvm.Config{}, pmcontract.WholeDomain())
 	barrierSt, err := pmodelWorkload(barrierPool, records, false, batch)
 	if err != nil {
-		return fmt.Sprintf("pmodel bench: %v\n", err)
+		return fail("pmodel bench", err)
 	}
 
+	// One whole-corpus static analysis under the given -pmodel, best of
+	// rounds.
 	const rounds = 3
-	anaX86, err := analyzeCorpusUnder("x86", jobs, rounds)
-	if err != nil {
-		return fmt.Sprintf("pmodel bench: %v\n", err)
+	analyze := func(pmodel string) (time.Duration, error) {
+		jobs, err := corpusJobs(core.Config{Workers: workers, PModel: pmodel})
+		if err != nil {
+			return 0, err
+		}
+		d, _, err := bestOf(rounds, func() (string, error) { return batchRender(jobs) })
+		return d, err
 	}
-	anaCXL, err := analyzeCorpusUnder("cxl", jobs, rounds)
+	anaX86, err := analyze("x86")
 	if err != nil {
-		return fmt.Sprintf("pmodel bench: %v\n", err)
+		return fail("pmodel bench", err)
+	}
+	anaCXL, err := analyze("cxl")
+	if err != nil {
+		return fail("pmodel bench", err)
 	}
 
 	res := pmodelBenchResult{
-		Jobs:          jobs,
+		Jobs:          workers,
 		Records:       records,
 		X86Ns:         x86St.SimulatedNs,
 		CXLLegacyNs:   legacySt.SimulatedNs,
@@ -170,10 +151,6 @@ func PModelBench(jobs int) string {
 		AnalysisCXLNs: anaCXL.Nanoseconds(),
 		AnalysisRatio: float64(anaCXL) / float64(anaX86),
 	}
-	if b, err := json.MarshalIndent(res, "", "  "); err == nil {
-		_ = os.WriteFile("BENCH_pmodel.json", append(b, '\n'), 0o644)
-	}
-
 	var b strings.Builder
 	b.WriteString("Persistency contract: x86 vs CXL, same commit workload\n")
 	b.WriteString("------------------------------------------------------\n")
@@ -184,9 +161,8 @@ func PModelBench(jobs int) string {
 	fmt.Fprintf(&b, "  cxl, batched barriers:     %12d ns  (%d store-time-durable stores, barrier every %d)\n",
 		res.CXLBarrierNs, res.DomainStores, batch)
 	fmt.Fprintf(&b, "  contract-aware speedup:    %12.2fx\n", res.Speedup)
-	fmt.Fprintf(&b, "whole-corpus static analysis, jobs %d, best of %d rounds\n", jobs, rounds)
+	fmt.Fprintf(&b, "whole-corpus static analysis, jobs %d, best of %d rounds\n", workers, rounds)
 	fmt.Fprintf(&b, "  -pmodel x86:               %12s\n", anaX86.Round(time.Microsecond))
 	fmt.Fprintf(&b, "  -pmodel cxl:               %12s  (%.2fx)\n", anaCXL.Round(time.Microsecond), res.AnalysisRatio)
-	b.WriteString("results written to BENCH_pmodel.json\n")
-	return b.String()
+	return Result{Text: b.String(), Bench: res, OK: true}
 }

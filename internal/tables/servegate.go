@@ -19,7 +19,7 @@ import (
 	"deepmc/internal/serve"
 )
 
-// ServeGate is the CI gate for the analysis daemon: a chaos/soak run
+// serveGate is the CI gate for the analysis daemon: a chaos/soak run
 // that asserts the serve path keeps every hard promise the batch path
 // makes, under concurrency, graceful restarts, injected pass panics and
 // overload.
@@ -36,7 +36,7 @@ import (
 //     cooldown.
 //  3. Shedding: with one analysis slot and a one-deep queue, an overload
 //     burst is shed with 429 + Retry-After and the queue bound holds.
-func ServeGate() (string, bool) {
+func serveGate() Result {
 	var b strings.Builder
 	ok := true
 	b.WriteString("Serve daemon gate\n")
@@ -44,25 +44,25 @@ func ServeGate() (string, bool) {
 
 	// Batch-mode reference bytes, one per corpus target.  The serve path
 	// must reproduce these exactly — cold, warm, and across restarts.
+	jobs, err := corpusJobs(core.Config{})
+	if err != nil {
+		return fail("serve gate", err)
+	}
 	refs := make(map[string][]byte)
-	for _, p := range corpus.All() {
-		m, err := p.Module()
+	for _, j := range jobs {
+		rep, err := core.Analyze(j.Module, j.Config)
 		if err != nil {
-			return fmt.Sprintf("serve gate: %v\n", err), false
+			return fail("serve gate", err)
 		}
-		rep, err := core.Analyze(m, core.Config{Model: p.Model.String()})
+		refs[j.Name], err = rep.JSON()
 		if err != nil {
-			return fmt.Sprintf("serve gate: %v\n", err), false
-		}
-		refs[p.Name], err = rep.JSON()
-		if err != nil {
-			return fmt.Sprintf("serve gate: %v\n", err), false
+			return fail("serve gate", err)
 		}
 	}
 
 	dir, err := os.MkdirTemp("", "deepmc-serve-gate-")
 	if err != nil {
-		return fmt.Sprintf("serve gate: %v\n", err), false
+		return fail("serve gate", err)
 	}
 	defer os.RemoveAll(dir)
 
@@ -86,14 +86,35 @@ func ServeGate() (string, bool) {
 	} else {
 		b.WriteString("serve gate FAILED\n")
 	}
-	return b.String(), ok
+	return Result{Text: b.String(), OK: ok}
+}
+
+// startServer builds a daemon from cfg and serves it on a loopback
+// port, returning its base URL.
+func startServer(cfg serve.Config) (*serve.Server, string, error) {
+	s, err := serve.NewServer(cfg)
+	if err != nil {
+		return nil, "", err
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, "", err
+	}
+	go s.Serve(l)
+	return s, "http://" + l.Addr().String(), nil
+}
+
+// oneStore is module <name><i>: a single persistent store at line 4
+// that is never flushed, so DMC-S01 reports it.
+func oneStore(name string, i int) string {
+	return fmt.Sprintf("module %s%d\ntype t struct {\n\ta: int\n}\nfunc main() {\n\t%%p = palloc t\n\tstore %%p.a, %d @4\n\tret\n}\n", name, i, i)
 }
 
 // soakRound runs one daemon lifetime: concurrent clients cycle through
 // the corpus targets over the shared cache dir until a mid-traffic
 // graceful drain, and every outcome is audited.
 func soakRound(cacheDir string, refs map[string][]byte) (string, bool) {
-	s, err := serve.NewServer(serve.Config{
+	s, base, err := startServer(serve.Config{
 		CacheDir:     cacheDir,
 		QueueDepth:   64,
 		DrainTimeout: 10 * time.Second,
@@ -105,12 +126,6 @@ func soakRound(cacheDir string, refs map[string][]byte) (string, bool) {
 	if err != nil {
 		return fmt.Sprintf("FAIL: %v", err), false
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fmt.Sprintf("FAIL: %v", err), false
-	}
-	go s.Serve(l)
-	base := "http://" + l.Addr().String()
 
 	names := make([]string, 0, len(refs))
 	for _, p := range corpus.All() {
@@ -214,7 +229,7 @@ func soakRound(cacheDir string, refs map[string][]byte) (string, bool) {
 // with failpoint-injected pass panics.
 func breakerScenario() (string, bool) {
 	const threshold = 3
-	s, err := serve.NewServer(serve.Config{
+	s, base, err := startServer(serve.Config{
 		BreakerThreshold: threshold,
 		BreakerCooldown:  100 * time.Millisecond,
 		Chaos:            serve.Chaos{FailPass: map[string]int{report.CodeUnflushedWrite: threshold}},
@@ -222,19 +237,10 @@ func breakerScenario() (string, bool) {
 	if err != nil {
 		return fmt.Sprintf("FAIL: %v", err), false
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fmt.Sprintf("FAIL: %v", err), false
-	}
-	go s.Serve(l)
 	defer s.Close()
-	base := "http://" + l.Addr().String()
 
-	src := func(i int) string {
-		return fmt.Sprintf("module g%d\ntype t struct {\n\ta: int\n}\nfunc main() {\n\t%%p = palloc t\n\tstore %%p.a, %d @4\n\tret\n}\n", i, i)
-	}
 	postSrc := func(i int) (*report.Report, error) {
-		body, _ := json.Marshal(serve.Request{Source: src(i)})
+		body, _ := json.Marshal(serve.Request{Source: oneStore("g", i)})
 		resp, err := http.Post(base+"/analyze", "application/json", bytes.NewReader(body))
 		if err != nil {
 			return nil, err
@@ -299,7 +305,7 @@ func breakerScenario() (string, bool) {
 // admission bound: overflow is shed with 429 + Retry-After, everything
 // else completes, and nothing hits a 5xx.
 func shedScenario() (string, bool) {
-	s, err := serve.NewServer(serve.Config{
+	s, base, err := startServer(serve.Config{
 		MaxInFlight:    1,
 		QueueDepth:     1,
 		RequestTimeout: 10 * time.Second,
@@ -308,13 +314,7 @@ func shedScenario() (string, bool) {
 	if err != nil {
 		return fmt.Sprintf("FAIL: %v", err), false
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fmt.Sprintf("FAIL: %v", err), false
-	}
-	go s.Serve(l)
 	defer s.Close()
-	base := "http://" + l.Addr().String()
 
 	const n = 12
 	var completed, shed, other atomic.Int64
@@ -324,8 +324,7 @@ func shedScenario() (string, bool) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			src := fmt.Sprintf("module s%d\ntype t struct {\n\ta: int\n}\nfunc main() {\n\t%%p = palloc t\n\tstore %%p.a, %d @4\n\tret\n}\n", i, i)
-			body, _ := json.Marshal(serve.Request{Source: src})
+			body, _ := json.Marshal(serve.Request{Source: oneStore("s", i)})
 			resp, err := http.Post(base+"/analyze", "application/json", bytes.NewReader(body))
 			if err != nil {
 				other.Add(1)

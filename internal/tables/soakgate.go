@@ -1,9 +1,7 @@
 package tables
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -33,7 +31,7 @@ type soakAuditRow struct {
 	Witnesses int    `json:"witnesses"`
 }
 
-// soakBenchResult is the BENCH_soak.json schema.
+// soakBenchResult is the soak entries' bench schema.
 type soakBenchResult struct {
 	App          string          `json:"app"`
 	Mix          string          `json:"mix"`
@@ -75,14 +73,14 @@ func bestThroughput(cfg soak.Config, trials int) (float64, error) {
 	return best, nil
 }
 
-// SoakGate drives the heavy-traffic soak engine and gates three
+// soakGate drives the heavy-traffic soak engine and gates three
 // properties: (1) tracked-vs-untracked throughput is recorded at two
 // client counts, (2) the sharded checker beats the pre-shard
 // global-mutex build at 8 clients on the same workload, and (3) the
 // mid-workload crash+recover audit is clean for the fixed apps under
 // every fault class while the planted-bug apps produce witnessed
-// inconsistencies.  Results land in BENCH_soak.json.
-func SoakGate(short bool) (string, bool) {
+// inconsistencies.  The rows are the entry's bench output.
+func soakGate(short bool) Result {
 	totalOps := 48000
 	trials := 5
 	auditOps := 150
@@ -96,7 +94,7 @@ func SoakGate(short bool) (string, bool) {
 	var b strings.Builder
 	b.WriteString("Soak gate: heavy traffic, crash+recover audits, sharded checker\n")
 	b.WriteString("---------------------------------------------------------------\n")
-	fail := func(format string, args ...any) {
+	failf := func(format string, args ...any) {
 		res.Passed = false
 		fmt.Fprintf(&b, "  FAIL: "+format+"\n", args...)
 	}
@@ -106,12 +104,12 @@ func SoakGate(short bool) (string, bool) {
 		cfg := soakPerfCfg(clients, totalOps)
 		untracked, err := bestThroughput(cfg, trials)
 		if err != nil {
-			return fmt.Sprintf("soak gate: %v\n", err), false
+			return fail("soak gate", err)
 		}
 		cfg.Tracked = true
 		tracked, err := bestThroughput(cfg, trials)
 		if err != nil {
-			return fmt.Sprintf("soak gate: %v\n", err), false
+			return fail("soak gate", err)
 		}
 		row := soakClientRow{Clients: clients, UntrackedOps: untracked, TrackedOps: tracked}
 		if tracked > 0 {
@@ -121,7 +119,7 @@ func SoakGate(short bool) (string, bool) {
 		fmt.Fprintf(&b, "  %d clients: untracked %9.0f op/s, tracked %9.0f op/s, overhead %.2fx\n",
 			clients, untracked, tracked, row.Overhead)
 		if tracked <= 0 || untracked <= 0 {
-			fail("%d clients: throughput lane produced no ops", clients)
+			failf("%d clients: throughput lane produced no ops", clients)
 		}
 	}
 
@@ -141,7 +139,7 @@ func SoakGate(short bool) (string, bool) {
 	cfg.App = "redis"
 	streams, err := soak.TraceCheckerEvents(cfg)
 	if err != nil {
-		return fmt.Sprintf("soak gate: %v\n", err), false
+		return fail("soak gate", err)
 	}
 	events := 0
 	for _, s := range streams {
@@ -201,7 +199,7 @@ func SoakGate(short bool) (string, bool) {
 	fmt.Fprintf(&b, "  checker on 8-client redis stream (%d events): sharded %9.0f ev/s vs global-mutex %9.0f ev/s (median ratio %.3fx)\n",
 		events, sharded, global, res.ShardSpeedup)
 	if res.ShardSpeedup <= 1 {
-		fail("sharded checker did not beat the global-mutex build (median ratio %.3fx)", res.ShardSpeedup)
+		failf("sharded checker did not beat the global-mutex build (median ratio %.3fx)", res.ShardSpeedup)
 	}
 
 	// Lane 3: the crash+recover audit matrix.  Fixed apps must audit
@@ -223,7 +221,7 @@ func SoakGate(short bool) (string, bool) {
 			cfg.Faults, _ = faultinj.ParseClasses(sched) // "none" parses to no classes
 			run, err := soak.Run(cfg)
 			if err != nil {
-				return fmt.Sprintf("soak gate: %s/%s: %v\n", app, sched, err), false
+				return fail("soak gate: "+app+"/"+sched, err)
 			}
 			audited := 0
 			for _, ph := range run.Phases {
@@ -233,7 +231,7 @@ func SoakGate(short bool) (string, bool) {
 				App: app, Faults: sched, Audited: audited, Witnesses: run.TotalWitnesses,
 			})
 			if run.TotalWitnesses != 0 {
-				fail("%s under %s faults: fixed app produced %d witnesses", app, sched, run.TotalWitnesses)
+				failf("%s under %s faults: fixed app produced %d witnesses", app, sched, run.TotalWitnesses)
 			}
 		}
 	}
@@ -243,7 +241,7 @@ func SoakGate(short bool) (string, bool) {
 		cfg.Faults = faultinj.AllClasses()
 		run, err := soak.Run(cfg)
 		if err != nil {
-			return fmt.Sprintf("soak gate: %s buggy: %v\n", app, err), false
+			return fail("soak gate: "+app+" buggy", err)
 		}
 		audited := 0
 		for _, ph := range run.Phases {
@@ -253,7 +251,7 @@ func SoakGate(short bool) (string, bool) {
 			App: app, Faults: "all", Buggy: true, Audited: audited, Witnesses: run.TotalWitnesses,
 		})
 		if run.TotalWitnesses == 0 {
-			fail("%s planted bug produced no witnesses", app)
+			failf("%s planted bug produced no witnesses", app)
 		}
 	}
 	clean, witnessed := 0, 0
@@ -267,14 +265,10 @@ func SoakGate(short bool) (string, bool) {
 	fmt.Fprintf(&b, "  audits: %d fixed app/fault configs clean, %d witnesses across planted-bug apps\n",
 		clean, witnessed)
 
-	if data, err := json.MarshalIndent(res, "", "  "); err == nil {
-		_ = os.WriteFile("BENCH_soak.json", append(data, '\n'), 0o644)
-	}
-	b.WriteString("results written to BENCH_soak.json\n")
 	if res.Passed {
 		b.WriteString("soak gate passed\n")
 	} else {
 		b.WriteString("soak gate FAILED\n")
 	}
-	return b.String(), res.Passed
+	return Result{Text: b.String(), Bench: res, OK: res.Passed}
 }

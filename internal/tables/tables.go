@@ -3,7 +3,9 @@
 // tables (1, 2, 3, 8) from the corpus + checker, the configuration
 // tables (6, 7), the compile-time overhead table (9) from the synthetic
 // app modules, Figure 12 from the ported applications under the runtime
-// tracker, and the §5.1 performance-bug fix experiment.
+// tracker, and the §5.1 performance-bug fix experiment — and runs the
+// benches and CI gates built on the same corpus.  Entries names each
+// one for deepmc-bench.
 package tables
 
 import (
@@ -14,7 +16,6 @@ import (
 	"strings"
 	"time"
 
-	"deepmc/internal/checker"
 	"deepmc/internal/core"
 	"deepmc/internal/corpus"
 	"deepmc/internal/ir"
@@ -45,9 +46,10 @@ func table1Rows() []ruleRow {
 }
 
 // Workers is the checker fan-out used by every corpus run in this
-// package (the -jobs flag of deepmc-bench).  0 means GOMAXPROCS, 1
-// means the serial checker.  The deterministic-merge guarantee makes
-// every table byte-identical under any setting.
+// package (the -jobs flag of deepmc-bench), resolved by
+// resolvedWorkers: 0 means GOMAXPROCS, 1 (or less) the serial checker.
+// The deterministic-merge guarantee makes every table byte-identical
+// under any setting.
 var Workers = 1
 
 func resolvedWorkers() int {
@@ -92,51 +94,39 @@ func corpusErr(runs []CorpusRun) string {
 	return ""
 }
 
-// ParallelBench times the full-corpus analysis serially and with the
-// parallel scheduler at the given worker count, reporting wall time and
-// speedup.  It parses once up front so both passes measure only the
-// static pipeline (DSA + trace collection + rule checking).
-func ParallelBench(workers int) string {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// speedup times the full-corpus analysis serially and with the
+// parallel scheduler at Workers, reporting wall time and speedup.  Both
+// sides parse up front, so the timed rounds cover the static pipeline
+// (DSA + trace collection + rule checking) and rendering; the two
+// renders must be byte-identical.
+func speedup() Result {
+	workers := resolvedWorkers()
+	serialJobs, err := corpusJobs(core.Config{Workers: 1})
+	if err != nil {
+		return fail("speedup", err)
 	}
-	progs := corpus.All()
-	mods := make([]*ir.Module, len(progs))
-	models := make([]string, len(progs))
-	for i, p := range progs {
-		m, err := p.Module()
-		if err != nil {
-			return fmt.Sprintf("corpus error: %v\n", err)
-		}
-		mods[i] = m
-		models[i] = ModelFor(p)
+	parJobs, err := corpusJobs(core.Config{Workers: workers})
+	if err != nil {
+		return fail("speedup", err)
 	}
 	const rounds = 50
-	measure := func(w int) time.Duration {
-		best := time.Duration(0)
-		for r := 0; r < rounds; r++ {
-			start := time.Now()
-			for i, m := range mods {
-				if _, err := core.Analyze(m, core.Config{Model: models[i], Workers: w}); err != nil {
-					panic(err)
-				}
-			}
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-		}
-		return best
+	serial, serialOut, err := bestOf(rounds, func() (string, error) { return batchRender(serialJobs) })
+	if err != nil {
+		return fail("speedup", err)
 	}
-	serial := measure(1)
-	par := measure(workers)
+	par, parOut, err := bestOf(rounds, func() (string, error) { return batchRender(parJobs) })
+	if err != nil {
+		return fail("speedup", err)
+	}
+	identical := serialOut == parOut
 	var b strings.Builder
 	b.WriteString("Parallel analysis: full corpus, serial vs. worker-pool checker\n\n")
 	fmt.Fprintf(&b, "%-24s %14s\n", "Configuration", "Wall time")
 	fmt.Fprintf(&b, "%-24s %14s\n", "serial (workers=1)", serial.Round(time.Microsecond))
 	fmt.Fprintf(&b, "%-24s %14s\n", fmt.Sprintf("parallel (workers=%d)", workers), par.Round(time.Microsecond))
-	fmt.Fprintf(&b, "\nSpeedup %.2fx on %d logical CPUs (best of %d rounds; reports byte-identical by the deterministic merge)\n",
-		float64(serial)/float64(par), runtime.NumCPU(), rounds)
-	return b.String()
+	fmt.Fprintf(&b, "\nSpeedup %.2fx on %d logical CPUs (best of %d rounds); reports byte-identical: %v\n",
+		float64(serial)/float64(par), runtime.NumCPU(), rounds, identical)
+	return Result{Text: b.String(), OK: identical}
 }
 
 // cellFor counts validated/warnings for one rule in one program, using
@@ -426,16 +416,4 @@ func Completeness() string {
 	}
 	fmt.Fprintf(&b, "\n%d/%d studied bugs re-detected (paper: 19/19)\n", found, total)
 	return b.String()
-}
-
-// ModelFor returns the checker model name a corpus program declares.
-func ModelFor(p *corpus.Program) string {
-	switch p.Model {
-	case checker.Strict:
-		return "strict"
-	case checker.Epoch:
-		return "epoch"
-	default:
-		return "strand"
-	}
 }

@@ -157,3 +157,30 @@ func TestAblationsOutput(t *testing.T) {
 		t.Errorf("shadow ablation missing:\n%s", out)
 	}
 }
+
+// TestFleetRoundInProcess drives the fleet gate's round runner and
+// killer on the in-process transport: shards die and restart mid-run
+// and the merged output still equals the batch reference.
+func TestFleetRoundInProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet round in -short mode")
+	}
+	jobs, err := fleetJobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := batchRender(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, _, err := runFleetRound(fleetRound{tr: inProcess, shards: 4, kills: 2}, jobs, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !row.Identical || row.Errors != 0 || row.Jobs != len(jobs) {
+		t.Errorf("row = %+v", row)
+	}
+	if row.Kills == 0 || row.Kills > 2 || uint64(row.Kills) != row.Stats.Kills {
+		t.Errorf("killer performed %d kills, fleet counted %d, want 1..2 and equal", row.Kills, row.Stats.Kills)
+	}
+}
