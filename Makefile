@@ -5,7 +5,7 @@
 #   make race        test suite under the race detector
 #   make vet         go vet
 #   make fuzz-short  30s per fuzz target (FuzzParse, FuzzAnalyze, FuzzEnumerate, FuzzGenome,
-#                    FuzzParseJSON, FuzzDecodeWireEntry)
+#                    FuzzDecodeWitness, FuzzParseJSON, FuzzDecodeWireEntry)
 #   make bench       speedup benchmark for the parallel checker
 #   make bench-trace trace-collection benchmark (PMDK and a 335-function generated app)
 #   make cache-gate  incremental-cache byte-identity gate (cold vs warm, workers 1/2/8)
@@ -21,6 +21,9 @@
 #   make stress      cancellation / timeout / partial-report stress tests
 #   make bench-selftest  vet + self-test the benchmark harness (perfbench/, its own module)
 #   make ci          everything above, in order
+#   make perf-ab BASE=<rev> W=<workload> PAIRS=<n> [SEED=<first seed>]
+#                    paired perfbench runs of BASE against the working tree, with a
+#                    verdict per end-to-end metric against BENCHMARK.json (not in ci)
 #
 # A gate target's bench step is `deepmc-bench <target>`;
 # `go run ./cmd/deepmc-bench -h` lists every gate and paper entry.
@@ -28,8 +31,10 @@
 GO ?= go
 FUZZTIME ?= 30s
 FAULTSEED ?= 42
+PAIRS ?= 10
+SEED ?= 1
 
-.PHONY: build test race vet fuzz-short bench bench-trace cache-gate serve-gate crashsim faults fuzz-gate soak-short soak fleet-gate pmodel-gate stress bench-selftest ci clean
+.PHONY: build test race vet fuzz-short bench bench-trace cache-gate serve-gate crashsim faults fuzz-gate soak-short soak fleet-gate pmodel-gate stress bench-selftest ci perf-ab clean
 
 build:
 	$(GO) build ./...
@@ -48,6 +53,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzEnumerate -fuzztime $(FUZZTIME) ./internal/crashsim
 	$(GO) test -run '^$$' -fuzz FuzzGenome -fuzztime $(FUZZTIME) ./internal/fuzzsched
+	$(GO) test -run '^$$' -fuzz FuzzDecodeWitness -fuzztime $(FUZZTIME) ./internal/fuzzsched
 	$(GO) test -run '^$$' -fuzz FuzzParseJSON -fuzztime $(FUZZTIME) ./internal/report
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWireEntry -fuzztime $(FUZZTIME) ./internal/anacache
 
@@ -134,6 +140,15 @@ bench-selftest:
 	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 ci: build vet test race fuzz-short cache-gate serve-gate crashsim faults fuzz-gate soak-short fleet-gate pmodel-gate stress bench-selftest
+
+# Paired A/B of perfbench: BASE (a revision, checked out into a temporary
+# git worktree, or an existing git checkout directory) against the working
+# tree, PAIRS alternating pairs on seeds SEED, SEED+1, ...  Prints
+# medians, IQRs, pairs won and a verdict per BENCHMARK.json metric;
+# exits 1 if any run reports correct=false.
+perf-ab:
+	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make perf-ab BASE=<rev> W=<workload> [PAIRS=n] [SEED=s]"; exit 2; }
+	python3 scripts/perf_ab.py --base $(BASE) --workload $(W) --pairs $(PAIRS) --seed $(SEED)
 
 clean:
 	$(GO) clean ./...

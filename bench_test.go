@@ -5,6 +5,7 @@
 package deepmc_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -418,7 +419,10 @@ func BenchmarkDSA(b *testing.B) {
 // BenchmarkTraceCollection isolates trace collection: on the PMDK
 // corpus, and on a generated app whose root function splices about a
 // hundred call sites into continuations that grow to the entry budget —
-// the workload where copying path prefixes would turn quadratic.
+// the workload where copying path prefixes would turn quadratic.  Both
+// fill every trace's entries, as FunctionTraces does.  The check case
+// prices a cold check of the same app without DSA: collection in
+// chain form plus the rule scan, which is what a cold analysis pays.
 func BenchmarkTraceCollection(b *testing.B) {
 	cases := []struct {
 		name string
@@ -441,4 +445,15 @@ func BenchmarkTraceCollection(b *testing.B) {
 			}
 		})
 	}
+	b.Run("check", func(b *testing.B) {
+		m := core.GenerateApp(core.AppSpec{Name: "app335", Funcs: 335, CallDepth: 3, Seed: 44})
+		opts := checker.DefaultOptions(checker.Strict)
+		a := dsa.Analyze(m, opts.DSA)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ck := &checker.Checker{Opts: opts, Analysis: a, Collector: trace.NewCollector(a, opts.Trace)}
+			ck.CheckModuleParallelCtx(context.Background(), 1)
+		}
+	})
 }

@@ -9,8 +9,10 @@
 package checker
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"deepmc/internal/dsa"
 	"deepmc/internal/ir"
@@ -124,9 +126,7 @@ func Check(m *ir.Module, model Model) *report.Report {
 func (c *Checker) CheckModule() *report.Report {
 	rep := report.New()
 	for _, f := range c.targetFunctions() {
-		for _, t := range c.Collector.FunctionTraces(f.Name) {
-			c.CheckTrace(t, rep)
-		}
+		c.checkFunction(f.Name, rep)
 	}
 	rep.Sort()
 	return rep
@@ -145,17 +145,23 @@ func (c *Checker) targetFunctions() []*ir.Function {
 	return fns
 }
 
-// CheckTrace applies all enabled rules to one trace, adding findings to
-// rep.
-func (c *Checker) CheckTrace(t *trace.Trace, rep *report.Report) {
+// checkFunction applies all enabled rules to each trace of fn, in
+// collection order, adding findings to rep.  One scanner serves every
+// trace of the function.
+func (c *Checker) checkFunction(fn string, rep *report.Report) {
+	ts := c.Collector.Collect(fn)
+	if len(ts) == 0 {
+		return
+	}
 	s := &scanner{
 		checker:    c,
 		rep:        rep,
-		trace:      t,
 		model:      c.Opts.Model,
 		autoDomain: c.Opts.Contract.HasDomain(),
 	}
-	s.run()
+	for _, t := range ts {
+		s.run(t)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -163,8 +169,7 @@ func (c *Checker) CheckTrace(t *trace.Trace, rep *report.Report) {
 
 // wrec tracks one persistent write awaiting durability.
 type wrec struct {
-	idx      int
-	e        trace.Entry
+	e        *trace.Entry
 	covered  bool // a flush covered it, or its object was undo-logged
 	domain   bool // durable at store time (CXL persistence domain)
 	epochSeq int  // id of the enclosing epoch, -1 outside epochs
@@ -173,92 +178,152 @@ type wrec struct {
 
 // txFrame tracks one open transaction.
 type txFrame struct {
-	beginEntry    trace.Entry
+	beginEntry    *trace.Entry
 	logged        []dsa.Cell
 	writes        int
 	flushesPerObj map[*dsa.Node]int
 	fenceLast     bool // the most recent persistency op inside was a fence
 }
 
-type scanner struct {
-	checker *Checker
-	rep     *report.Report
-	trace   *trace.Trace
-	model   Model
+// objState summarizes the writes and flushes of one persistent object
+// so far on the trace, keeping every per-entry check O(1)-ish: long
+// interprocedurally-merged traces stay linear to scan.
+type objState struct {
+	// written lists the distinct field paths written ("" = whole
+	// object), in first-write order.
+	written []string
+	// flushes holds the flush records still clean: a write overlapping a
+	// record drops it (a dirty record never matches again).  A flush
+	// whose field equals a kept record's is not recorded, because that
+	// earlier record turns dirty with it and always matches first.
+	flushes []flushRec
+}
 
-	pending  []wrec
-	txStack  []*txFrame
+// flushRec is one seen flush with no overlapping write since.
+type flushRec struct {
+	field string
+	e     *trace.Entry
+}
+
+// scanner runs the rules over the traces of one function, one trace at
+// a time.  Its records point into the traces' runs, which are immutable,
+// rather than copying entries, and run resets its state between traces
+// while keeping the maps and slices it has grown.
+type scanner struct {
+	checker    *Checker
+	rep        *report.Report
+	model      Model
+	autoDomain bool
+
+	pending []wrec
+	txStack []*txFrame
+	// frames holds every transaction frame allocated so far; the frame
+	// for nesting depth d is reused by each transaction opened at d.
+	frames   []*txFrame
 	epochSeq int // running epoch counter; -1 before any epoch
 	inEpoch  bool
 	// barrier bookkeeping: lastUnfenced is the most recent flush not yet
 	// followed by a barrier (nil when there is none).
 	lastUnfenced *trace.Entry
 	// region bookkeeping for the semantic-mismatch rule: persistent
-	// objects written by the previous and current tx/epoch region.
-	prevRegion map[*dsa.Node]trace.Entry
-	curRegion  map[*dsa.Node]trace.Entry
+	// objects written by the previous and current tx/epoch region.  The
+	// two maps swap at each region end; curRegion is meaningful only
+	// while inRegion.
+	prevRegion map[*dsa.Node]*trace.Entry
+	curRegion  map[*dsa.Node]*trace.Entry
 	inRegion   bool
 	// epoch-barrier bookkeeping
 	lastEpochEnd       *trace.Entry
 	fenceSinceEpochEnd bool
 	// strand bookkeeping (static WAW check)
-	strandWrites map[int64][]trace.Entry
+	strandWrites map[int64][]*trace.Entry
 	curStrand    int64
 	// CXL-contract bookkeeping.  autoDomain: stores are durable at
 	// store time (whole-heap persistence domain).  unbarriered tracks
 	// domain writes not yet committed by a global persist barrier —
 	// a device failure discards them (DMC-X02).
-	autoDomain  bool
-	unbarriered []trace.Entry
-	// Incremental per-object write/flush summaries keep every per-entry
-	// check O(1)-ish, so long interprocedurally-merged traces stay
-	// linear to scan.
-	writtenFields map[*dsa.Node]map[string]bool // "" key = whole object
-	flushHist     map[*dsa.Node][]flushRec
+	unbarriered []*trace.Entry
+	// objs summarizes each object's writes and flushes, keyed by
+	// representative.  reset empties the summaries but keeps them: the
+	// traces of one function mostly touch the same objects.
+	objs map[*dsa.Node]*objState
+	// Scratch space reused across barriers and region ends.
+	epochs     map[int]bool
+	cells      []dsa.Cell
+	regionObjs []*dsa.Node
+	strandIDs  []int64
 }
 
-// flushRec is one seen flush; dirty marks an overlapping write since.
-type flushRec struct {
-	field string
-	e     trace.Entry
-	dirty bool
-}
-
-func (s *scanner) run() {
-	s.epochSeq = -1
-	s.curStrand = -1
-	s.fenceSinceEpochEnd = true
-	s.strandWrites = make(map[int64][]trace.Entry)
-	s.writtenFields = make(map[*dsa.Node]map[string]bool)
-	s.flushHist = make(map[*dsa.Node][]flushRec)
-	for i, e := range s.trace.Entries {
-		switch e.Kind {
-		case trace.KWrite:
-			s.onWrite(i, e)
-		case trace.KFlush:
-			s.onFlush(i, e)
-		case trace.KFence:
-			s.onFence(e)
-		case trace.KTxBegin:
-			s.onTxBegin(e)
-		case trace.KTxEnd:
-			s.onTxEnd(e)
-		case trace.KTxAdd:
-			s.onTxAdd(e)
-		case trace.KEpochBegin:
-			s.onEpochBegin(e)
-		case trace.KEpochEnd:
-			s.onEpochEnd(e)
-		case trace.KStrandBegin:
-			s.curStrand = e.Strand
-		case trace.KStrandEnd:
-			s.curStrand = -1
+// run scans one trace.
+func (s *scanner) run(t *trace.Trace) {
+	s.reset()
+	t.Runs(func(run []trace.Entry) bool {
+		for i := range run {
+			e := &run[i]
+			switch e.Kind {
+			case trace.KWrite:
+				s.onWrite(e)
+			case trace.KFlush:
+				s.onFlush(e)
+			case trace.KFence:
+				s.onFence(e)
+			case trace.KTxBegin:
+				s.onTxBegin(e)
+			case trace.KTxEnd:
+				s.onTxEnd(e)
+			case trace.KTxAdd:
+				s.onTxAdd(e)
+			case trace.KEpochBegin:
+				s.onEpochBegin(e)
+			case trace.KEpochEnd:
+				s.onEpochEnd(e)
+			case trace.KStrandBegin:
+				s.curStrand = e.Strand
+			case trace.KStrandEnd:
+				s.curStrand = -1
+			}
 		}
-	}
+		return true
+	})
 	s.atTraceEnd()
 }
 
-func (s *scanner) warn(rule report.Rule, e trace.Entry, format string, args ...any) {
+// reset returns the scanner to the start-of-trace state.
+func (s *scanner) reset() {
+	s.pending = s.pending[:0]
+	s.txStack = s.txStack[:0]
+	s.epochSeq = -1
+	s.inEpoch = false
+	s.lastUnfenced = nil
+	clear(s.prevRegion)
+	s.inRegion = false
+	s.lastEpochEnd = nil
+	s.fenceSinceEpochEnd = true
+	if s.strandWrites == nil {
+		s.strandWrites = make(map[int64][]*trace.Entry)
+	}
+	clear(s.strandWrites)
+	s.curStrand = -1
+	s.unbarriered = s.unbarriered[:0]
+	if s.objs == nil {
+		s.objs = make(map[*dsa.Node]*objState)
+	}
+	for _, st := range s.objs {
+		st.written, st.flushes = st.written[:0], st.flushes[:0]
+	}
+}
+
+// obj returns the summary of a representative object, creating it.
+func (s *scanner) obj(n *dsa.Node) *objState {
+	st := s.objs[n]
+	if st == nil {
+		st = new(objState)
+		s.objs[n] = st
+	}
+	return st
+}
+
+func (s *scanner) warn(rule report.Rule, e *trace.Entry, format string, args ...any) {
 	if s.checker.Opts.Disabled[rule] {
 		return
 	}
@@ -291,22 +356,19 @@ func (s *scanner) loggedCovers(c dsa.Cell) bool {
 	return false
 }
 
-func (s *scanner) onWrite(i int, e trace.Entry) {
-	obj := e.Cell.Obj.Find()
-	wf := s.writtenFields[obj]
-	if wf == nil {
-		wf = make(map[string]bool)
-		s.writtenFields[obj] = wf
+func (s *scanner) onWrite(e *trace.Entry) {
+	st := s.obj(e.Cell.Obj.Find())
+	if !slices.Contains(st.written, e.Cell.Field) {
+		st.written = append(st.written, e.Cell.Field)
 	}
-	wf[e.Cell.Field] = true
-	recs := s.flushHist[obj]
-	for ri := range recs {
-		if !recs[ri].dirty && dsa.FieldsOverlap(recs[ri].field, e.Cell.Field) {
-			recs[ri].dirty = true
+	clean := st.flushes[:0]
+	for _, r := range st.flushes {
+		if !dsa.FieldsOverlap(r.field, e.Cell.Field) {
+			clean = append(clean, r)
 		}
 	}
+	st.flushes = clean
 	s.pending = append(s.pending, wrec{
-		idx:      i,
 		e:        e,
 		covered:  s.autoDomain || s.loggedCovers(e.Cell),
 		domain:   s.autoDomain,
@@ -340,7 +402,7 @@ func (s *scanner) currentEpoch() int {
 	return -1
 }
 
-func (s *scanner) onFlush(i int, e trace.Entry) {
+func (s *scanner) onFlush(e *trace.Entry) {
 	if s.autoDomain {
 		// Inside a device persistence domain the store was durable the
 		// moment it executed: the clwb writes back nothing and the flush
@@ -364,12 +426,13 @@ func (s *scanner) onFlush(i int, e trace.Entry) {
 	// whole-object flush whose preceding writes touch only some fields
 	// writes back unmodified fields.
 	obj := e.Cell.Obj.Find()
-	overlapEver := hadOverlapWrite || s.anyWriteOverlaps(obj, e.Cell.Field)
+	st := s.obj(obj)
+	overlapEver := hadOverlapWrite || anyOverlaps(st.written, e.Cell.Field)
 	if !overlapEver {
 		s.warn(report.RuleFlushUnmodified, e,
 			"flush of %s which no preceding write modified", cellDesc(e.Cell))
 	} else if e.Cell.Field == "" {
-		if unmod := s.unmodifiedFields(obj); len(unmod) > 0 {
+		if unmod := s.unmodifiedFields(obj, st.written); len(unmod) > 0 {
 			s.warn(report.RuleFlushUnmodified, e,
 				"flushing entire object %s though only some fields were modified (unmodified: %v)",
 				cellDesc(e.Cell), unmod)
@@ -377,9 +440,9 @@ func (s *scanner) onFlush(i int, e trace.Entry) {
 	}
 	// Performance rule: redundant write-backs — an earlier flush already
 	// covered this storage and nothing overlapping was written since
-	// (its record is still clean).
-	for _, pf := range s.flushHist[obj] {
-		if pf.dirty || !dsa.FieldsOverlap(pf.field, e.Cell.Field) {
+	// (its record is still kept).
+	for _, pf := range st.flushes {
+		if !dsa.FieldsOverlap(pf.field, e.Cell.Field) {
 			continue
 		}
 		s.warn(report.RuleRedundantFlush, e,
@@ -387,7 +450,9 @@ func (s *scanner) onFlush(i int, e trace.Entry) {
 			cellDesc(e.Cell), pf.e.File, pf.e.Line)
 		break
 	}
-	s.flushHist[obj] = append(s.flushHist[obj], flushRec{field: e.Cell.Field, e: e})
+	if !slices.ContainsFunc(st.flushes, func(r flushRec) bool { return r.field == e.Cell.Field }) {
+		st.flushes = append(st.flushes, flushRec{field: e.Cell.Field, e: e})
+	}
 	// Transaction-scope persist accounting.
 	if f := s.tx(); f != nil {
 		f.flushesPerObj[e.Cell.Obj]++
@@ -397,13 +462,12 @@ func (s *scanner) onFlush(i int, e trace.Entry) {
 		}
 		f.fenceLast = false
 	}
-	s.lastUnfenced = &s.trace.Entries[i]
+	s.lastUnfenced = e
 }
 
-// anyWriteOverlaps consults the per-object write summary for an earlier
-// overlapping write.
-func (s *scanner) anyWriteOverlaps(obj *dsa.Node, field string) bool {
-	for wf := range s.writtenFields[obj] {
+// anyOverlaps reports whether any written field path overlaps field.
+func anyOverlaps(written []string, field string) bool {
+	for _, wf := range written {
 		if dsa.FieldsOverlap(wf, field) {
 			return true
 		}
@@ -414,7 +478,7 @@ func (s *scanner) anyWriteOverlaps(obj *dsa.Node, field string) bool {
 // unmodifiedFields lists top-level fields of the flushed object's struct
 // type that no earlier write in the trace modified.  Unknown types yield
 // nil (no warning — conservative against false positives).
-func (s *scanner) unmodifiedFields(obj *dsa.Node) []string {
+func (s *scanner) unmodifiedFields(obj *dsa.Node, written []string) []string {
 	if obj.TypeName == "" {
 		return nil
 	}
@@ -422,16 +486,12 @@ func (s *scanner) unmodifiedFields(obj *dsa.Node) []string {
 	if t == nil || len(t.Fields) < 2 {
 		return nil
 	}
-	written := make(map[string]bool)
-	for wf := range s.writtenFields[obj] {
-		if wf == "" {
-			return nil // whole-object write: everything modified
-		}
-		written[topField(wf)] = true
+	if slices.Contains(written, "") {
+		return nil // whole-object write: everything modified
 	}
 	var unmod []string
 	for _, f := range t.Fields {
-		if !written[f.Name] {
+		if !slices.ContainsFunc(written, func(wf string) bool { return topField(wf) == f.Name }) {
 			unmod = append(unmod, f.Name)
 		}
 	}
@@ -452,7 +512,7 @@ func topField(path string) string {
 	return path
 }
 
-func (s *scanner) onFence(e trace.Entry) {
+func (s *scanner) onFence(e *trace.Entry) {
 	switch s.model {
 	case Strict:
 		// Every pending write must have been flushed (or logged) by the
@@ -478,7 +538,11 @@ func (s *scanner) onFence(e trace.Entry) {
 		// "multiple writes made durable at once" bug).  Covered writes of
 		// closed epochs stay pending until a fence retires them, so the
 		// fence sees exactly which epochs it makes durable.
-		epochs := make(map[int]bool)
+		if s.epochs == nil {
+			s.epochs = make(map[int]bool)
+		}
+		epochs := s.epochs
+		clear(epochs)
 		for _, w := range s.pending {
 			if w.domain {
 				// Domain writes were durable at store time; the barrier
@@ -512,7 +576,7 @@ func (s *scanner) onFence(e trace.Entry) {
 	s.lastUnfenced = nil
 	s.fenceSinceEpochEnd = true
 	// The global persist barrier commits every buffered domain write.
-	s.unbarriered = nil
+	s.unbarriered = s.unbarriered[:0]
 	if f := s.tx(); f != nil {
 		f.fenceLast = true
 	}
@@ -522,7 +586,7 @@ func (s *scanner) onFence(e trace.Entry) {
 // distinct cells.  Uncovered writes are excluded: they already produce an
 // unflushed-write warning, and the barrier does not make them durable.
 func (s *scanner) distinctPendingCells() int {
-	var cells []dsa.Cell
+	cells := s.cells[:0]
 	for _, w := range s.pending {
 		if w.domain {
 			// Durable at store time: the barrier does not persist it.
@@ -542,27 +606,32 @@ func (s *scanner) distinctPendingCells() int {
 			cells = append(cells, w.e.Cell)
 		}
 	}
+	s.cells = cells
 	return len(cells)
 }
 
-func (s *scanner) onTxBegin(e trace.Entry) {
+func (s *scanner) onTxBegin(e *trace.Entry) {
 	// Strict persistency requires flushes to be fenced before the next
 	// transaction begins (Figure 3 of the paper).
 	if fl := s.lastUnfenced; s.model == Strict && fl != nil {
-		s.warn(report.RuleMissingBarrier, *fl,
+		s.warn(report.RuleMissingBarrier, fl,
 			"flush of %s has no persist barrier before the next transaction begins", cellDesc(fl.Cell))
 		s.lastUnfenced = nil
 	}
-	s.txStack = append(s.txStack, &txFrame{
-		beginEntry:    e,
-		flushesPerObj: make(map[*dsa.Node]int),
-	})
+	depth := len(s.txStack)
+	if depth == len(s.frames) {
+		s.frames = append(s.frames, &txFrame{flushesPerObj: make(map[*dsa.Node]int)})
+	}
+	f := s.frames[depth]
+	f.beginEntry, f.logged, f.writes, f.fenceLast = e, f.logged[:0], 0, false
+	clear(f.flushesPerObj)
+	s.txStack = append(s.txStack, f)
 	if len(s.txStack) == 1 {
 		s.beginRegion()
 	}
 }
 
-func (s *scanner) onTxEnd(e trace.Entry) {
+func (s *scanner) onTxEnd(e *trace.Entry) {
 	f := s.tx()
 	if f == nil {
 		return // unbalanced; verifier-level concern
@@ -598,7 +667,7 @@ func (s *scanner) onTxEnd(e trace.Entry) {
 	// Commit includes a persist barrier, so buffered domain writes are
 	// committed too (the same reading that clears lastUnfenced below).
 	if len(s.txStack) == 0 {
-		s.unbarriered = nil
+		s.unbarriered = s.unbarriered[:0]
 		kept := s.pending[:0]
 		for _, w := range s.pending {
 			if w.txDepth > 0 {
@@ -616,7 +685,7 @@ func (s *scanner) onTxEnd(e trace.Entry) {
 	s.lastUnfenced = nil
 }
 
-func (s *scanner) onTxAdd(e trace.Entry) {
+func (s *scanner) onTxAdd(e *trace.Entry) {
 	f := s.tx()
 	if f == nil {
 		return
@@ -632,7 +701,7 @@ func (s *scanner) onTxAdd(e trace.Entry) {
 	}
 }
 
-func (s *scanner) onEpochBegin(e trace.Entry) {
+func (s *scanner) onEpochBegin(e *trace.Entry) {
 	// Consecutive epochs need a barrier between them (Table 4).  When the
 	// previous epoch left covered writes pending, the defect surfaces at
 	// the eventual fence as "multiple writes made durable at once"; the
@@ -647,7 +716,7 @@ func (s *scanner) onEpochBegin(e trace.Entry) {
 			}
 		}
 		if !prevPending {
-			s.warn(report.RuleMissingBarrierBetweenEpochs, *s.lastEpochEnd,
+			s.warn(report.RuleMissingBarrierBetweenEpochs, s.lastEpochEnd,
 				"epoch ends without a persist barrier before the next epoch begins")
 		}
 	}
@@ -658,7 +727,7 @@ func (s *scanner) onEpochBegin(e trace.Entry) {
 	}
 }
 
-func (s *scanner) onEpochEnd(e trace.Entry) {
+func (s *scanner) onEpochEnd(e *trace.Entry) {
 	// Judge the epoch's writes: everything stored in the epoch must have
 	// been flushed (subset coverage) by its end.  Covered writes remain
 	// pending until a fence retires them, so the fence can detect
@@ -674,8 +743,7 @@ func (s *scanner) onEpochEnd(e trace.Entry) {
 	}
 	s.pending = kept
 	s.inEpoch = false
-	s.lastEpochEnd = &trace.Entry{}
-	*s.lastEpochEnd = e
+	s.lastEpochEnd = e
 	s.fenceSinceEpochEnd = false
 	if len(s.txStack) == 0 {
 		s.endRegion()
@@ -685,7 +753,10 @@ func (s *scanner) onEpochEnd(e trace.Entry) {
 // beginRegion opens a semantic region (transaction or epoch) for the
 // semantic-mismatch rule.
 func (s *scanner) beginRegion() {
-	s.curRegion = make(map[*dsa.Node]trace.Entry)
+	if s.curRegion == nil {
+		s.curRegion = make(map[*dsa.Node]*trace.Entry)
+	}
+	clear(s.curRegion)
 	s.inRegion = true
 }
 
@@ -700,19 +771,19 @@ func (s *scanner) endRegion() {
 	// Iterate the region's objects in a deterministic order (first-write
 	// location, then node id): the emission order decides which message
 	// survives deduplication.
-	objs := make([]*dsa.Node, 0, len(s.curRegion))
+	objs := s.regionObjs[:0]
 	for obj := range s.curRegion {
 		objs = append(objs, obj)
 	}
-	sort.Slice(objs, func(i, j int) bool {
-		a, b := s.curRegion[objs[i]], s.curRegion[objs[j]]
-		if a.File != b.File {
-			return a.File < b.File
+	slices.SortFunc(objs, func(x, y *dsa.Node) int {
+		a, b := s.curRegion[x], s.curRegion[y]
+		if c := strings.Compare(a.File, b.File); c != 0 {
+			return c
 		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
+		if c := cmp.Compare(a.Line, b.Line); c != 0 {
+			return c
 		}
-		return objs[i].ID() < objs[j].ID()
+		return cmp.Compare(x.ID(), y.ID())
 	})
 	for _, obj := range objs {
 		e := s.curRegion[obj]
@@ -722,8 +793,8 @@ func (s *scanner) endRegion() {
 				nodeDesc(obj), prev.File, prev.Line)
 		}
 	}
-	s.prevRegion = s.curRegion
-	s.curRegion = nil
+	s.regionObjs = objs
+	s.prevRegion, s.curRegion = s.curRegion, s.prevRegion
 	s.inRegion = false
 }
 
@@ -737,7 +808,7 @@ func (s *scanner) atTraceEnd() {
 	}
 	// Strict: flushes with no barrier at all before the path ends.
 	if fl := s.lastUnfenced; s.model == Strict && fl != nil {
-		s.warn(report.RuleMissingBarrier, *fl,
+		s.warn(report.RuleMissingBarrier, fl,
 			"flush of %s is never followed by a persist barrier on this path", cellDesc(fl.Cell))
 	}
 	// CXL: domain writes never committed by a global persist barrier are
@@ -756,14 +827,15 @@ func (s *scanner) atTraceEnd() {
 }
 
 func (s *scanner) checkStrandOverlaps() {
-	ids := make([]int64, 0, len(s.strandWrites))
+	ids := s.strandIDs[:0]
 	for id := range s.strandWrites {
 		ids = append(ids, id)
 	}
 	// Deterministic order: strand ids come from a map, so sort before
 	// pairing — the emission order decides which message survives
 	// deduplication.
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	s.strandIDs = ids
 	for i := 0; i < len(ids); i++ {
 		for j := i + 1; j < len(ids); j++ {
 			a, b := ids[i], ids[j]

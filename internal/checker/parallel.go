@@ -89,9 +89,7 @@ func (c *Checker) CheckFunctionsCtx(ctx context.Context, workers int, omit func(
 			return
 		}
 		rep := report.New()
-		for _, t := range c.Collector.FunctionTraces(fns[i].Name) {
-			c.CheckTrace(t, rep)
-		}
+		c.checkFunction(fns[i].Name, rep)
 		if err := ctx.Err(); err != nil {
 			// The walk may have stopped forking mid-function: findings
 			// are real but possibly incomplete.
@@ -180,7 +178,7 @@ func (c *Checker) precomputeTraces(ctx context.Context, workers int, needed map[
 				if needed != nil && !needed[f.Name] {
 					continue
 				}
-				c.Collector.FunctionTraces(f.Name)
+				c.Collector.Collect(f.Name)
 			}
 		})
 	}

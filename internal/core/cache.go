@@ -135,9 +135,11 @@ func analyzeCached(ctx context.Context, m *ir.Module, cfg Config, opts checker.O
 		}
 	}
 	if ctx.Err() == nil {
+		// The tier keeps traces in their chain form, entries unfilled:
+		// one form per trace, shared by every collector it seeds.
 		for _, fn := range ck.Collector.ComputedFuncs() {
 			cache.StoreTraces(fp.Trace[fn], &anacache.TraceArtifact{
-				Traces:    ck.Collector.FunctionTraces(fn),
+				Traces:    ck.Collector.Collect(fn),
 				DSA:       ck.Analysis.FuncSummary(fn),
 				Truncated: ck.Collector.Truncated(fn),
 			})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -252,6 +253,39 @@ func TestRegenerateWitnessCorpus(t *testing.T) {
 			t.Logf("wrote %s", name)
 		}
 	}
+}
+
+// FuzzDecodeWitness feeds arbitrary bytes to the witness decoder, which
+// reads files from disk: no input may panic it, and an accepted
+// witness's encoding must be a fixed point — it decodes, and re-encodes
+// to the same bytes.  The checked-in witnesses seed the corpus.
+func FuzzDecodeWitness(f *testing.F) {
+	paths, err := filepath.Glob("witnesscorpus/*.witness")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no checked-in witnesses (%v)", err)
+	}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte("deepmc-witness v1\ngenome: " + (&Genome{}).Hex() + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, err := DecodeWitness(data)
+		if err != nil {
+			return
+		}
+		enc := w.Encode()
+		w2, err := DecodeWitness(enc)
+		if err != nil {
+			t.Fatalf("re-decode of an accepted witness's encoding failed: %v\n%q", err, enc)
+		}
+		if enc2 := w2.Encode(); !bytes.Equal(enc2, enc) {
+			t.Fatalf("witness encoding not a fixed point:\n%q\n%q", enc, enc2)
+		}
+	})
 }
 
 // FuzzGenome is the native fuzz harness over the genome codec: Decode

@@ -46,8 +46,9 @@ type Witness struct {
 
 // Encode renders the witness in its line-oriented text format.  Bodies
 // (faultlog, detail) are indented with one tab per line; decoding
-// strips it, so the round-trip is exact for tab-free content (all
-// injector and invariant renderings are tab-free).
+// strips it, so the round-trip is exact for tab-free content whose
+// lines do not end in a carriage return (all injector and invariant
+// renderings qualify).
 func (w *Witness) Encode() []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "deepmc-witness v1\n")
@@ -78,7 +79,8 @@ func writeBody(b *strings.Builder, name, body string) {
 	}
 }
 
-// DecodeWitness parses the text format.
+// DecodeWitness parses the text format.  Carriage returns ending a line
+// are dropped, so a CRLF copy of a witness decodes like the original.
 func DecodeWitness(data []byte) (*Witness, error) {
 	sc := bufio.NewScanner(strings.NewReader(string(data)))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -91,7 +93,9 @@ func DecodeWitness(data []byte) (*Witness, error) {
 	for sc.Scan() {
 		line := sc.Text()
 		if strings.HasPrefix(line, "\t") && body != nil {
-			body.WriteString(line[1:])
+			// The scanner drops one carriage return; drop them all, or
+			// the next encoding would lose the rest.
+			body.WriteString(strings.TrimRight(line[1:], "\r"))
 			body.WriteByte('\n')
 			continue
 		}

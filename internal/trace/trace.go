@@ -88,26 +88,79 @@ func (e Entry) String() string {
 }
 
 // Trace is one merged path through a function.
+//
+// A collected trace keeps the shared-prefix chain the explorer built it
+// from, and Entries stays nil until the trace leaves the collector
+// through FunctionTraces, which fills it from the chain once.  The
+// pipeline itself never fills: callee splicing and the rule scan read
+// the chain with Runs, and the analysis cache stores traces unfilled.
+// A trace constructed with Entries and no chain reads as a single run.
 type Trace struct {
 	Func    string
 	Entries []Entry
+
+	path *path
+	fill sync.Once
+}
+
+// Runs calls yield with the trace's entries in order, as consecutive
+// runs that other traces may share (callers must not modify them),
+// until yield returns false.  It never fills Entries.
+func (t *Trace) Runs(yield func(run []Entry) bool) {
+	if t.path == nil {
+		if len(t.Entries) > 0 {
+			yield(t.Entries)
+		}
+		return
+	}
+	t.path.each(yield)
+}
+
+// len returns the number of entries on the trace without filling them.
+func (t *Trace) len() int {
+	if t.path == nil {
+		return len(t.Entries)
+	}
+	return t.path.n
+}
+
+// fillEntries materializes a chain-backed trace's Entries, once.  A
+// trace can be reachable from several collectors at once (through a
+// shared artifact cache), so the fill is guarded by its own Once rather
+// than by any collector's mutex.
+func (t *Trace) fillEntries() {
+	t.fill.Do(func() {
+		if t.path != nil {
+			t.Entries = t.path.entries()
+		}
+	})
 }
 
 // String renders the whole trace, one entry per line.
 func (t *Trace) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace of %s:\n", t.Func)
-	for _, e := range t.Entries {
-		fmt.Fprintf(&b, "  %s\n", e.String())
-	}
+	t.Runs(func(run []Entry) bool {
+		for _, e := range run {
+			fmt.Fprintf(&b, "  %s\n", e.String())
+		}
+		return true
+	})
 	return b.String()
 }
 
 // PersistentOps counts write/flush entries (used for prioritization).
 func (t *Trace) PersistentOps() int {
+	if t.path != nil {
+		return t.path.ops
+	}
+	return persistentOps(t.Entries)
+}
+
+func persistentOps(run []Entry) int {
 	n := 0
-	for _, e := range t.Entries {
-		if e.Kind == KWrite || e.Kind == KFlush {
+	for i := range run {
+		if k := run[i].Kind; k == KWrite || k == KFlush {
 			n++
 		}
 	}
@@ -249,8 +302,19 @@ func (c *Collector) ComputedFuncs() []string {
 func (c *Collector) SetCancelled(f func() bool) { c.Opts.Cancelled = f }
 
 // FunctionTraces returns the merged traces of the named function, most
-// persistent-heavy first.
+// persistent-heavy first, with their Entries filled.  The traces are the
+// memo's own objects: repeated calls return the same pointers.
 func (c *Collector) FunctionTraces(fn string) []*Trace {
+	ts := c.Collect(fn)
+	for _, t := range ts {
+		t.fillEntries()
+	}
+	return ts
+}
+
+// Collect is FunctionTraces without filling Entries: the traces are read
+// through Runs.  Every consumer inside the pipeline uses it.
+func (c *Collector) Collect(fn string) []*Trace {
 	return c.collect(fn, make(map[string]bool))
 }
 
@@ -311,7 +375,7 @@ func (c *Collector) collect(fn string, visiting map[string]bool) []*Trace {
 }
 
 // sortTraces orders traces by descending persistent-op count, stable.
-// Each trace's count is computed once, before the insertion sort.
+// The counts are read off the chains, before the insertion sort.
 func sortTraces(ts []*Trace) {
 	keys := make([]int, len(ts))
 	for i, t := range ts {
@@ -327,12 +391,14 @@ func sortTraces(ts []*Trace) {
 
 // path is a trace under construction: an immutable chain of read-only
 // entry runs, newest last.  Paths that fork share their common prefix,
-// so extending one never copies entries; a finished path is copied once,
-// by entries.  The nil path is the empty prefix.
+// so extending one never copies entries, and a finished trace keeps its
+// path; only FunctionTraces copies it, by entries.  The nil path is the
+// empty prefix.
 type path struct {
 	prev *path
 	run  []Entry
 	n    int // total entries along the chain
+	ops  int // write/flush entries along the chain (PersistentOps)
 }
 
 // len returns the number of entries on the path.
@@ -349,7 +415,20 @@ func (p *path) extend(run []Entry) *path {
 	if len(run) == 0 {
 		return p
 	}
-	return &path{prev: p, run: run, n: p.len() + len(run)}
+	ops := persistentOps(run)
+	if p != nil {
+		ops += p.ops
+	}
+	return &path{prev: p, run: run, n: p.len() + len(run), ops: ops}
+}
+
+// each yields the chain's runs oldest first; it reports whether the
+// consumer wants more.
+func (p *path) each(yield func([]Entry) bool) bool {
+	if p == nil {
+		return true
+	}
+	return p.prev.each(yield) && yield(p.run)
 }
 
 // entries materializes the path in one exact-size allocation, filled
@@ -392,6 +471,8 @@ type explorer struct {
 	reach map[string]bool
 	// steps memoizes each block's expansion plan (blockSteps).
 	steps map[*ir.Block][]step
+	// runBuf is blockSteps' scratch buffer for a run being gathered.
+	runBuf []Entry
 	// truncated latches when any continuation hits the trace-entry
 	// budget, or a spliced callee's traces were themselves truncated.
 	truncated bool
@@ -471,7 +552,7 @@ func (e *explorer) walk(n *cfg.Node, prefix *path, visits map[string]int, out *[
 	for _, cont := range conts {
 		if len(succs) == 0 {
 			// Path ends here (ret).
-			*out = append(*out, &Trace{Func: e.f.Name, Entries: cont.entries()})
+			*out = append(*out, &Trace{Func: e.f.Name, path: cont})
 			if len(*out) >= e.c.Opts.MaxPaths {
 				return
 			}
@@ -575,14 +656,19 @@ func (e *explorer) blockSteps(b *ir.Block) []step {
 		return steps
 	}
 	var steps []step
-	var run []Entry
+	// Runs are gathered in a reused buffer and stored at exact size:
+	// finished traces retain them through their chains.
+	run := e.runBuf[:0]
+	flushRun := func() {
+		if len(run) > 0 {
+			steps = append(steps, step{run: append(make([]Entry, 0, len(run)), run...)})
+			run = run[:0]
+		}
+	}
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
 		if in.Op == ir.OpCall {
-			if len(run) > 0 {
-				steps = append(steps, step{run: run})
-				run = nil
-			}
+			flushRun()
 			steps = append(steps, step{call: in, ref: ir.InstrRef{Func: e.f.Name, Block: b.Name, Index: i}})
 			continue
 		}
@@ -590,9 +676,8 @@ func (e *explorer) blockSteps(b *ir.Block) []step {
 			run = append(run, entry)
 		}
 	}
-	if len(run) > 0 {
-		steps = append(steps, step{run: run})
-	}
+	flushRun()
+	e.runBuf = run
 	e.steps[b] = steps
 	return steps
 }
@@ -625,11 +710,13 @@ func (e *explorer) calleeVariants(st *step) [][]Entry {
 	}
 	st.variants = make([][]Entry, 0, limit)
 	for _, t := range calleeTraces[:limit] {
-		entries := make([]Entry, 0, len(t.Entries))
-		for _, en := range t.Entries {
-			te := en
-			te.Cell = translateCell(en.Cell, mapping)
-			entries = append(entries, te)
+		entries := make([]Entry, 0, t.len())
+		t.Runs(func(run []Entry) bool {
+			entries = append(entries, run...)
+			return true
+		})
+		for i := range entries {
+			entries[i].Cell = translateCell(entries[i].Cell, mapping)
 		}
 		st.variants = append(st.variants, entries)
 	}
