@@ -3,9 +3,9 @@
 #   make build       compile everything
 #   make test        tier-1 gate: build + full test suite
 #   make race        test suite under the race detector
-#   make vet         go vet
+#   make vet         go vet, and fail if gofmt would change any tracked Go file
 #   make fuzz-short  30s per fuzz target (FuzzParse, FuzzAnalyze, FuzzEnumerate, FuzzGenome,
-#                    FuzzDecodeWitness, FuzzParseJSON, FuzzDecodeWireEntry)
+#                    FuzzDecodeWitness, FuzzParseJSON, FuzzDecodeWireEntry, FuzzAnalyzeRequest)
 #   make bench       speedup benchmark for the parallel checker
 #   make bench-trace trace-collection benchmark (PMDK and a 335-function generated app)
 #   make cache-gate  incremental-cache byte-identity gate (cold vs warm, workers 1/2/8)
@@ -47,6 +47,8 @@ race:
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt would change:"; echo "$$unformatted"; exit 1; fi
 
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/ir
@@ -56,6 +58,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWitness -fuzztime $(FUZZTIME) ./internal/fuzzsched
 	$(GO) test -run '^$$' -fuzz FuzzParseJSON -fuzztime $(FUZZTIME) ./internal/report
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWireEntry -fuzztime $(FUZZTIME) ./internal/anacache
+	$(GO) test -run '^$$' -fuzz FuzzAnalyzeRequest -fuzztime $(FUZZTIME) ./internal/serve
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkAnalyzeParallel -benchtime 200x .

@@ -330,9 +330,9 @@ func (s *scanner) warn(rule report.Rule, e *trace.Entry, format string, args ...
 	s.rep.Add(report.Warning{
 		Rule:    rule,
 		Message: fmt.Sprintf(format, args...),
-		Func:    e.Func,
-		File:    e.File,
-		Line:    e.Line,
+		Func:    e.At.Func,
+		File:    e.At.File,
+		Line:    e.At.Line,
 	})
 }
 
@@ -447,7 +447,7 @@ func (s *scanner) onFlush(e *trace.Entry) {
 		}
 		s.warn(report.RuleRedundantFlush, e,
 			"redundant flush of %s: already written back at %s:%d with no modification in between",
-			cellDesc(e.Cell), pf.e.File, pf.e.Line)
+			cellDesc(e.Cell), pf.e.At.File, pf.e.At.Line)
 		break
 	}
 	if !slices.ContainsFunc(st.flushes, func(r flushRec) bool { return r.field == e.Cell.Field }) {
@@ -776,7 +776,7 @@ func (s *scanner) endRegion() {
 		objs = append(objs, obj)
 	}
 	slices.SortFunc(objs, func(x, y *dsa.Node) int {
-		a, b := s.curRegion[x], s.curRegion[y]
+		a, b := s.curRegion[x].At, s.curRegion[y].At
 		if c := strings.Compare(a.File, b.File); c != 0 {
 			return c
 		}
@@ -790,7 +790,7 @@ func (s *scanner) endRegion() {
 		if prev, ok := s.prevRegion[obj]; ok {
 			s.warn(report.RuleSemanticMismatch, e,
 				"consecutive transactions/epochs both write object %s (first written at %s:%d); the updates are not made durable atomically",
-				nodeDesc(obj), prev.File, prev.Line)
+				nodeDesc(obj), prev.At.File, prev.At.Line)
 		}
 	}
 	s.regionObjs = objs

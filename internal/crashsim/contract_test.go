@@ -115,11 +115,11 @@ func TestDeviceImageRollsBack(t *testing.T) {
 	s := newNVMState(pmcontract.CXLContract(pmcontract.WholeDomain()))
 	obj := &interp.Object{ID: 1, Persistent: true, Slots: make([]interp.Val, 2)}
 	obj.Slots[0].I = 10
-	s.OnWrite(obj, 0, 8, "f", "t.pir", 1)
-	s.OnFence("f", "t.pir", 2) // commits word 0 = 10
+	s.OnWrite(obj, 0, 8, &ir.Site{Func: "f", File: "t.pir", Line: 1})
+	s.OnFence(&ir.Site{Func: "f", File: "t.pir", Line: 2}) // commits word 0 = 10
 	obj.Slots[0].I = 20
 	obj.Slots[1].I = 30
-	s.OnWrite(obj, 0, 16, "f", "t.pir", 3) // both uncommitted
+	s.OnWrite(obj, 0, 16, &ir.Site{Func: "f", File: "t.pir", Line: 3}) // both uncommitted
 
 	host := s.image()
 	if got := host.Load(1, 0); got != 20 {

@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"deepmc/internal/interp"
+	"deepmc/internal/ir"
 	"deepmc/internal/pmcontract"
 )
 
@@ -108,6 +109,12 @@ type nvmState struct {
 	contract      pmcontract.Contract
 	domainPending map[Word]bool
 	devCommitted  map[Word]int64
+
+	// relevant records that a hook touched persistent state since the
+	// crash planner last looked (see planner.OnStep): a persistent
+	// write, flush, undo-log registration or eviction, or any fence or
+	// commit.
+	relevant bool
 }
 
 func newNVMState(c pmcontract.Contract) *nvmState {
@@ -135,12 +142,16 @@ func (s *nvmState) inDomain() bool { return s.contract.HasDomain() }
 func (s *nvmState) PersistencyContract() pmcontract.Contract { return s.contract }
 
 // OnTxBegin opens a transaction level.
-func (s *nvmState) OnTxBegin(_, _ string, _ int) { s.txDepth++ }
+func (s *nvmState) OnTxBegin(*ir.Site) { s.txDepth++ }
 
 // OnTxAdd records undo pre-images for the logged range.  The pre-image
 // is the current content, as PMDK's TX_ADD snapshots it.
-func (s *nvmState) OnTxAdd(obj *interp.Object, off, size int, _, _ string, _ int) {
-	if !obj.Persistent || s.txDepth == 0 {
+func (s *nvmState) OnTxAdd(obj *interp.Object, off, size int, _ *ir.Site) {
+	if !obj.Persistent {
+		return
+	}
+	s.relevant = true
+	if s.txDepth == 0 {
 		return
 	}
 	s.objects[obj.ID] = obj
@@ -157,7 +168,8 @@ func (s *nvmState) OnTxAdd(obj *interp.Object, off, size int, _, _ string, _ int
 // OnTxEnd commits at the outermost level: logged words persist with
 // their current values (PMDK flushes logged ranges at TX_COMMIT) and the
 // undo log retires.
-func (s *nvmState) OnTxEnd(_, _ string, _ int) {
+func (s *nvmState) OnTxEnd(*ir.Site) {
+	s.relevant = true
 	if s.txDepth > 0 {
 		s.txDepth--
 	}
@@ -189,10 +201,11 @@ func (s *nvmState) commitDomain() {
 // persistence domain the store is durable at store time — no dirty
 // window — but stays device-buffered (domainPending) until a barrier
 // commits it against device failure.
-func (s *nvmState) OnWrite(obj *interp.Object, off, size int, _, _ string, _ int) {
+func (s *nvmState) OnWrite(obj *interp.Object, off, size int, _ *ir.Site) {
 	if !obj.Persistent {
 		return
 	}
+	s.relevant = true
 	s.objects[obj.ID] = obj
 	inDom := s.inDomain()
 	for g := 0; g < size; g += 8 {
@@ -215,10 +228,11 @@ func (s *nvmState) OnWrite(obj *interp.Object, off, size int, _, _ string, _ int
 // clwb/sfence), bypassing flush/fence staging.  Words logged in an open
 // transaction still roll back at recovery — image() applies the undo
 // log over whatever the cache persisted.
-func (s *nvmState) OnEvict(obj *interp.Object, off, size int, _, _ string, _ int) {
+func (s *nvmState) OnEvict(obj *interp.Object, off, size int, _ *ir.Site) {
 	if !obj.Persistent {
 		return
 	}
+	s.relevant = true
 	s.objects[obj.ID] = obj
 	for g := 0; g < size; g += 8 {
 		w := Word{Obj: obj.ID, Off: off + g}
@@ -234,8 +248,12 @@ func (s *nvmState) OnEvict(obj *interp.Object, off, size int, _, _ string, _ int
 
 // OnFlush stages dirty words for write-back.  In a persistence domain
 // there is nothing to stage — the store was durable at store time.
-func (s *nvmState) OnFlush(obj *interp.Object, off, size int, _, _ string, _ int) {
-	if !obj.Persistent || s.inDomain() {
+func (s *nvmState) OnFlush(obj *interp.Object, off, size int, _ *ir.Site) {
+	if !obj.Persistent {
+		return
+	}
+	s.relevant = true
+	if s.inDomain() {
 		return
 	}
 	for g := 0; g < size; g += 8 {
@@ -248,7 +266,8 @@ func (s *nvmState) OnFlush(obj *interp.Object, off, size int, _, _ string, _ int
 
 // OnFence makes staged words durable and, as a global persist barrier,
 // commits buffered domain writes against device failure.
-func (s *nvmState) OnFence(_, _ string, _ int) {
+func (s *nvmState) OnFence(*ir.Site) {
+	s.relevant = true
 	for w := range s.staged {
 		s.durable[w] = s.current[w]
 		delete(s.dirty, w)

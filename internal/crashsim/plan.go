@@ -36,8 +36,7 @@ type planPoint struct {
 // without running them.
 type planner struct {
 	*nvmState
-	relevant bool
-	points   []planPoint
+	points []planPoint
 	// pendingMid holds mid-drain fault states awaiting attribution to
 	// the fence instruction's step index (known only at its OnStep).
 	pendingMid []*nvmState
@@ -60,52 +59,12 @@ func newPlanner(c pmcontract.Contract) *planner {
 	return p
 }
 
-func (p *planner) OnWrite(obj *interp.Object, off, size int, fn, file string, line int) {
-	if obj.Persistent {
-		p.relevant = true
-	}
-	p.nvmState.OnWrite(obj, off, size, fn, file, line)
-}
-
-func (p *planner) OnFlush(obj *interp.Object, off, size int, fn, file string, line int) {
-	if obj.Persistent {
-		p.relevant = true
-	}
-	p.nvmState.OnFlush(obj, off, size, fn, file, line)
-}
-
-func (p *planner) OnFence(fn, file string, line int) {
-	p.relevant = true
-	p.nvmState.OnFence(fn, file, line)
-}
-
-func (p *planner) OnTxAdd(obj *interp.Object, off, size int, fn, file string, line int) {
-	if obj.Persistent {
-		p.relevant = true
-	}
-	p.nvmState.OnTxAdd(obj, off, size, fn, file, line)
-}
-
-func (p *planner) OnTxEnd(fn, file string, line int) {
-	p.relevant = true
-	p.nvmState.OnTxEnd(fn, file, line)
-}
-
-// OnEvict (interp.Evictor) forwards injected evictions: durable state
-// changed, so the step must be recorded.
-func (p *planner) OnEvict(obj *interp.Object, off, size int, fn, file string, line int) {
-	if obj.Persistent {
-		p.relevant = true
-	}
-	p.nvmState.OnEvict(obj, off, size, fn, file, line)
-}
-
 // OnPartialFence (interp.PartialFencer) records the mid-drain state of
 // an injected reordered/delayed persist as an extra crash candidate:
 // the picked staged words (canonical order) are already durable, the
 // rest are still staged.  The snapshot is queued until the fence's
 // OnStep supplies the step index.
-func (p *planner) OnPartialFence(pick func(n int) []int, _, _ string, _ int) {
+func (p *planner) OnPartialFence(pick func(n int) []int, _ *ir.Site) {
 	staged := make([]Word, 0, len(p.staged))
 	for w := range p.staged {
 		staged = append(staged, w)

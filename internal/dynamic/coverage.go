@@ -3,6 +3,8 @@ package dynamic
 import (
 	"hash/fnv"
 	"math/bits"
+
+	"deepmc/internal/ir"
 )
 
 // covBits is the edge-map size in bits.  64K edges keeps a Coverage at
@@ -45,23 +47,23 @@ type Coverage struct {
 // NewCoverage returns an empty edge map.
 func NewCoverage() *Coverage { return &Coverage{} }
 
-// siteHash content-hashes one event site.  FNV-1a over the identifying
-// strings and scalars: deterministic across processes (no map
-// iteration, no per-run interning).
-func siteHash(fn, file string, line int, kind byte, strand int64) uint32 {
+// siteHash content-hashes one event site.  FNV-1a over the site's
+// strings and scalars, not its pointer: deterministic across processes
+// (no map iteration, no per-run interning).
+func siteHash(at *ir.Site, kind byte, strand int64) uint32 {
 	h := fnv.New32a()
-	h.Write([]byte(fn))
+	h.Write([]byte(at.Func))
 	h.Write([]byte{0})
-	h.Write([]byte(file))
+	h.Write([]byte(at.File))
 	h.Write([]byte{0, kind,
-		byte(line), byte(line >> 8), byte(line >> 16),
+		byte(at.Line), byte(at.Line >> 8), byte(at.Line >> 16),
 		byte(strand), byte(strand >> 8), byte(strand >> 16)})
 	return h.Sum32()
 }
 
 // hit records the edge from the previous event to this one.
-func (c *Coverage) hit(fn, file string, line int, kind byte, strand int64) {
-	cur := siteHash(fn, file, line, kind, strand)
+func (c *Coverage) hit(at *ir.Site, kind byte, strand int64) {
+	cur := siteHash(at, kind, strand)
 	idx := (cur ^ (c.prev >> 1)) % covBits
 	c.bits[idx/64] |= 1 << (idx % 64)
 	c.prev = cur

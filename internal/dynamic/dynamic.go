@@ -30,6 +30,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"deepmc/internal/ir"
 	"deepmc/internal/report"
 )
 
@@ -60,14 +61,12 @@ func (v VC) Join(o VC) {
 // HappensBefore reports whether epoch (s,c) is ordered before the clock v.
 func (v VC) HappensBefore(s int64, c uint64) bool { return v[s] >= c }
 
-// access is one recorded access site.
+// access is one recorded access.
 type access struct {
 	strand int64
 	clock  uint64
 	gepoch uint64 // global fence epoch at access time
-	fn     string
-	file   string
-	line   int
+	at     *ir.Site
 }
 
 // shadowCell is the FastTrack state of one address.
@@ -75,12 +74,11 @@ type shadowCell struct {
 	hasWrite bool
 	write    access
 	// flushed reports whether a flush covered this address since the
-	// last write; flushSite is that flush's site.  A racing read of an
-	// unflushed write is the deep variant of RAW (DMC-D03): the value
-	// consumed never even reached the write-back stage, so a durable
-	// side effect built on it is guaranteed inconsistent after a crash.
-	flushed   bool
-	flushSite access
+	// last write.  A racing read of an unflushed write is the deep
+	// variant of RAW (DMC-D03): the value consumed never even reached
+	// the write-back stage, so a durable side effect built on it is
+	// guaranteed inconsistent after a crash.
+	flushed bool
 	// reads holds at most one entry per strand since the last write.
 	reads []access
 }
@@ -362,7 +360,7 @@ func (c *Checker) ordered(st *strandState, now uint64, prev *access) bool {
 
 // Write records a persistent write by strand id at addr and checks WAW
 // and read-write races against unordered prior accesses.
-func (c *Checker) Write(id int64, addr uint64, persistent bool, fn, file string, line int) {
+func (c *Checker) Write(id int64, addr uint64, persistent bool, at *ir.Site) {
 	if !persistent && !c.TrackAll {
 		return
 	}
@@ -391,12 +389,12 @@ func (c *Checker) Write(id int64, addr uint64, persistent bool, fn, file string,
 		}
 	}
 	sc.hasWrite = true
-	sc.write = access{strand: id, clock: st.own.Load(), gepoch: now, fn: fn, file: file, line: line}
+	sc.write = access{strand: id, clock: st.own.Load(), gepoch: now, at: at}
 	sc.flushed = false
 	sc.reads = sc.reads[:0]
 	s.mu.Unlock()
 	for _, cf := range raceWith {
-		c.race(cf.kind, cf.prev, access{strand: id, fn: fn, file: file, line: line}, addr, false)
+		c.race(cf.kind, cf.prev, access{strand: id, at: at}, addr, false)
 	}
 }
 
@@ -405,23 +403,22 @@ func (c *Checker) Write(id int64, addr uint64, persistent bool, fn, file string,
 // value and report ordinary RAW (DMC-D02) instead of unflushed RAW
 // (DMC-D03).  Flushes carry no dependence edge of their own — they
 // only refine what a subsequent race means.
-func (c *Checker) Flush(id int64, addr uint64, persistent bool, fn, file string, line int) {
+func (c *Checker) Flush(id int64, addr uint64, persistent bool, at *ir.Site) {
 	if !persistent && !c.TrackAll {
 		return
 	}
 	c.flushes.Add(1)
 	s := c.seg(c.strand(id), addr)
 	s.mu.Lock()
-	if sc := s.cells[addr]; sc != nil && sc.hasWrite && !sc.flushed {
+	if sc := s.cells[addr]; sc != nil && sc.hasWrite {
 		sc.flushed = true
-		sc.flushSite = access{strand: id, fn: fn, file: file, line: line}
 	}
 	s.mu.Unlock()
 }
 
 // Read records a persistent read and checks RAW races against unordered
 // prior writes from other strands.
-func (c *Checker) Read(id int64, addr uint64, persistent bool, fn, file string, line int) {
+func (c *Checker) Read(id int64, addr uint64, persistent bool, at *ir.Site) {
 	if !persistent && !c.TrackAll {
 		return
 	}
@@ -442,7 +439,7 @@ func (c *Checker) Read(id int64, addr uint64, persistent bool, fn, file string, 
 		raced = &cp
 		racedUnflushed = !sc.flushed
 	}
-	rec := access{strand: id, clock: st.own.Load(), gepoch: now, fn: fn, file: file, line: line}
+	rec := access{strand: id, clock: st.own.Load(), gepoch: now, at: at}
 	updated := false
 	for i := range sc.reads {
 		if sc.reads[i].strand == id {
@@ -456,7 +453,7 @@ func (c *Checker) Read(id int64, addr uint64, persistent bool, fn, file string, 
 	}
 	s.mu.Unlock()
 	if raced != nil {
-		c.race("RAW", *raced, access{strand: id, fn: fn, file: file, line: line}, addr, racedUnflushed)
+		c.race("RAW", *raced, access{strand: id, at: at}, addr, racedUnflushed)
 	}
 }
 
@@ -487,10 +484,10 @@ func (c *Checker) race(kind string, prev, cur access, addr uint64, unflushed boo
 		Code: code,
 		Message: fmt.Sprintf(
 			"%s dependence between strands %d and %d on persistent address %#x (previous access at %s:%d): dependent persists must share a strand or be ordered by a barrier%s",
-			kind, prev.strand, cur.strand, addr, prev.file, prev.line, detail),
-		Func:    cur.fn,
-		File:    cur.file,
-		Line:    cur.line,
+			kind, prev.strand, cur.strand, addr, prev.at.File, prev.at.Line, detail),
+		Func:    cur.at.Func,
+		File:    cur.at.File,
+		Line:    cur.at.Line,
 		Dynamic: true,
 	})
 }

@@ -13,10 +13,10 @@ import (
 func TestWAWBetweenStrands(t *testing.T) {
 	c := NewChecker()
 	c.StrandBegin(1)
-	c.Write(1, 0x1000, true, "f", "f.c", 10)
+	c.Write(1, 0x1000, true, &ir.Site{Func: "f", File: "f.c", Line: 10})
 	c.StrandEnd(1)
 	c.StrandBegin(2)
-	c.Write(2, 0x1000, true, "f", "f.c", 20)
+	c.Write(2, 0x1000, true, &ir.Site{Func: "f", File: "f.c", Line: 20})
 	c.StrandEnd(2)
 	rep := c.Report()
 	if len(rep.Warnings) != 1 {
@@ -31,10 +31,10 @@ func TestWAWBetweenStrands(t *testing.T) {
 func TestRAWBetweenStrands(t *testing.T) {
 	c := NewChecker()
 	c.StrandBegin(1)
-	c.Write(1, 0x2000, true, "f", "f.c", 10)
+	c.Write(1, 0x2000, true, &ir.Site{Func: "f", File: "f.c", Line: 10})
 	c.StrandEnd(1)
 	c.StrandBegin(2)
-	c.Read(2, 0x2000, true, "f", "f.c", 30)
+	c.Read(2, 0x2000, true, &ir.Site{Func: "f", File: "f.c", Line: 30})
 	c.StrandEnd(2)
 	rep := c.Report()
 	if len(rep.Warnings) != 1 {
@@ -45,11 +45,11 @@ func TestRAWBetweenStrands(t *testing.T) {
 func TestGlobalFenceOrdersStrands(t *testing.T) {
 	c := NewChecker()
 	c.StrandBegin(1)
-	c.Write(1, 0x3000, true, "f", "f.c", 10)
+	c.Write(1, 0x3000, true, &ir.Site{Func: "f", File: "f.c", Line: 10})
 	c.StrandEnd(1)
 	c.GlobalFence()
 	c.StrandBegin(2)
-	c.Write(2, 0x3000, true, "f", "f.c", 20)
+	c.Write(2, 0x3000, true, &ir.Site{Func: "f", File: "f.c", Line: 20})
 	c.StrandEnd(2)
 	if rep := c.Report(); len(rep.Warnings) != 0 {
 		t.Errorf("fence-ordered strands must not race:\n%s", rep)
@@ -59,10 +59,10 @@ func TestGlobalFenceOrdersStrands(t *testing.T) {
 func TestDisjointAddressesNoRace(t *testing.T) {
 	c := NewChecker()
 	c.StrandBegin(1)
-	c.Write(1, 0x100, true, "f", "f.c", 1)
+	c.Write(1, 0x100, true, &ir.Site{Func: "f", File: "f.c", Line: 1})
 	c.StrandEnd(1)
 	c.StrandBegin(2)
-	c.Write(2, 0x108, true, "f", "f.c", 2)
+	c.Write(2, 0x108, true, &ir.Site{Func: "f", File: "f.c", Line: 2})
 	c.StrandEnd(2)
 	if rep := c.Report(); len(rep.Warnings) != 0 {
 		t.Errorf("disjoint strands must not race:\n%s", rep)
@@ -72,9 +72,9 @@ func TestDisjointAddressesNoRace(t *testing.T) {
 func TestSameStrandNoRace(t *testing.T) {
 	c := NewChecker()
 	c.StrandBegin(1)
-	c.Write(1, 0x100, true, "f", "f.c", 1)
-	c.Write(1, 0x100, true, "f", "f.c", 2)
-	c.Read(1, 0x100, true, "f", "f.c", 3)
+	c.Write(1, 0x100, true, &ir.Site{Func: "f", File: "f.c", Line: 1})
+	c.Write(1, 0x100, true, &ir.Site{Func: "f", File: "f.c", Line: 2})
+	c.Read(1, 0x100, true, &ir.Site{Func: "f", File: "f.c", Line: 3})
 	c.StrandEnd(1)
 	if rep := c.Report(); len(rep.Warnings) != 0 {
 		t.Errorf("a strand cannot race with itself:\n%s", rep)
@@ -84,10 +84,10 @@ func TestSameStrandNoRace(t *testing.T) {
 func TestVolatileUntracked(t *testing.T) {
 	c := NewChecker()
 	c.StrandBegin(1)
-	c.Write(1, 0x100, false, "f", "f.c", 1)
+	c.Write(1, 0x100, false, &ir.Site{Func: "f", File: "f.c", Line: 1})
 	c.StrandEnd(1)
 	c.StrandBegin(2)
-	c.Write(2, 0x100, false, "f", "f.c", 2)
+	c.Write(2, 0x100, false, &ir.Site{Func: "f", File: "f.c", Line: 2})
 	c.StrandEnd(2)
 	if rep := c.Report(); len(rep.Warnings) != 0 {
 		t.Errorf("volatile accesses must be ignored by default:\n%s", rep)
@@ -102,10 +102,10 @@ func TestTrackAllAblation(t *testing.T) {
 	c := NewChecker()
 	c.TrackAll = true
 	c.StrandBegin(1)
-	c.Write(1, 0x100, false, "f", "f.c", 1)
+	c.Write(1, 0x100, false, &ir.Site{Func: "f", File: "f.c", Line: 1})
 	c.StrandEnd(1)
 	c.StrandBegin(2)
-	c.Write(2, 0x100, false, "f", "f.c", 2)
+	c.Write(2, 0x100, false, &ir.Site{Func: "f", File: "f.c", Line: 2})
 	c.StrandEnd(2)
 	if rep := c.Report(); len(rep.Warnings) != 1 {
 		t.Errorf("TrackAll must detect the volatile race:\n%s", rep)
@@ -116,12 +116,12 @@ func TestAcquireReleaseOrdering(t *testing.T) {
 	c := NewChecker()
 	lock := "mu"
 	c.StrandBegin(1)
-	c.Write(1, 0x500, true, "f", "f.c", 1)
+	c.Write(1, 0x500, true, &ir.Site{Func: "f", File: "f.c", Line: 1})
 	c.Release(1, lock)
 	c.StrandEnd(1)
 	c.StrandBegin(2)
 	c.Acquire(2, lock)
-	c.Write(2, 0x500, true, "f", "f.c", 2)
+	c.Write(2, 0x500, true, &ir.Site{Func: "f", File: "f.c", Line: 2})
 	c.StrandEnd(2)
 	if rep := c.Report(); len(rep.Warnings) != 0 {
 		t.Errorf("lock-ordered accesses must not race:\n%s", rep)
@@ -137,7 +137,7 @@ func TestConcurrentUseIsSafe(t *testing.T) {
 			defer wg.Done()
 			c.StrandBegin(id)
 			for i := 0; i < 1000; i++ {
-				c.Write(id, uint64(id)<<20|uint64(i*8), true, "f", "f.c", int(id))
+				c.Write(id, uint64(id)<<20|uint64(i*8), true, &ir.Site{Func: "f", File: "f.c", Line: int(id)})
 			}
 			c.StrandEnd(id)
 		}(th)
@@ -156,9 +156,9 @@ func TestShadowSegments(t *testing.T) {
 	c := NewChecker()
 	c.StrandBegin(1)
 	// Two addresses in one 4K segment, one in another.
-	c.Write(1, 0x0008, true, "f", "f.c", 1)
-	c.Write(1, 0x0010, true, "f", "f.c", 2)
-	c.Write(1, 0x5000, true, "f", "f.c", 3)
+	c.Write(1, 0x0008, true, &ir.Site{Func: "f", File: "f.c", Line: 1})
+	c.Write(1, 0x0010, true, &ir.Site{Func: "f", File: "f.c", Line: 2})
+	c.Write(1, 0x5000, true, &ir.Site{Func: "f", File: "f.c", Line: 3})
 	c.StrandEnd(1)
 	st := c.StatsSnapshot()
 	if st.Segments != 2 {

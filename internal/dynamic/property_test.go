@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"deepmc/internal/ir"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -217,13 +218,13 @@ func TestEpochFastPathAgreesWithVectorClocks(t *testing.T) {
 				lock := rng.Intn(lockCount)
 				switch k := rng.Intn(100); {
 				case k < 30:
-					c.Write(id, addr, true, "h", "h.c", op)
+					c.Write(id, addr, true, &ir.Site{Func: "h", File: "h.c", Line: op})
 					o.write(id, addr, op)
 				case k < 60:
-					c.Read(id, addr, true, "h", "h.c", op)
+					c.Read(id, addr, true, &ir.Site{Func: "h", File: "h.c", Line: op})
 					o.read(id, addr, op)
 				case k < 75:
-					c.Flush(id, addr, true, "h", "h.c", op)
+					c.Flush(id, addr, true, &ir.Site{Func: "h", File: "h.c", Line: op})
 					o.flush(addr)
 				case k < 82:
 					c.GlobalFence()

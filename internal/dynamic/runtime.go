@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"deepmc/internal/interp"
+	"deepmc/internal/ir"
 	"deepmc/internal/pmcontract"
 )
 
@@ -9,8 +10,10 @@ import (
 // role of the calls the instrumenter injects into the IR (step ⑤ of
 // Figure 8).  Accesses outside annotated epoch/strand regions are not
 // tracked when OnlyAnnotated is set, mirroring the paper's low-overhead
-// instrumentation scope.
+// instrumentation scope.  Transaction events carry nothing the
+// happens-before checker uses, so they fall through to NopHooks.
 type Runtime struct {
+	interp.NopHooks
 	Checker *Checker
 	// OnlyAnnotated restricts tracking to code inside epoch or strand
 	// regions (the paper's default).  When false every persistent access
@@ -106,9 +109,9 @@ func (r *Runtime) tracked() bool {
 }
 
 // OnWrite records each 8-byte granule of the write.
-func (r *Runtime) OnWrite(obj *interp.Object, off, size int, fn, file string, line int) {
+func (r *Runtime) OnWrite(obj *interp.Object, off, size int, at *ir.Site) {
 	if r.Cov != nil {
-		r.Cov.hit(fn, file, line, covWrite, r.curStrand)
+		r.Cov.hit(at, covWrite, r.curStrand)
 	}
 	if !r.tracked() {
 		return
@@ -116,26 +119,26 @@ func (r *Runtime) OnWrite(obj *interp.Object, off, size int, fn, file string, li
 	autoPersist := obj.Persistent && r.Contract.HasDomain()
 	for g := 0; g < size; g += 8 {
 		a := r.addrOf(obj, off+g)
-		r.Checker.Write(r.curStrand, a, obj.Persistent, fn, file, line)
+		r.Checker.Write(r.curStrand, a, obj.Persistent, at)
 		if autoPersist {
 			// In-domain stores are durable at store time: record the
 			// granule flushed immediately so a racing read is ordinary
 			// RAW (DMC-D02), never unflushed RAW (DMC-D03).
-			r.Checker.Flush(r.curStrand, a, obj.Persistent, fn, file, line)
+			r.Checker.Flush(r.curStrand, a, obj.Persistent, at)
 		}
 	}
 }
 
 // OnRead records each 8-byte granule of the read.
-func (r *Runtime) OnRead(obj *interp.Object, off, size int, fn, file string, line int) {
+func (r *Runtime) OnRead(obj *interp.Object, off, size int, at *ir.Site) {
 	if r.Cov != nil {
-		r.Cov.hit(fn, file, line, covRead, r.curStrand)
+		r.Cov.hit(at, covRead, r.curStrand)
 	}
 	if !r.tracked() {
 		return
 	}
 	for g := 0; g < size; g += 8 {
-		r.Checker.Read(r.curStrand, r.addrOf(obj, off+g), obj.Persistent, fn, file, line)
+		r.Checker.Read(r.curStrand, r.addrOf(obj, off+g), obj.Persistent, at)
 	}
 }
 
@@ -144,53 +147,49 @@ func (r *Runtime) OnRead(obj *interp.Object, off, size int, fn, file string, lin
 // (DMC-D03).  A delayed (deferred-to-fence) flush therefore widens the
 // window in which reads observe never-flushed data — exactly the state
 // the schedule fuzzer's delay injection hunts for.
-func (r *Runtime) OnFlush(obj *interp.Object, off, size int, fn, file string, line int) {
+func (r *Runtime) OnFlush(obj *interp.Object, off, size int, at *ir.Site) {
 	if r.Cov != nil {
-		r.Cov.hit(fn, file, line, covFlush, r.curStrand)
+		r.Cov.hit(at, covFlush, r.curStrand)
 	}
 	if !r.tracked() {
 		return
 	}
 	for g := 0; g < size; g += 8 {
-		r.Checker.Flush(r.curStrand, r.addrOf(obj, off+g), obj.Persistent, fn, file, line)
+		r.Checker.Flush(r.curStrand, r.addrOf(obj, off+g), obj.Persistent, at)
 	}
 }
 
 // OnFence outside strand regions orders all strands (a global persist
 // barrier); inside a strand it only orders that strand's own persists,
 // which the per-strand clock already captures.
-func (r *Runtime) OnFence(fn, file string, line int) {
+func (r *Runtime) OnFence(at *ir.Site) {
 	if r.Cov != nil {
-		r.Cov.hit(fn, file, line, covFence, r.curStrand)
+		r.Cov.hit(at, covFence, r.curStrand)
 	}
 	if r.strandDepth == 0 {
 		r.Checker.GlobalFence()
 	}
 }
 
-func (r *Runtime) OnTxBegin(string, string, int)                         {}
-func (r *Runtime) OnTxEnd(string, string, int)                           {}
-func (r *Runtime) OnTxAdd(*interp.Object, int, int, string, string, int) {}
-
-func (r *Runtime) OnEpochBegin(string, string, int) { r.epochDepth++ }
-func (r *Runtime) OnEpochEnd(string, string, int) {
+func (r *Runtime) OnEpochBegin(*ir.Site) { r.epochDepth++ }
+func (r *Runtime) OnEpochEnd(*ir.Site) {
 	if r.epochDepth > 0 {
 		r.epochDepth--
 	}
 }
 
-func (r *Runtime) OnStrandBegin(id int64, fn, file string, line int) {
+func (r *Runtime) OnStrandBegin(id int64, at *ir.Site) {
 	r.curStrand = id
 	r.strandDepth++
 	if r.Cov != nil {
-		r.Cov.hit(fn, file, line, covStrand, id)
+		r.Cov.hit(at, covStrand, id)
 	}
 	r.Checker.StrandBegin(id)
 }
 
-func (r *Runtime) OnStrandEnd(id int64, fn, file string, line int) {
+func (r *Runtime) OnStrandEnd(id int64, at *ir.Site) {
 	if r.Cov != nil {
-		r.Cov.hit(fn, file, line, covStrand, -id)
+		r.Cov.hit(at, covStrand, -id)
 	}
 	r.Checker.StrandEnd(id)
 	if r.strandDepth > 0 {

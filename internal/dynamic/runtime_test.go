@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"testing"
+	"unsafe"
 
 	"deepmc/internal/interp"
 )
@@ -55,5 +56,14 @@ func TestAddrOfInRangeContiguous(t *testing.T) {
 		if got := r.addrOf(obj, off); got != base+uint64(off) {
 			t.Errorf("offset %d: got %#x, want contiguous %#x", off, got, base+uint64(off))
 		}
+	}
+}
+
+// TestAccessSize pins the shadow access record: strand, clock, global
+// epoch and one site pointer.  Every shadow cell holds one per write and
+// one per reading strand.
+func TestAccessSize(t *testing.T) {
+	if n := unsafe.Sizeof(access{}); n > 32 {
+		t.Errorf("access is %d bytes, want at most 32", n)
 	}
 }

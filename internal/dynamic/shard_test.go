@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"deepmc/internal/ir"
 	"math/rand"
 	"sync"
 	"testing"
@@ -26,11 +27,11 @@ func replayPattern(c *Checker, seed int64, events int) {
 		case 4:
 			c.Release(id, locks[rng.Intn(len(locks))])
 		case 5, 6:
-			c.Write(id, addr, true, "fn", "file.go", i)
+			c.Write(id, addr, true, &ir.Site{Func: "fn", File: "file.go", Line: i})
 		case 7:
-			c.Flush(id, addr, true, "fn", "file.go", i)
+			c.Flush(id, addr, true, &ir.Site{Func: "fn", File: "file.go", Line: i})
 		default:
-			c.Read(id, addr, true, "fn", "file.go", i)
+			c.Read(id, addr, true, &ir.Site{Func: "fn", File: "file.go", Line: i})
 		}
 	}
 }
@@ -70,16 +71,16 @@ func TestStripedCheckerConcurrentAccess(t *testing.T) {
 				addr := uint64(rng.Intn(1 << 14))
 				switch i % 5 {
 				case 0:
-					c.Write(id, addr, true, "fn", "file.go", i)
+					c.Write(id, addr, true, &ir.Site{Func: "fn", File: "file.go", Line: i})
 				case 1:
-					c.Flush(id, addr, true, "fn", "file.go", i)
+					c.Flush(id, addr, true, &ir.Site{Func: "fn", File: "file.go", Line: i})
 				case 2:
 					c.GlobalFence()
 				case 3:
 					c.Acquire(id, "L")
 					c.Release(id, "L")
 				default:
-					c.Read(id, addr, true, "fn", "file.go", i)
+					c.Read(id, addr, true, &ir.Site{Func: "fn", File: "file.go", Line: i})
 				}
 			}
 			c.StrandEnd(id)

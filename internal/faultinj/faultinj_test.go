@@ -1,6 +1,7 @@
 package faultinj
 
 import (
+	"deepmc/internal/ir"
 	"fmt"
 	"strings"
 	"testing"
@@ -128,15 +129,15 @@ type recorder struct {
 	calls []string
 }
 
-func (r *recorder) OnWrite(obj *interp.Object, off, size int, fn, file string, line int) {
+func (r *recorder) OnWrite(obj *interp.Object, off, size int, _ *ir.Site) {
 	r.calls = append(r.calls, fmt.Sprintf("write %d+%d/%d", obj.ID, off, size))
 }
 
-func (r *recorder) OnFlush(obj *interp.Object, off, size int, fn, file string, line int) {
+func (r *recorder) OnFlush(obj *interp.Object, off, size int, _ *ir.Site) {
 	r.calls = append(r.calls, fmt.Sprintf("flush %d+%d/%d", obj.ID, off, size))
 }
 
-func (r *recorder) OnFence(fn, file string, line int) {
+func (r *recorder) OnFence(*ir.Site) {
 	r.calls = append(r.calls, "fence")
 }
 
@@ -146,7 +147,7 @@ type evictRecorder struct {
 	evicts []string
 }
 
-func (r *evictRecorder) OnEvict(obj *interp.Object, off, size int, fn, file string, line int) {
+func (r *evictRecorder) OnEvict(obj *interp.Object, off, size int, _ *ir.Site) {
 	r.evicts = append(r.evicts, fmt.Sprintf("evict %d+%d/%d", obj.ID, off, size))
 }
 
@@ -159,12 +160,12 @@ func TestWrapDroppedFlushRetry(t *testing.T) {
 	h := Wrap(inner, sched)
 	obj := &interp.Object{ID: 7, Persistent: true, Slots: make([]interp.Val, 4)}
 
-	h.OnWrite(obj, 0, 8, "f", "a.c", 1)
-	h.OnFlush(obj, 0, 8, "f", "a.c", 2)
+	h.OnWrite(obj, 0, 8, &ir.Site{Func: "f", File: "a.c", Line: 1})
+	h.OnFlush(obj, 0, 8, &ir.Site{Func: "f", File: "a.c", Line: 2})
 	if got := fmt.Sprint(inner.calls); got != "[write 7+0/8]" {
 		t.Fatalf("dropped flush leaked through: %v", inner.calls)
 	}
-	h.OnFence("f", "a.c", 3)
+	h.OnFence(&ir.Site{Func: "f", File: "a.c", Line: 3})
 	want := "[write 7+0/8 flush 7+0/8 fence]"
 	if got := fmt.Sprint(inner.calls); got != want {
 		t.Fatalf("fence retry stream = %v, want %v", inner.calls, want)
@@ -174,7 +175,7 @@ func TestWrapDroppedFlushRetry(t *testing.T) {
 	}
 	// A volatile flush is never dropped.
 	vol := &interp.Object{ID: 8, Persistent: false, Slots: make([]interp.Val, 1)}
-	h.OnFlush(vol, 0, 8, "f", "a.c", 4)
+	h.OnFlush(vol, 0, 8, &ir.Site{Func: "f", File: "a.c", Line: 4})
 	if got := inner.calls[len(inner.calls)-1]; got != "flush 8+0/8" {
 		t.Fatalf("volatile flush was intercepted: %v", got)
 	}
@@ -189,7 +190,7 @@ func TestWrapTornWrite(t *testing.T) {
 	h := Wrap(inner, sched)
 	obj := &interp.Object{ID: 3, Persistent: true, Slots: make([]interp.Val, 8)}
 
-	h.OnWrite(obj, 0, 32, "f", "a.c", 1)
+	h.OnWrite(obj, 0, 32, &ir.Site{Func: "f", File: "a.c", Line: 1})
 	if len(inner.evicts) == 0 || len(inner.evicts) >= 4 {
 		t.Fatalf("32-byte store tore %d of 4 granules: %v", len(inner.evicts), inner.evicts)
 	}
@@ -199,10 +200,10 @@ func TestWrapTornWrite(t *testing.T) {
 
 	// 8-byte stores are single-granule: nothing to tear.
 	before := len(inner.evicts)
-	h.OnWrite(obj, 0, 8, "f", "a.c", 2)
+	h.OnWrite(obj, 0, 8, &ir.Site{Func: "f", File: "a.c", Line: 2})
 	// Volatile stores never tear regardless of width.
 	vol := &interp.Object{ID: 4, Persistent: false, Slots: make([]interp.Val, 8)}
-	h.OnWrite(vol, 0, 32, "f", "a.c", 3)
+	h.OnWrite(vol, 0, 32, &ir.Site{Func: "f", File: "a.c", Line: 3})
 	if len(inner.evicts) != before {
 		t.Fatalf("narrow or volatile store tore: %v", inner.evicts[before:])
 	}
@@ -216,9 +217,9 @@ func TestWrapWithoutExtensions(t *testing.T) {
 	sched := New(Config{Classes: []Class{TornWrite, ReorderedPersist}, Rate: 1, Seed: 2})
 	h := Wrap(inner, sched)
 	obj := &interp.Object{ID: 1, Persistent: true, Slots: make([]interp.Val, 8)}
-	h.OnWrite(obj, 0, 32, "f", "a.c", 1)
-	h.OnFlush(obj, 0, 32, "f", "a.c", 2)
-	h.OnFence("f", "a.c", 3)
+	h.OnWrite(obj, 0, 32, &ir.Site{Func: "f", File: "a.c", Line: 1})
+	h.OnFlush(obj, 0, 32, &ir.Site{Func: "f", File: "a.c", Line: 2})
+	h.OnFence(&ir.Site{Func: "f", File: "a.c", Line: 3})
 	want := "[write 1+0/32 flush 1+0/32 fence]"
 	if got := fmt.Sprint(inner.calls); got != want {
 		t.Fatalf("stream = %v, want %v", inner.calls, want)

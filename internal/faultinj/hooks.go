@@ -40,7 +40,7 @@ const granule = 8
 // space, so (matching the static checker) any non-empty domain is read
 // as covering the whole persistent heap.
 func Wrap(inner interp.Hooks, sched *Schedule) interp.Hooks {
-	h := &hooks{inner: inner, sched: sched}
+	h := &hooks{Hooks: inner, sched: sched}
 	h.obs, _ = inner.(interp.StepObserver)
 	h.evict, _ = inner.(interp.Evictor)
 	h.pf, _ = inner.(interp.PartialFencer)
@@ -54,13 +54,13 @@ type flushEv struct {
 	obj  *interp.Object
 	off  int
 	size int
-	fn   string
-	file string
-	line int
+	at   *ir.Site
 }
 
+// hooks embeds the inner hook set: events no fault class acts on pass
+// straight through.
 type hooks struct {
-	inner interp.Hooks
+	interp.Hooks
 	sched *Schedule
 	obs   interp.StepObserver
 	evict interp.Evictor
@@ -74,12 +74,8 @@ type hooks struct {
 	pending []flushEv
 }
 
-func site(fn, file string, line int) string {
-	return fmt.Sprintf("%s %s:%d", fn, file, line)
-}
-
-func (h *hooks) OnWrite(obj *interp.Object, off, size int, fn, file string, line int) {
-	h.inner.OnWrite(obj, off, size, fn, file, line)
+func (h *hooks) OnWrite(obj *interp.Object, off, size int, at *ir.Site) {
+	h.Hooks.OnWrite(obj, off, size, at)
 	if h.inDomain || h.evict == nil || obj == nil || !obj.Persistent || size < 2*granule {
 		return
 	}
@@ -89,49 +85,49 @@ func (h *hooks) OnWrite(obj *interp.Object, off, size int, fn, file string, line
 	grans := (size + granule - 1) / granule
 	sel := h.sched.Subset(grans)
 	for _, g := range sel {
-		h.evict.OnEvict(obj, off+g*granule, granule, fn, file, line)
+		h.evict.OnEvict(obj, off+g*granule, granule, at)
 	}
-	h.sched.Record(TornWrite, site(fn, file, line), fmt.Sprintf("store size=%d persisted granules=%v", size, sel))
+	h.sched.Record(TornWrite, at.String(), fmt.Sprintf("store size=%d persisted granules=%v", size, sel))
 }
 
-func (h *hooks) OnFlush(obj *interp.Object, off, size int, fn, file string, line int) {
+func (h *hooks) OnFlush(obj *interp.Object, off, size int, at *ir.Site) {
 	if !h.inDomain && obj != nil && obj.Persistent && h.sched.Fire(DroppedFlush) {
-		h.pending = append(h.pending, flushEv{obj, off, size, fn, file, line})
-		h.sched.Record(DroppedFlush, site(fn, file, line),
+		h.pending = append(h.pending, flushEv{obj, off, size, at})
+		h.sched.Record(DroppedFlush, at.String(),
 			fmt.Sprintf("clwb obj#%d+%d size=%d dropped, retried at next fence", obj.ID, off, size))
 		return
 	}
-	h.inner.OnFlush(obj, off, size, fn, file, line)
+	h.Hooks.OnFlush(obj, off, size, at)
 }
 
-func (h *hooks) OnFence(fn, file string, line int) {
+func (h *hooks) OnFence(at *ir.Site) {
 	// Hardware retries dropped clwbs at the drain: re-forward them now so
 	// the fence's durability guarantee still holds.
 	for _, e := range h.pending {
-		h.inner.OnFlush(e.obj, e.off, e.size, e.fn, e.file, e.line)
+		h.Hooks.OnFlush(e.obj, e.off, e.size, e.at)
 	}
 	h.pending = h.pending[:0]
 	if h.pf != nil && !h.inDomain {
 		if h.sched.Fire(ReorderedPersist) {
-			h.pf.OnPartialFence(h.pickScrambled(fn, file, line), fn, file, line)
+			h.pf.OnPartialFence(h.pickScrambled(at), at)
 		} else if h.sched.Fire(DelayedDrain) {
-			h.pf.OnPartialFence(h.pickPrefix(fn, file, line), fn, file, line)
+			h.pf.OnPartialFence(h.pickPrefix(at), at)
 		}
 	}
-	h.inner.OnFence(fn, file, line)
+	h.Hooks.OnFence(at)
 }
 
 // pickScrambled returns a pick function exposing a mid-drain state in
 // which an arbitrary (scrambled) nonempty proper subset of the staged
 // set has drained.  The injection is recorded only if the callee
 // invokes pick (it skips empty staged sets).
-func (h *hooks) pickScrambled(fn, file string, line int) func(n int) []int {
+func (h *hooks) pickScrambled(at *ir.Site) func(n int) []int {
 	return func(n int) []int {
 		if n < 2 {
 			return nil
 		}
 		sel := h.sched.Subset(n)
-		h.sched.Record(ReorderedPersist, site(fn, file, line),
+		h.sched.Record(ReorderedPersist, at.String(),
 			fmt.Sprintf("mid-drain: %v of %d staged lines retired out of order", sel, n))
 		return sel
 	}
@@ -140,7 +136,7 @@ func (h *hooks) pickScrambled(fn, file string, line int) func(n int) []int {
 // pickPrefix returns a pick function exposing a mid-drain state in
 // which only a canonical-order proper prefix of the staged set has
 // drained (the drain is lagging).
-func (h *hooks) pickPrefix(fn, file string, line int) func(n int) []int {
+func (h *hooks) pickPrefix(at *ir.Site) func(n int) []int {
 	return func(n int) []int {
 		if n < 2 {
 			return nil
@@ -150,27 +146,10 @@ func (h *hooks) pickPrefix(fn, file string, line int) func(n int) []int {
 		for i := range sel {
 			sel[i] = i
 		}
-		h.sched.Record(DelayedDrain, site(fn, file, line),
+		h.sched.Record(DelayedDrain, at.String(),
 			fmt.Sprintf("mid-drain: first %d of %d staged lines retired, drain lagging", k, n))
 		return sel
 	}
-}
-
-func (h *hooks) OnRead(obj *interp.Object, off, size int, fn, file string, line int) {
-	h.inner.OnRead(obj, off, size, fn, file, line)
-}
-func (h *hooks) OnTxBegin(fn, file string, line int) { h.inner.OnTxBegin(fn, file, line) }
-func (h *hooks) OnTxEnd(fn, file string, line int)   { h.inner.OnTxEnd(fn, file, line) }
-func (h *hooks) OnTxAdd(obj *interp.Object, off, size int, fn, file string, line int) {
-	h.inner.OnTxAdd(obj, off, size, fn, file, line)
-}
-func (h *hooks) OnEpochBegin(fn, file string, line int) { h.inner.OnEpochBegin(fn, file, line) }
-func (h *hooks) OnEpochEnd(fn, file string, line int)   { h.inner.OnEpochEnd(fn, file, line) }
-func (h *hooks) OnStrandBegin(id int64, fn, file string, line int) {
-	h.inner.OnStrandBegin(id, fn, file, line)
-}
-func (h *hooks) OnStrandEnd(id int64, fn, file string, line int) {
-	h.inner.OnStrandEnd(id, fn, file, line)
 }
 
 func (h *hooks) OnStep(step int, op ir.Op) {

@@ -16,7 +16,7 @@ type fullRecorder struct {
 	partials []string
 }
 
-func (r *fullRecorder) OnPartialFence(pick func(n int) []int, fn, file string, line int) {
+func (r *fullRecorder) OnPartialFence(pick func(n int) []int, _ *ir.Site) {
 	// Pretend 4 lines are staged, so reordered/delayed picks consume
 	// schedule state and record.
 	r.partials = append(r.partials, fmt.Sprint(pick(4)))

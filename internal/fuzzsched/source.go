@@ -101,7 +101,7 @@ func (inj *Injector) Wrap(inner interp.Hooks) interp.Hooks {
 	cfg := faultinj.Config{Classes: inj.g.ArmedClasses(), Rate: fireRate}
 	inj.sched = faultinj.NewWithSource(cfg, &tapeSource{tape: inj.g.Tape})
 	fh := faultinj.Wrap(inner, inj.sched)
-	d := &delayHooks{inner: fh}
+	d := &delayHooks{Hooks: fh}
 	d.obs, _ = fh.(interp.StepObserver)
 	d.delaySet = make(map[uint32]bool, len(inj.g.Delays))
 	for _, s := range inj.g.Delays {
@@ -146,9 +146,10 @@ func (inj *Injector) Log() string {
 // completion lags to the drain (PMRace's active delay injection; legal
 // because sfence still guarantees completion).  Flushes still pending
 // at the end of the run are never delivered: a clwb with no subsequent
-// sfence has no durability guarantee to preserve.
+// sfence has no durability guarantee to preserve.  Every other event
+// passes straight through to the embedded inner hook set.
 type delayHooks struct {
-	inner    interp.Hooks
+	interp.Hooks
 	obs      interp.StepObserver
 	delaySet map[uint32]bool
 
@@ -162,9 +163,7 @@ type delayedFlush struct {
 	obj  *interp.Object
 	off  int
 	size int
-	fn   string
-	file string
-	line int
+	at   *ir.Site
 }
 
 var (
@@ -175,50 +174,31 @@ var (
 
 // OnChoicePoint fires before each schedule-relevant instruction; the
 // recorded ordinal addresses the instruction for the delay set.
-func (d *delayHooks) OnChoicePoint(seq int, _ ir.Op, _, _ string, _ int) {
+func (d *delayHooks) OnChoicePoint(seq int, _ ir.Op, _ *ir.Site) {
 	d.curSeq = uint32(seq)
 }
 
-func (d *delayHooks) OnFlush(obj *interp.Object, off, size int, fn, file string, line int) {
+func (d *delayHooks) OnFlush(obj *interp.Object, off, size int, at *ir.Site) {
 	if d.delaySet[d.curSeq] && obj != nil && obj.Persistent {
 		d.delayed++
-		d.pending = append(d.pending, delayedFlush{obj, off, size, fn, file, line})
-		fmt.Fprintf(&d.log, "delay #%d clwb obj#%d+%d size=%d @ choice %d (%s %s:%d) deferred to next fence\n",
-			d.delayed, obj.ID, off, size, d.curSeq, fn, file, line)
+		d.pending = append(d.pending, delayedFlush{obj, off, size, at})
+		fmt.Fprintf(&d.log, "delay #%d clwb obj#%d+%d size=%d @ choice %d (%s) deferred to next fence\n",
+			d.delayed, obj.ID, off, size, d.curSeq, at)
 		return
 	}
-	d.inner.OnFlush(obj, off, size, fn, file, line)
+	d.Hooks.OnFlush(obj, off, size, at)
 }
 
 // OnFence delivers the deferred flushes first, so they stage and drain
 // at this fence exactly as a lagging clwb would.
-func (d *delayHooks) OnFence(fn, file string, line int) {
+func (d *delayHooks) OnFence(at *ir.Site) {
 	for _, e := range d.pending {
-		d.inner.OnFlush(e.obj, e.off, e.size, e.fn, e.file, e.line)
+		d.Hooks.OnFlush(e.obj, e.off, e.size, e.at)
 	}
 	d.pending = d.pending[:0]
-	d.inner.OnFence(fn, file, line)
+	d.Hooks.OnFence(at)
 }
 
-func (d *delayHooks) OnWrite(obj *interp.Object, off, size int, fn, file string, line int) {
-	d.inner.OnWrite(obj, off, size, fn, file, line)
-}
-func (d *delayHooks) OnRead(obj *interp.Object, off, size int, fn, file string, line int) {
-	d.inner.OnRead(obj, off, size, fn, file, line)
-}
-func (d *delayHooks) OnTxBegin(fn, file string, line int) { d.inner.OnTxBegin(fn, file, line) }
-func (d *delayHooks) OnTxEnd(fn, file string, line int)   { d.inner.OnTxEnd(fn, file, line) }
-func (d *delayHooks) OnTxAdd(obj *interp.Object, off, size int, fn, file string, line int) {
-	d.inner.OnTxAdd(obj, off, size, fn, file, line)
-}
-func (d *delayHooks) OnEpochBegin(fn, file string, line int) { d.inner.OnEpochBegin(fn, file, line) }
-func (d *delayHooks) OnEpochEnd(fn, file string, line int)   { d.inner.OnEpochEnd(fn, file, line) }
-func (d *delayHooks) OnStrandBegin(id int64, fn, file string, line int) {
-	d.inner.OnStrandBegin(id, fn, file, line)
-}
-func (d *delayHooks) OnStrandEnd(id int64, fn, file string, line int) {
-	d.inner.OnStrandEnd(id, fn, file, line)
-}
 func (d *delayHooks) OnStep(step int, op ir.Op) {
 	if d.obs != nil {
 		d.obs.OnStep(step, op)

@@ -56,21 +56,22 @@ func (v Val) String() string {
 // every load/store/flush regardless of the object's persistence — the
 // Object carries its Persistent flag, and the runtime library decides
 // what to track (persistent-only by default, everything under the
-// TrackAll ablation).  All offsets and sizes are in bytes.
+// TrackAll ablation).  All offsets and sizes are in bytes, and at is the
+// executing instruction's site (ir.Function.Site).
 type Hooks interface {
-	OnWrite(obj *Object, off, size int, fn, file string, line int)
-	OnRead(obj *Object, off, size int, fn, file string, line int)
-	OnFlush(obj *Object, off, size int, fn, file string, line int)
-	OnFence(fn, file string, line int)
-	OnTxBegin(fn, file string, line int)
-	OnTxEnd(fn, file string, line int)
+	OnWrite(obj *Object, off, size int, at *ir.Site)
+	OnRead(obj *Object, off, size int, at *ir.Site)
+	OnFlush(obj *Object, off, size int, at *ir.Site)
+	OnFence(at *ir.Site)
+	OnTxBegin(at *ir.Site)
+	OnTxEnd(at *ir.Site)
 	// OnTxAdd reports an undo-log registration (TX_ADD) of size bytes at
 	// obj+off.
-	OnTxAdd(obj *Object, off, size int, fn, file string, line int)
-	OnEpochBegin(fn, file string, line int)
-	OnEpochEnd(fn, file string, line int)
-	OnStrandBegin(id int64, fn, file string, line int)
-	OnStrandEnd(id int64, fn, file string, line int)
+	OnTxAdd(obj *Object, off, size int, at *ir.Site)
+	OnEpochBegin(at *ir.Site)
+	OnEpochEnd(at *ir.Site)
+	OnStrandBegin(id int64, at *ir.Site)
+	OnStrandEnd(id int64, at *ir.Site)
 }
 
 // Evictor is an optional Hooks extension for fault injection: OnEvict
@@ -81,7 +82,7 @@ type Hooks interface {
 // durable immediately, without fence ordering.  The torn-write fault
 // class delivers partial-store persistence through this hook.
 type Evictor interface {
-	OnEvict(obj *Object, off, size int, fn, file string, line int)
+	OnEvict(obj *Object, off, size int, at *ir.Site)
 }
 
 // PartialFencer is an optional Hooks extension for fault injection:
@@ -94,7 +95,7 @@ type Evictor interface {
 // image as an extra crash surface.  The fence that follows still
 // completes in full, so the sfence durability contract is unchanged.
 type PartialFencer interface {
-	OnPartialFence(pick func(n int) []int, fn, file string, line int)
+	OnPartialFence(pick func(n int) []int, at *ir.Site)
 }
 
 // StepObserver is an optional Hooks extension.  When the installed
@@ -128,7 +129,7 @@ type StepObserver interface {
 // instruction fires after OnChoicePoint, while the instruction
 // executes.
 type ChoicePointer interface {
-	OnChoicePoint(seq int, op ir.Op, fn, file string, line int)
+	OnChoicePoint(seq int, op ir.Op, at *ir.Site)
 }
 
 // ContractHolder is an optional Hooks extension: a hook set that models
@@ -146,17 +147,17 @@ type ContractHolder interface {
 // NopHooks is an embeddable no-op Hooks implementation.
 type NopHooks struct{}
 
-func (NopHooks) OnWrite(*Object, int, int, string, string, int) {}
-func (NopHooks) OnRead(*Object, int, int, string, string, int)  {}
-func (NopHooks) OnFlush(*Object, int, int, string, string, int) {}
-func (NopHooks) OnFence(string, string, int)                    {}
-func (NopHooks) OnTxBegin(string, string, int)                  {}
-func (NopHooks) OnTxEnd(string, string, int)                    {}
-func (NopHooks) OnTxAdd(*Object, int, int, string, string, int) {}
-func (NopHooks) OnEpochBegin(string, string, int)               {}
-func (NopHooks) OnEpochEnd(string, string, int)                 {}
-func (NopHooks) OnStrandBegin(int64, string, string, int)       {}
-func (NopHooks) OnStrandEnd(int64, string, string, int)         {}
+func (NopHooks) OnWrite(*Object, int, int, *ir.Site) {}
+func (NopHooks) OnRead(*Object, int, int, *ir.Site)  {}
+func (NopHooks) OnFlush(*Object, int, int, *ir.Site) {}
+func (NopHooks) OnFence(*ir.Site)                    {}
+func (NopHooks) OnTxBegin(*ir.Site)                  {}
+func (NopHooks) OnTxEnd(*ir.Site)                    {}
+func (NopHooks) OnTxAdd(*Object, int, int, *ir.Site) {}
+func (NopHooks) OnEpochBegin(*ir.Site)               {}
+func (NopHooks) OnEpochEnd(*ir.Site)                 {}
+func (NopHooks) OnStrandBegin(int64, *ir.Site)       {}
+func (NopHooks) OnStrandEnd(int64, *ir.Site)         {}
 
 // Interp executes one module.
 type Interp struct {
@@ -224,22 +225,23 @@ func (ip *Interp) Call(fn string, args ...Val) (Val, error) {
 	if len(args) > len(f.Params) {
 		return Val{}, fmt.Errorf("interp: %s: %d args for %d params", fn, len(args), len(f.Params))
 	}
-	frame := &frame{fn: f, regs: make(map[string]Val, 16)}
+	frame := &frame{regs: make(map[string]Val, 16)}
 	for i, p := range f.Params {
 		if i < len(args) {
 			frame.regs[p.Name] = args[i]
 		}
 	}
-	return ip.exec(frame)
+	return ip.exec(f, frame)
 }
 
+// frame holds one call's registers.  The function travels beside it
+// rather than inside it: looking up a site leaks the *ir.Function to
+// the heap, and escape analysis would take the register map along.
 type frame struct {
-	fn   *ir.Function
 	regs map[string]Val
 }
 
-func (ip *Interp) exec(fr *frame) (Val, error) {
-	f := fr.fn
+func (ip *Interp) exec(f *ir.Function, fr *frame) (Val, error) {
 	blk := f.Entry()
 	if blk == nil {
 		return Val{}, fmt.Errorf("interp: %s has no blocks", f.Name)
@@ -283,7 +285,7 @@ func (ip *Interp) exec(fr *frame) (Val, error) {
 					next = in.Labels[1]
 				}
 			default:
-				if err := ip.step(fr, in); err != nil {
+				if err := ip.step(f, fr, in); err != nil {
 					return Val{}, fmt.Errorf("%s/%s#%d: %w", f.Name, blk.Name, i, err)
 				}
 			}
@@ -320,14 +322,13 @@ func slotCount(t *ir.Type) int {
 	return n
 }
 
-func (ip *Interp) step(fr *frame, in *ir.Instr) error {
-	f := fr.fn
-	loc := func() (string, string, int) { return f.Name, f.File, in.Line }
+func (ip *Interp) step(f *ir.Function, fr *frame, in *ir.Instr) error {
+	at := func() *ir.Site { return f.Site(in.Line) }
 	if ip.cp != nil {
 		switch in.Op {
 		case ir.OpFlush, ir.OpFence, ir.OpTxEnd, ir.OpStrandBegin, ir.OpStrandEnd:
 			ip.choiceSeq++
-			ip.cp.OnChoicePoint(ip.choiceSeq, in.Op, f.Name, f.File, in.Line)
+			ip.cp.OnChoicePoint(ip.choiceSeq, in.Op, at())
 		}
 	}
 	switch in.Op {
@@ -378,8 +379,7 @@ func (ip *Interp) step(fr *frame, in *ir.Instr) error {
 		if slot < 0 || slot >= len(p.R.Obj.Slots) {
 			return fmt.Errorf("load out of bounds: obj%d+%d", p.R.Obj.ID, p.R.Off)
 		}
-		fn, file, line := loc()
-		ip.Hooks.OnRead(p.R.Obj, p.R.Off, 8, fn, file, line)
+		ip.Hooks.OnRead(p.R.Obj, p.R.Off, 8, at())
 		fr.regs[in.Dst] = p.R.Obj.Slots[slot]
 	case ir.OpStore:
 		p := fr.val(in.Args[0])
@@ -391,8 +391,7 @@ func (ip *Interp) step(fr *frame, in *ir.Instr) error {
 			return fmt.Errorf("store out of bounds: obj%d+%d", p.R.Obj.ID, p.R.Off)
 		}
 		p.R.Obj.Slots[slot] = fr.val(in.Args[1])
-		fn, file, line := loc()
-		ip.Hooks.OnWrite(p.R.Obj, p.R.Off, 8, fn, file, line)
+		ip.Hooks.OnWrite(p.R.Obj, p.R.Off, 8, at())
 	case ir.OpFlush:
 		p := fr.val(in.Args[0])
 		if !p.IsPtr() {
@@ -406,14 +405,13 @@ func (ip *Interp) step(fr *frame, in *ir.Instr) error {
 		} else if p.R.Off == 0 && p.R.Obj.Type != nil {
 			size = p.R.Obj.Type.Size()
 		}
-		fn, file, line := loc()
-		ip.Hooks.OnFlush(p.R.Obj, p.R.Off, size, fn, file, line)
+		ip.Hooks.OnFlush(p.R.Obj, p.R.Off, size, at())
 	case ir.OpFence:
-		ip.Hooks.OnFence(loc())
+		ip.Hooks.OnFence(at())
 	case ir.OpTxBegin:
-		ip.Hooks.OnTxBegin(loc())
+		ip.Hooks.OnTxBegin(at())
 	case ir.OpTxEnd:
-		ip.Hooks.OnTxEnd(loc())
+		ip.Hooks.OnTxEnd(at())
 	case ir.OpTxAdd:
 		p := fr.val(in.Args[0])
 		if !p.IsPtr() {
@@ -427,18 +425,15 @@ func (ip *Interp) step(fr *frame, in *ir.Instr) error {
 		} else if p.R.Off == 0 && p.R.Obj.Type != nil {
 			size = p.R.Obj.Type.Size()
 		}
-		fn, file, line := loc()
-		ip.Hooks.OnTxAdd(p.R.Obj, p.R.Off, size, fn, file, line)
+		ip.Hooks.OnTxAdd(p.R.Obj, p.R.Off, size, at())
 	case ir.OpEpochBegin:
-		ip.Hooks.OnEpochBegin(loc())
+		ip.Hooks.OnEpochBegin(at())
 	case ir.OpEpochEnd:
-		ip.Hooks.OnEpochEnd(loc())
+		ip.Hooks.OnEpochEnd(at())
 	case ir.OpStrandBegin:
-		fn, file, line := loc()
-		ip.Hooks.OnStrandBegin(fr.val(in.Args[0]).I, fn, file, line)
+		ip.Hooks.OnStrandBegin(fr.val(in.Args[0]).I, at())
 	case ir.OpStrandEnd:
-		fn, file, line := loc()
-		ip.Hooks.OnStrandEnd(fr.val(in.Args[0]).I, fn, file, line)
+		ip.Hooks.OnStrandEnd(fr.val(in.Args[0]).I, at())
 	case ir.OpCall:
 		args := make([]Val, len(in.Args))
 		for i, a := range in.Args {
@@ -465,9 +460,9 @@ func (ip *Interp) step(fr *frame, in *ir.Instr) error {
 			}
 			dst.R.Obj.Slots[ds] = src.R.Obj.Slots[ss]
 		}
-		fn, file, line := loc()
-		ip.Hooks.OnRead(src.R.Obj, src.R.Off, n, fn, file, line)
-		ip.Hooks.OnWrite(dst.R.Obj, dst.R.Off, n, fn, file, line)
+		site := at()
+		ip.Hooks.OnRead(src.R.Obj, src.R.Off, n, site)
+		ip.Hooks.OnWrite(dst.R.Obj, dst.R.Off, n, site)
 	case ir.OpMemSet:
 		dst := fr.val(in.Args[0])
 		v := fr.val(in.Args[1])
@@ -483,8 +478,7 @@ func (ip *Interp) step(fr *frame, in *ir.Instr) error {
 			}
 			dst.R.Obj.Slots[ds] = Val{I: v.I}
 		}
-		fn, file, line := loc()
-		ip.Hooks.OnWrite(dst.R.Obj, dst.R.Off, n, fn, file, line)
+		ip.Hooks.OnWrite(dst.R.Obj, dst.R.Off, n, at())
 	default:
 		return fmt.Errorf("unhandled opcode %s", in.Op)
 	}

@@ -140,10 +140,10 @@ func (h *countingHooks) count(obj *Object, persistent *int) {
 	}
 }
 
-func (h *countingHooks) OnWrite(o *Object, _, _ int, _, _ string, _ int) { h.count(o, &h.writes) }
-func (h *countingHooks) OnRead(o *Object, _, _ int, _, _ string, _ int)  { h.count(o, &h.reads) }
-func (h *countingHooks) OnFlush(o *Object, _, _ int, _, _ string, _ int) { h.count(o, &h.flushes) }
-func (h *countingHooks) OnFence(string, string, int)                     { h.fences++ }
+func (h *countingHooks) OnWrite(o *Object, _, _ int, _ *ir.Site) { h.count(o, &h.writes) }
+func (h *countingHooks) OnRead(o *Object, _, _ int, _ *ir.Site)  { h.count(o, &h.reads) }
+func (h *countingHooks) OnFlush(o *Object, _, _ int, _ *ir.Site) { h.count(o, &h.flushes) }
+func (h *countingHooks) OnFence(*ir.Site)                        { h.fences++ }
 
 func TestHooksCarryPersistence(t *testing.T) {
 	src := `

@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Block is a basic block: a label plus a straight-line instruction list
@@ -59,6 +60,44 @@ type Function struct {
 	Blocks  []*Block
 
 	blockIdx map[string]*Block
+
+	sitesOnce sync.Once
+	sites     map[int]*Site
+}
+
+// Site is one source location: a function, its source file and a line.
+// A function hands out one *Site per line (Function.Site), so runtime
+// hooks, trace entries and race records carry a pointer, and the
+// location becomes text only when a finding or log line is rendered.
+type Site struct {
+	Func string
+	File string
+	Line int
+}
+
+// String renders the site as "fn file:line", the form fault and delay
+// logs print.
+func (s *Site) String() string { return fmt.Sprintf("%s %s:%d", s.Func, s.File, s.Line) }
+
+// Site returns the function's site for a source line.  The table is
+// built on first use rather than by the parser, which most parsed
+// modules never need, and it is built once even when concurrent workers
+// reach it together.  A line no instruction carries gets a fresh site.
+func (f *Function) Site(line int) *Site {
+	f.sitesOnce.Do(func() {
+		f.sites = make(map[int]*Site)
+		for _, b := range f.Blocks {
+			for i := range b.Instrs {
+				if l := b.Instrs[i].Line; f.sites[l] == nil {
+					f.sites[l] = &Site{Func: f.Name, File: f.File, Line: l}
+				}
+			}
+		}
+	})
+	if s := f.sites[line]; s != nil {
+		return s
+	}
+	return &Site{Func: f.Name, File: f.File, Line: line}
 }
 
 // Block returns the named block, or nil.

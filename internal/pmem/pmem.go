@@ -15,7 +15,12 @@
 //     can compare buggy vs. fixed builds.
 package pmem
 
-import "deepmc/internal/dynamic"
+import (
+	"sync"
+
+	"deepmc/internal/dynamic"
+	"deepmc/internal/ir"
+)
 
 // Tracker observes persistent-memory accesses at runtime.  A nil Tracker
 // means uninstrumented execution (the Figure 12 baseline).
@@ -35,6 +40,21 @@ type Tracker interface {
 // interface, treating each client thread as a strand.
 type CheckerTracker struct {
 	C *dynamic.Checker
+
+	// sites interns each port function name once, as a site that
+	// names the function in place of a file, at line 0: the ports have
+	// no module to take sites from, and their reports have always read
+	// that way.  A lookup of a known name takes no lock.
+	sites sync.Map // string -> *ir.Site
+}
+
+// site returns the interned site of a port function name.
+func (t *CheckerTracker) site(fn string) *ir.Site {
+	if s, ok := t.sites.Load(fn); ok {
+		return s.(*ir.Site)
+	}
+	s, _ := t.sites.LoadOrStore(fn, &ir.Site{Func: fn, File: fn})
+	return s.(*ir.Site)
 }
 
 // NewCheckerTracker wraps a fresh dynamic checker.
@@ -51,12 +71,12 @@ func NewCheckerTrackerStripes(n int) *CheckerTracker {
 
 // Write forwards a store to the checker.
 func (t *CheckerTracker) Write(thread int64, addr uint64, fn string) {
-	t.C.Write(thread, addr, true, fn, fn, 0)
+	t.C.Write(thread, addr, true, t.site(fn))
 }
 
 // Read forwards a load to the checker.
 func (t *CheckerTracker) Read(thread int64, addr uint64, fn string) {
-	t.C.Read(thread, addr, true, fn, fn, 0)
+	t.C.Read(thread, addr, true, t.site(fn))
 }
 
 // Fence forwards a persist barrier.

@@ -237,6 +237,8 @@ type serverStats struct {
 	cacheFlushed   atomic.Int64
 	drainForced    atomic.Int64
 	queueHighWater atomic.Int64
+	// queued is a gauge: requests waiting for an analysis slot.
+	queued atomic.Int64
 }
 
 // Stats is the /stats snapshot.
@@ -433,15 +435,13 @@ func (s *Server) Snapshot() Stats {
 		CacheFlushed:   s.stats.cacheFlushed.Load(),
 		DrainForced:    s.stats.drainForced.Load(),
 		QueueHighWater: s.stats.queueHighWater.Load(),
+		Queued:         int(s.stats.queued.Load()),
 		InFlight:       len(s.work),
 		QueueCap:       s.cfg.QueueDepth,
 		Draining:       s.draining.Load(),
 		UptimeSeconds:  time.Since(s.start).Seconds(),
 		Breakers:       s.breakers.Snapshot(),
 		Cache:          cs,
-	}
-	if q := len(s.admit) - len(s.work); q > 0 {
-		st.Queued = q
 	}
 	if total := cs.VerdictHits + cs.VerdictMisses; total > 0 {
 		st.CacheHitRate = float64(cs.VerdictHits) / float64(total)
@@ -506,14 +506,6 @@ func (s *Server) serveRequest(w http.ResponseWriter, req Request) {
 	}
 	defer func() { <-s.admit }()
 	s.stats.admitted.Add(1)
-	if q := int64(len(s.admit) - len(s.work)); q > 0 {
-		for {
-			hw := s.stats.queueHighWater.Load()
-			if q <= hw || s.stats.queueHighWater.CompareAndSwap(hw, q) {
-				break
-			}
-		}
-	}
 
 	// The request's deadline is fixed here, before coalescing, so a
 	// follower parked behind a slow leader still times out on its own
@@ -544,12 +536,38 @@ func (s *Server) serveRequest(w http.ResponseWriter, req Request) {
 // cap (requests may ask for less, never more).
 func (s *Server) requestTimeout(req Request) time.Duration {
 	timeout := s.cfg.RequestTimeout
-	if req.TimeoutMs > 0 {
-		if d := time.Duration(req.TimeoutMs) * time.Millisecond; d < timeout {
-			timeout = d
-		}
+	// Compare in milliseconds: converting first overflows for huge
+	// values and wraps to a negative, already expired deadline.
+	if ms := int64(req.TimeoutMs); ms > 0 && ms <= timeout.Milliseconds() {
+		timeout = time.Duration(ms) * time.Millisecond
 	}
 	return timeout
+}
+
+// acquireWork takes an analysis slot, waiting until ctx is done.  Only
+// a request that finds every slot busy counts as queued, from then until
+// it holds a slot or gives up: a request still writing its response
+// holds its admission slot but is not waiting, and two requests racing
+// for a free slot are not a queue.
+func (s *Server) acquireWork(ctx context.Context) bool {
+	select {
+	case s.work <- struct{}{}:
+		return true
+	default:
+	}
+	q := s.stats.queued.Add(1)
+	defer s.stats.queued.Add(-1)
+	for hw := s.stats.queueHighWater.Load(); q > hw; hw = s.stats.queueHighWater.Load() {
+		if s.stats.queueHighWater.CompareAndSwap(hw, q) {
+			break
+		}
+	}
+	select {
+	case s.work <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
 // execute runs one analysis end to end: worker slot, budgets, breaker
@@ -558,16 +576,14 @@ func (s *Server) requestTimeout(req Request) time.Duration {
 // request deadline, established by the caller before coalescing.
 func (s *Server) execute(ctx context.Context, req Request) *result {
 	// Wait for an analysis slot; the request deadline covers the wait.
-	select {
-	case s.work <- struct{}{}:
-		defer func() { <-s.work }()
-	case <-ctx.Done():
+	if !s.acquireWork(ctx) {
 		s.stats.queueTimeouts.Add(1)
 		return &result{
 			status: http.StatusServiceUnavailable,
 			body:   errBody("timed out waiting for an analysis slot"), retryAfter: 1,
 		}
 	}
+	defer func() { <-s.work }()
 
 	if d := s.takeStall(); d > 0 {
 		select {

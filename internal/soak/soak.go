@@ -197,10 +197,10 @@ func (r *Result) String() string {
 // clientState is one client's deterministic traffic state, persistent
 // across phases.
 type clientState struct {
-	id     int
-	gen    *workload.Generator
-	oracle map[uint64]uint64 // key -> last acknowledged stamp
-	seq    uint64
+	id      int
+	gen     *workload.Generator
+	oracle  map[uint64]uint64 // key -> last acknowledged stamp
+	seq     uint64
 	nextIns uint64 // next owned insert key (strides by the client count)
 }
 
@@ -388,7 +388,7 @@ func (cs *clientState) drive(cfg Config, route func(uint64) target, maxKey uint6
 		op := cs.gen.Next()
 		switch op.Kind {
 		case workload.OpRead:
-			if _, _, err := route(op.Key % maxKey).get(thread, op.Key%maxKey); err != nil {
+			if _, _, err := route(op.Key%maxKey).get(thread, op.Key%maxKey); err != nil {
 				return err
 			}
 		case workload.OpScan:

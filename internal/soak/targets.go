@@ -111,9 +111,9 @@ func (t memcacheTarget) get(thread int64, key uint64) (uint64, bool, error) {
 	return v[0], true, nil
 }
 
-func (t memcacheTarget) crash()                    { t.s.Region().NVM().Crash() }
+func (t memcacheTarget) crash()                     { t.s.Region().NVM().Crash() }
 func (t memcacheTarget) recoverCrash() (int, error) { return t.s.Region().Recover() }
-func (t memcacheTarget) stats() nvm.Stats          { return t.s.Region().NVM().Stats() }
+func (t memcacheTarget) stats() nvm.Stats           { return t.s.Region().NVM().Stats() }
 
 // ---------------------------------------------------------------------------
 // redis (PMDK)
@@ -209,9 +209,9 @@ func (t nstoreTarget) get(thread int64, key uint64) (uint64, bool, error) {
 	return v[0], true, nil
 }
 
-func (t nstoreTarget) crash()                    { t.e.NVM().Crash() }
+func (t nstoreTarget) crash()                     { t.e.NVM().Crash() }
 func (t nstoreTarget) recoverCrash() (int, error) { return 0, nil } // nstore has no recovery
-func (t nstoreTarget) stats() nvm.Stats          { return t.e.NVM().Stats() }
+func (t nstoreTarget) stats() nvm.Stats           { return t.e.NVM().Stats() }
 
 // openTarget builds one partition of the configured app.
 func openTarget(cfg Config, part int, tr pmem.Tracker) (target, error) {

@@ -45,3 +45,12 @@ func TestCollectionAllocationBound(t *testing.T) {
 		t.Errorf("collection allocated %.2fx the bytes of its finished traces, want at most 2x", ratio)
 	}
 }
+
+// TestEntrySize pins the trace entry layout: a kind, a cell, one site
+// pointer and a strand id.  Entries are the bulk of a cold check's
+// allocation, so a field that grows them shows up here first.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(trace.Entry{}); n > 48 {
+		t.Errorf("trace.Entry is %d bytes, want at most 48", n)
+	}
+}

@@ -64,13 +64,9 @@ type Entry struct {
 	// Cell is the abstract location for write/flush/txadd entries,
 	// expressed in the root function's DSG context.
 	Cell dsa.Cell
-	// Size is the explicit byte count of a sized flush, or 0.
-	Size int
-	// Func / File / Line locate the operation in its defining function
-	// (callee locations survive merging).
-	Func string
-	File string
-	Line int
+	// At locates the operation in its defining function (callee
+	// locations survive merging).
+	At *ir.Site
 	// Strand is the strand id for strand markers (-1 if dynamic).
 	Strand int64
 }
@@ -79,11 +75,11 @@ type Entry struct {
 func (e Entry) String() string {
 	switch e.Kind {
 	case KWrite, KFlush, KTxAdd:
-		return fmt.Sprintf("%s %s @%s:%d", e.Kind, e.Cell, e.File, e.Line)
+		return fmt.Sprintf("%s %s @%s:%d", e.Kind, e.Cell, e.At.File, e.At.Line)
 	case KStrandBegin, KStrandEnd:
-		return fmt.Sprintf("%s %d @%s:%d", e.Kind, e.Strand, e.File, e.Line)
+		return fmt.Sprintf("%s %d @%s:%d", e.Kind, e.Strand, e.At.File, e.At.Line)
 	default:
-		return fmt.Sprintf("%s @%s:%d", e.Kind, e.File, e.Line)
+		return fmt.Sprintf("%s @%s:%d", e.Kind, e.At.File, e.At.Line)
 	}
 }
 
@@ -741,7 +737,7 @@ func translateCell(c dsa.Cell, mapping map[*dsa.Node]*dsa.Node) dsa.Cell {
 // entryFor converts one instruction to a trace entry.  Writes, flushes
 // and txadds to non-persistent storage are dropped, as in the paper.
 func (e *explorer) entryFor(in *ir.Instr) (Entry, bool) {
-	base := Entry{Func: e.f.Name, File: e.f.File, Line: in.Line, Strand: -1}
+	base := Entry{At: e.f.Site(in.Line), Strand: -1}
 	persistentTarget := func(v ir.Value) (dsa.Cell, bool) {
 		cell := e.cellOf(v)
 		if !cell.IsPtr() || !cell.Obj.Persistent() {
@@ -765,11 +761,6 @@ func (e *explorer) entryFor(in *ir.Instr) (Entry, bool) {
 		}
 		base.Kind = KFlush
 		base.Cell = cell
-		if len(in.Args) > 1 {
-			if c, isC := in.Args[1].(ir.Const); isC {
-				base.Size = int(c.Val)
-			}
-		}
 		return base, true
 	case ir.OpTxAdd:
 		cell, ok := persistentTarget(in.Args[0])

@@ -59,8 +59,8 @@ func f() {
 		}
 	}
 	e := ts[0].Entries[0]
-	if e.Line != 10 || e.File != "f.c" {
-		t.Errorf("entry location = %s:%d", e.File, e.Line)
+	if e.At.Line != 10 || e.At.File != "f.c" {
+		t.Errorf("entry location = %s:%d", e.At.File, e.At.Line)
 	}
 	if e.Cell.Field != "a" {
 		t.Errorf("write field = %q, want a", e.Cell.Field)
@@ -219,8 +219,8 @@ func f() {
 	}
 	w, fl := ts[0].Entries[0], ts[0].Entries[1]
 	// Callee location preserved.
-	if fl.File != "lib.c" || fl.Line != 50 {
-		t.Errorf("flush location = %s:%d, want lib.c:50", fl.File, fl.Line)
+	if fl.At.File != "lib.c" || fl.At.Line != 50 {
+		t.Errorf("flush location = %s:%d, want lib.c:50", fl.At.File, fl.At.Line)
 	}
 	// Callee cell translated into caller context: flush targets the same
 	// object+field the caller wrote.

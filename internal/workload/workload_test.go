@@ -20,10 +20,10 @@ func TestMixRatios(t *testing.T) {
 
 func TestMixValidateRejectsMalformed(t *testing.T) {
 	cases := []Mix{
-		{Name: "under", Read: 50, Update: 10},          // sums to 60
-		{Name: "over", Read: 90, Update: 20},           // sums to 110
-		{Name: "neg", Read: 120, Update: -20},          // sums to 100 but negative
-		{Name: "empty"},                                // sums to 0
+		{Name: "under", Read: 50, Update: 10},            // sums to 60
+		{Name: "over", Read: 90, Update: 20},             // sums to 110
+		{Name: "neg", Read: 120, Update: -20},            // sums to 100 but negative
+		{Name: "empty"},                                  // sums to 0
 		{Name: "neg-scan", Read: 100, Scan: -0x7fffffff}, // negative overflow bait
 	}
 	for _, m := range cases {
