@@ -16,8 +16,10 @@ import (
 	"deepmc/internal/checker"
 	"deepmc/internal/core"
 	"deepmc/internal/corpus"
+	"deepmc/internal/crashsim"
 	"deepmc/internal/dsa"
 	"deepmc/internal/dynamic"
+	"deepmc/internal/faultinj"
 	"deepmc/internal/interp"
 	"deepmc/internal/ir"
 	"deepmc/internal/nvm"
@@ -456,4 +458,41 @@ func BenchmarkTraceCollection(b *testing.B) {
 			ck.CheckModuleParallelCtx(context.Background(), 1)
 		}
 	})
+}
+
+// BenchmarkCrashFaults isolates the crash path: one op is the
+// four-class fault differential at rate 1 over the 15 crash harnesses,
+// each enumerated buggy, replayed with the same seed, and enumerated
+// fixed (pruned, one worker) — the work of `deepmc crashsim -faults all`
+// and of one perfbench crash-faults op, without parsing the harnesses.
+func BenchmarkCrashFaults(b *testing.B) {
+	ctx := context.Background()
+	cases, err := corpus.CrashCases()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var points int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		points = 0
+		for _, cl := range faultinj.AllClasses() {
+			o := crashsim.Options{Workers: 1, Prune: true,
+				Faults: &faultinj.Config{Classes: []faultinj.Class{cl}, Rate: 1, Seed: 42}}
+			for j := range cases {
+				c := &cases[j]
+				for _, m := range []*ir.Module{c.Buggy, c.Buggy, c.Fixed} {
+					res, err := crashsim.EnumerateCtx(ctx, m, c.Entry, c.Invariant, o)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Clean() != (m == c.Fixed) {
+						b.Fatalf("%s %s:%d under %s: unexpected verdict:\n%s", c.Program, c.File, c.Line, cl, res.Detail())
+					}
+					points += res.CrashesRun
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(points), "crash-points/op")
 }

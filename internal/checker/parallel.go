@@ -19,15 +19,15 @@ package checker
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
+	"deepmc/internal/fanout"
 	"deepmc/internal/ir"
 	"deepmc/internal/report"
 )
 
 // CheckModuleParallelCtx is CheckModule fanned out over the given
-// number of worker goroutines (0 or less = runtime.GOMAXPROCS), with
+// number of worker goroutines (resolved by fanout.Workers: 0 =
+// runtime.GOMAXPROCS, negative = 1), with
 // cancellation and panic isolation.  It never returns an error: when
 // ctx is done, trace exploration stops forking, unscanned functions are
 // skipped, and every affected function gets a skip annotation on the
@@ -63,16 +63,14 @@ func (o FuncOutcome) Complete() bool { return o.Report != nil && o.SkipReason ==
 // has (content-addressed cache hits): their traces are not collected,
 // they are not scanned, and their outcome carries a nil Report.
 func (c *Checker) CheckFunctionsCtx(ctx context.Context, workers int, omit func(string) bool) []FuncOutcome {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = fanout.Workers(workers)
 	c.Collector.SetCancelled(func() bool { return ctx.Err() != nil })
 	fns := c.targetFunctions()
 	c.precomputeTraces(ctx, workers, c.neededFuncs(fns, omit))
 	// Every needed function's traces are memoized now; scan them
 	// concurrently, each worker into a private report.
 	outs := make([]FuncOutcome, len(fns))
-	runParallel(workers, len(fns), func(i int) {
+	fanout.Run(workers, len(fns), func(i int) {
 		outs[i].Func = fns[i].Name
 		if omit != nil && omit(fns[i].Name) {
 			return
@@ -172,7 +170,7 @@ func (c *Checker) precomputeTraces(ctx context.Context, workers int, needed map[
 			return
 		}
 		wave := wave
-		runParallel(workers, len(wave), func(i int) {
+		fanout.Run(workers, len(wave), func(i int) {
 			defer func() { recover() }()
 			for _, f := range wave[i] {
 				if needed != nil && !needed[f.Name] {
@@ -182,34 +180,4 @@ func (c *Checker) precomputeTraces(ctx context.Context, workers int, needed map[
 			}
 		})
 	}
-}
-
-// runParallel executes fn(0..n-1) across at most workers goroutines.
-// It degenerates to a plain loop when one worker suffices.
-func runParallel(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }

@@ -154,15 +154,3 @@ func TestPrecomputeSharesCache(t *testing.T) {
 		}
 	}
 }
-
-func TestRunParallelCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 3, 16} {
-		hits := make([]int, 100)
-		runParallel(workers, len(hits), func(i int) { hits[i]++ })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d executed %d times", workers, i, h)
-			}
-		}
-	}
-}

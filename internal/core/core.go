@@ -7,13 +7,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"deepmc/internal/anacache"
 	"deepmc/internal/checker"
 	"deepmc/internal/dynamic"
+	"deepmc/internal/fanout"
 	"deepmc/internal/faultinj"
 	"deepmc/internal/interp"
 	"deepmc/internal/ir"
@@ -59,11 +58,12 @@ type Config struct {
 	// PersistentAllocFns names external allocation functions returning
 	// persistent objects.
 	PersistentAllocFns []string
-	// Workers is the number of concurrent static-checker workers.
-	// 0 selects runtime.GOMAXPROCS(0); 1 runs serially.  Any worker
-	// count produces a byte-identical report: traces are collected in
-	// call-graph post-order waves into a shared memoized cache, and
-	// per-function findings merge in module declaration order.
+	// Workers is the number of concurrent static-checker workers,
+	// resolved by fanout.Workers: 0 selects runtime.GOMAXPROCS(0), 1 or
+	// less runs serially.  Any worker count produces a byte-identical
+	// report: traces are collected in call-graph post-order waves into a
+	// shared memoized cache, and per-function findings merge in module
+	// declaration order.
 	Workers int
 	// ModuleTimeout bounds each module's analysis in AnalyzeJobs batch
 	// runs; 0 means no per-module deadline.  A module that exceeds it
@@ -89,21 +89,8 @@ type Config struct {
 	Cache *anacache.Cache
 }
 
-// workers resolves the configured worker count.
-func (c Config) workers() int { return resolveWorkers(c.Workers) }
-
-// resolveWorkers is the worker-count rule shared by Config.Workers and
-// AnalyzeJobs: 0 selects runtime.GOMAXPROCS(0), negative values clamp
-// to 1.
-func resolveWorkers(n int) int {
-	if n == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if n < 0 {
-		return 1
-	}
-	return n
-}
+// workers resolves the configured worker count (fanout.Workers).
+func (c Config) workers() int { return fanout.Workers(c.Workers) }
 
 // contract parses the configured hardware persistency contract.
 func (c Config) contract() (pmcontract.Contract, error) {
@@ -218,13 +205,9 @@ type Job struct {
 //   - A panic inside one job (malformed module, rule bug) is recovered
 //     into that job's error slot; sibling jobs keep running.
 func AnalyzeJobs(ctx context.Context, jobs []Job, workers int) ([]*report.Report, []error) {
-	workers = resolveWorkers(workers)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	reports := make([]*report.Report, len(jobs))
 	errs := make([]error, len(jobs))
-	one := func(i int) {
+	fanout.Run(fanout.Workers(workers), len(jobs), func(i int) {
 		defer func() {
 			if r := recover(); r != nil {
 				reports[i], errs[i] = nil, fmt.Errorf("core: job %d panicked: %v", i, r)
@@ -241,29 +224,7 @@ func AnalyzeJobs(ctx context.Context, jobs []Job, workers int) ([]*report.Report
 			defer cancel()
 		}
 		reports[i], errs[i] = AnalyzeCtx(jctx, jobs[i].Module, jobs[i].Config)
-	}
-	if workers <= 1 {
-		for i := range jobs {
-			one(i)
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					one(i)
-				}
-			}()
-		}
-		for i := range jobs {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
+	})
 	return reports, errs
 }
 

@@ -121,14 +121,14 @@ func TestDeviceImageRollsBack(t *testing.T) {
 	obj.Slots[1].I = 30
 	s.OnWrite(obj, 0, 16, &ir.Site{Func: "f", File: "t.pir", Line: 3}) // both uncommitted
 
-	host := s.image()
+	host := s.image(false)
 	if got := host.Load(1, 0); got != 20 {
 		t.Errorf("host image word 0 = %d, want 20 (domain stores durable at store time)", got)
 	}
 	if got := host.Load(1, 8); got != 30 {
 		t.Errorf("host image word 8 = %d, want 30", got)
 	}
-	dev := s.deviceImage()
+	dev := s.image(true)
 	if got := dev.Load(1, 0); got != 10 {
 		t.Errorf("device image word 0 = %d, want barrier-committed 10", got)
 	}

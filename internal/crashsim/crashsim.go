@@ -24,6 +24,7 @@ package crashsim
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"strings"
@@ -77,38 +78,76 @@ func (im *Image) Objects() []*interp.Object {
 	return out
 }
 
-// undoRec is one undo-log pre-image: the value recovery restores if the
-// enclosing transaction never commits.
-type undoRec struct {
-	w   Word
-	val int64
+// wordFlag records what holds for one persistent word.
+type wordFlag uint8
+
+const (
+	// durable: dur is the value on the medium.
+	durable wordFlag = 1 << iota
+	// dirty: stored since its last write-back; the line may be evicted
+	// at any time.
+	dirty
+	// staged: flushed (clwb), waiting for a fence.
+	staged
+	// logged: undo-logged by the open transaction; undo is the pre-image
+	// recovery restores.  Only set inside a transaction: the outermost
+	// commit clears it.
+	logged
+	// pending: stored in a persistence domain since the last persist
+	// barrier.
+	pending
+	// committed: commit is the barrier-committed value a device failure
+	// rolls a pending word back to.
+	committed
+)
+
+// word is the crash model's state of one persistent word.
+type word struct {
+	cur    int64 // the value the program last stored
+	dur    int64 // valid when durable
+	undo   int64 // valid when logged
+	commit int64 // valid when committed
+	flags  wordFlag
+}
+
+func (e word) has(f wordFlag) bool { return e.flags&f != 0 }
+
+// inFlight reports whether the word may or may not have persisted at a
+// crash: dirty (evictable) or staged (clwb'd, awaiting a fence).  Words
+// logged in an open transaction are rolled back by recovery whatever the
+// cache did, so their persist outcome is not free.
+func (e word) inFlight() bool { return e.has(dirty|staged) && !e.has(logged) }
+
+// persist writes the current value back: the word is durable and
+// neither dirty nor staged any more.
+func (e *word) persist() {
+	e.dur = e.cur
+	e.flags = e.flags&^(dirty|staged) | durable
 }
 
 // nvmState tracks volatile vs durable word state under clwb/sfence
 // semantics (word-granular persistence domain), plus undo-log
 // transaction semantics: TX_ADD snapshots pre-images, commit persists
 // the logged words, and a crash inside an open transaction is followed
-// by recovery rolling the logged words back.
+// by recovery rolling the logged words back.  The state of every word
+// the program touched lives in one table.
 type nvmState struct {
 	interp.NopHooks
-	current map[Word]int64
-	durable map[Word]int64
-	dirty   map[Word]bool
-	staged  map[Word]bool
-	objects map[int]*interp.Object
+	words map[Word]word
+
+	// objects holds the persistent objects a write or undo-log
+	// registration reached.  It only grows, so a snapshot shares it and
+	// the next addition copies it (objectsShared).
+	objects       map[int]*interp.Object
+	objectsShared bool
 
 	txDepth int
-	undo    []undoRec
-	logged  map[Word]bool
 
 	// contract selects the crash-discard rule; the zero value is x86.
 	// With a CXL persistence domain (whole-heap at this layer),
-	// in-domain writes go straight to durable and are tracked in
-	// domainPending until a barrier commits them; devCommitted holds the
-	// barrier-committed value a device failure rolls back to.
-	contract      pmcontract.Contract
-	domainPending map[Word]bool
-	devCommitted  map[Word]int64
+	// in-domain writes go straight to durable and stay pending until a
+	// barrier commits them.
+	contract pmcontract.Contract
 
 	// relevant records that a hook touched persistent state since the
 	// crash planner last looked (see planner.OnStep): a persistent
@@ -119,15 +158,9 @@ type nvmState struct {
 
 func newNVMState(c pmcontract.Contract) *nvmState {
 	return &nvmState{
-		current:       make(map[Word]int64),
-		durable:       make(map[Word]int64),
-		dirty:         make(map[Word]bool),
-		staged:        make(map[Word]bool),
-		objects:       make(map[int]*interp.Object),
-		logged:        make(map[Word]bool),
-		contract:      c,
-		domainPending: make(map[Word]bool),
-		devCommitted:  make(map[Word]int64),
+		words:    make(map[Word]word),
+		objects:  make(map[int]*interp.Object),
+		contract: c,
 	}
 }
 
@@ -140,6 +173,18 @@ func (s *nvmState) inDomain() bool { return s.contract.HasDomain() }
 // PersistencyContract implements interp.ContractHolder so fault
 // decorators (faultinj.Wrap) keep injections legal under the contract.
 func (s *nvmState) PersistencyContract() pmcontract.Contract { return s.contract }
+
+// touch records obj among the objects a crash image can name.
+func (s *nvmState) touch(obj *interp.Object) {
+	if s.objects[obj.ID] != nil {
+		return
+	}
+	if s.objectsShared {
+		s.objects = maps.Clone(s.objects)
+		s.objectsShared = false
+	}
+	s.objects[obj.ID] = obj
+}
 
 // OnTxBegin opens a transaction level.
 func (s *nvmState) OnTxBegin(*ir.Site) { s.txDepth++ }
@@ -154,95 +199,104 @@ func (s *nvmState) OnTxAdd(obj *interp.Object, off, size int, _ *ir.Site) {
 	if s.txDepth == 0 {
 		return
 	}
-	s.objects[obj.ID] = obj
+	s.touch(obj)
 	for g := 0; g < size; g += 8 {
 		w := Word{Obj: obj.ID, Off: off + g}
-		if s.logged[w] {
-			continue
+		e := s.words[w]
+		if !e.has(logged) {
+			e.undo = e.cur
+			e.flags |= logged
+			s.words[w] = e
 		}
-		s.logged[w] = true
-		s.undo = append(s.undo, undoRec{w: w, val: s.current[w]})
 	}
 }
 
 // OnTxEnd commits at the outermost level: logged words persist with
 // their current values (PMDK flushes logged ranges at TX_COMMIT) and the
-// undo log retires.
+// undo log retires.  A commit includes a persist barrier.
 func (s *nvmState) OnTxEnd(*ir.Site) {
 	s.relevant = true
 	if s.txDepth > 0 {
 		s.txDepth--
 	}
-	if s.txDepth != 0 {
-		return
+	if s.txDepth == 0 {
+		s.persistAndCommit(logged)
 	}
-	for w := range s.logged {
-		s.durable[w] = s.current[w]
-		delete(s.dirty, w)
-		delete(s.staged, w)
-	}
-	s.logged = make(map[Word]bool)
-	s.undo = nil
-	// A transaction commit includes a persist barrier: it also commits
-	// buffered domain writes against device failure.
-	s.commitDomain()
 }
 
-// commitDomain retires the device-side buffer: every pending domain
+// OnFence makes staged words durable and, as a global persist barrier,
+// commits buffered domain writes against device failure.
+func (s *nvmState) OnFence(*ir.Site) {
+	s.relevant = true
+	s.persistAndCommit(staged)
+}
+
+// persistAndCommit is the step a fence and a transaction commit share:
+// words marked sel persist and lose that mark, and every pending domain
 // word's durable value becomes its barrier-committed value.
-func (s *nvmState) commitDomain() {
-	for w := range s.domainPending {
-		s.devCommitted[w] = s.durable[w]
+func (s *nvmState) persistAndCommit(sel wordFlag) {
+	for w, e := range s.words {
+		if !e.has(sel | pending) {
+			continue
+		}
+		if e.has(sel) {
+			e.persist()
+			e.flags &^= sel
+		}
+		if e.has(pending) {
+			e.commit = e.dur
+			e.flags = e.flags&^pending | committed
+		}
+		s.words[w] = e
 	}
-	s.domainPending = make(map[Word]bool)
 }
 
 // OnWrite mirrors a persistent store into the volatile view.  In a
 // persistence domain the store is durable at store time — no dirty
-// window — but stays device-buffered (domainPending) until a barrier
-// commits it against device failure.
+// window — but stays device-buffered (pending) until a barrier commits
+// it against device failure.
 func (s *nvmState) OnWrite(obj *interp.Object, off, size int, _ *ir.Site) {
 	if !obj.Persistent {
 		return
 	}
 	s.relevant = true
-	s.objects[obj.ID] = obj
+	s.touch(obj)
 	inDom := s.inDomain()
 	for g := 0; g < size; g += 8 {
 		w := Word{Obj: obj.ID, Off: off + g}
-		slot := (off + g) / 8
-		if slot < len(obj.Slots) {
-			s.current[w] = obj.Slots[slot].I
+		e := s.words[w]
+		if slot := (off + g) / 8; slot < len(obj.Slots) {
+			e.cur = obj.Slots[slot].I
 		}
 		if inDom {
-			s.durable[w] = s.current[w]
-			s.domainPending[w] = true
+			e.dur = e.cur
+			e.flags |= durable | pending
 		} else {
-			s.dirty[w] = true
+			e.flags |= dirty
 		}
+		s.words[w] = e
 	}
 }
 
 // OnEvict implements interp.Evictor: an injected eviction persists the
 // range immediately (legal for dirty lines at any time under
 // clwb/sfence), bypassing flush/fence staging.  Words logged in an open
-// transaction still roll back at recovery — image() applies the undo
+// transaction still roll back at recovery — image applies the undo
 // log over whatever the cache persisted.
 func (s *nvmState) OnEvict(obj *interp.Object, off, size int, _ *ir.Site) {
 	if !obj.Persistent {
 		return
 	}
 	s.relevant = true
-	s.objects[obj.ID] = obj
+	s.touch(obj)
 	for g := 0; g < size; g += 8 {
 		w := Word{Obj: obj.ID, Off: off + g}
-		slot := (off + g) / 8
-		if slot < len(obj.Slots) {
-			s.current[w] = obj.Slots[slot].I
+		e := s.words[w]
+		if slot := (off + g) / 8; slot < len(obj.Slots) {
+			e.cur = obj.Slots[slot].I
 		}
-		s.durable[w] = s.current[w]
-		delete(s.dirty, w)
-		delete(s.staged, w)
+		e.persist()
+		s.words[w] = e
 	}
 }
 
@@ -258,58 +312,46 @@ func (s *nvmState) OnFlush(obj *interp.Object, off, size int, _ *ir.Site) {
 	}
 	for g := 0; g < size; g += 8 {
 		w := Word{Obj: obj.ID, Off: off + g}
-		if s.dirty[w] || s.staged[w] {
-			s.staged[w] = true
+		if e := s.words[w]; e.has(dirty | staged) {
+			e.flags |= staged
+			s.words[w] = e
 		}
 	}
 }
 
-// OnFence makes staged words durable and, as a global persist barrier,
-// commits buffered domain writes against device failure.
-func (s *nvmState) OnFence(*ir.Site) {
-	s.relevant = true
-	for w := range s.staged {
-		s.durable[w] = s.current[w]
-		delete(s.dirty, w)
-	}
-	s.staged = make(map[Word]bool)
-	s.commitDomain()
-}
-
-// image snapshots the durable state, applying post-crash recovery: an
+// image snapshots the durable state a crash leaves, after recovery: an
 // open transaction's logged words roll back to their undo pre-images.
-func (s *nvmState) image() *Image {
-	d := make(map[Word]int64, len(s.durable))
-	for w, v := range s.durable {
-		d[w] = v
-	}
-	if s.txDepth > 0 {
-		for _, u := range s.undo {
-			d[u.w] = u.val
+// With device set it is the image after a DEVICE failure: every domain
+// word written since the last global persist barrier also rolls back to
+// its barrier-committed value, or vanishes if it was never committed.
+func (s *nvmState) image(device bool) *Image {
+	d := make(map[Word]int64, len(s.words))
+	for w, e := range s.words {
+		v, ok := e.dur, e.has(durable)
+		if e.has(logged) {
+			v, ok = e.undo, true
+		}
+		if device && e.has(pending) {
+			v, ok = e.commit, e.has(committed)
+		}
+		if ok {
+			d[w] = v
 		}
 	}
-	objs := make(map[int]*interp.Object, len(s.objects))
-	for id, o := range s.objects {
-		objs[id] = o
-	}
-	return &Image{durable: d, objects: objs}
+	return &Image{durable: d, objects: maps.Clone(s.objects)}
 }
 
-// deviceImage snapshots the durable state after a DEVICE failure: every
-// domain word written since the last global persist barrier rolls back
-// to its barrier-committed value (or vanishes if it was never
-// committed).  Host-side recovery (the open-tx undo rollback image()
-// applies) runs the same either way.
-func (s *nvmState) deviceImage() *Image {
-	im := s.image()
-	for w := range s.domainPending {
-		if cv, ok := s.devCommitted[w]; ok {
-			im.durable[w] = cv
-		} else {
-			delete(im.durable, w)
+// sorted lists the words whose state satisfies keep, in (object,
+// offset) order.
+func (s *nvmState) sorted(keep func(word) bool) []Word {
+	out := make([]Word, 0, len(s.words))
+	for w, e := range s.words {
+		if keep(e) {
+			out = append(out, w)
 		}
 	}
-	return im
+	sortWords(out)
+	return out
 }
 
 // Violation describes an invariant failure at one crash point.
@@ -408,37 +450,6 @@ const maxExactOutcomes = 10
 // in-flight set is too large to enumerate.
 const sampledOutcomes = 256
 
-// inFlight returns the words that may or may not have persisted at the
-// crash: dirty (evictable) plus staged (clwb'd, awaiting fence), sorted
-// for determinism.
-func (s *nvmState) inFlight() []Word {
-	set := make(map[Word]bool, len(s.dirty)+len(s.staged))
-	for w := range s.dirty {
-		set[w] = true
-	}
-	for w := range s.staged {
-		set[w] = true
-	}
-	// Words logged in an open transaction are rolled back by recovery
-	// whatever the cache did; their persist outcome is not free.
-	if s.txDepth > 0 {
-		for w := range s.logged {
-			delete(set, w)
-		}
-	}
-	out := make([]Word, 0, len(set))
-	for w := range set {
-		out = append(out, w)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Obj != out[j].Obj {
-			return out[i].Obj < out[j].Obj
-		}
-		return out[i].Off < out[j].Off
-	})
-	return out
-}
-
 // checkOutcomes applies the invariant to every persist outcome of the
 // in-flight words (exhaustive for small sets, sampled otherwise), and —
 // when the contract has a device persistence domain — to the
@@ -446,13 +457,14 @@ func (s *nvmState) inFlight() []Word {
 // rolled back).
 func (s *nvmState) checkOutcomes(inv Invariant, seed int64) error {
 	if s.inDomain() {
-		if err := inv(s.deviceImage()); err != nil {
+		if err := inv(s.image(true)); err != nil {
+			uncommitted := len(s.sorted(func(e word) bool { return e.has(pending) }))
 			return fmt.Errorf("device-failure image (%d domain words uncommitted by any barrier): %w",
-				len(s.domainPending), err)
+				uncommitted, err)
 		}
 	}
-	flight := s.inFlight()
-	base := s.image()
+	flight := s.sorted(word.inFlight)
+	base := s.image(false)
 	apply := func(mask uint64) error {
 		im := &Image{durable: make(map[Word]int64, len(base.durable)+len(flight)), objects: base.objects}
 		for w, v := range base.durable {
@@ -460,7 +472,7 @@ func (s *nvmState) checkOutcomes(inv Invariant, seed int64) error {
 		}
 		for bit, w := range flight {
 			if mask&(1<<uint(bit)) != 0 {
-				im.durable[w] = s.current[w]
+				im.durable[w] = s.words[w].cur
 			}
 		}
 		return inv(im)

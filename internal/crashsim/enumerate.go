@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"deepmc/internal/fanout"
 	"deepmc/internal/faultinj"
 	"deepmc/internal/interp"
 	"deepmc/internal/ir"
@@ -109,48 +110,20 @@ func EnumerateCtx(ctx context.Context, m *ir.Module, entry string, inv Invariant
 	if err := ir.Verify(m); err != nil {
 		return nil, err
 	}
-	stride := o.Stride
-	if stride < 1 {
-		stride = 1
-	}
-
+	stride := max(o.Stride, 1)
 	res := &Result{}
+	var steps []int
+	var check func(i int) (*Violation, bool, error)
 	if o.Prune || o.Injector != nil {
 		p := newPlanner(o.Contract)
-		var hooks interp.Hooks = p
-		var sched *faultinj.Schedule
-		switch {
-		case o.Injector != nil:
-			hooks = o.Injector.Wrap(p)
-		case o.Faults != nil:
-			sched = faultinj.New(*o.Faults)
-			hooks = faultinj.Wrap(p, sched)
+		r := execute(ctx, m, entry, p, o, o.MaxSteps)
+		if err := res.begin(r, "planning run", "planning run"); err != nil {
+			return nil, err
 		}
-		ip := interp.New(m, hooks)
-		if o.MaxSteps > 0 {
-			ip.MaxSteps = o.MaxSteps
+		if r.sched != nil {
+			res.Injections = r.sched.Injections()
+			res.FaultLog = r.sched.Log()
 		}
-		ip.SetContext(ctx)
-		if _, err := ip.Run(entry); err != nil {
-			switch {
-			case ip.Canceled():
-				res.Partial = true
-				res.Notes = append(res.Notes,
-					fmt.Sprintf("planning run canceled after %d steps; enumerating the completed prefix", ip.Steps()-1))
-			case ip.BudgetExhausted() && o.MaxSteps > 0:
-				// Enumerate over the truncated prefix.
-			default:
-				return nil, fmt.Errorf("crashsim: planning run: %w", err)
-			}
-		}
-		if o.Injector != nil {
-			res.Injections = o.Injector.Injections()
-			res.FaultLog = o.Injector.Log()
-		} else if sched != nil {
-			res.Injections = sched.Injections()
-			res.FaultLog = sched.Log()
-		}
-		res.TotalSteps = completedSteps(ip, o)
 		var points []planPoint
 		windowed := 0
 		seen := make(map[string]bool, len(p.points))
@@ -166,52 +139,27 @@ func EnumerateCtx(ctx context.Context, m *ir.Module, entry string, inv Invariant
 			}
 			points = append(points, pt)
 		}
-		res.Pruned = res.TotalSteps - len(p.points)
-		if res.Pruned < 0 {
-			// Mid-drain fault states are extra candidates beyond the step
-			// count; nothing was pruned then.
-			res.Pruned = 0
-		}
-		res.Pruned += windowed
+		// Mid-drain fault states are extra candidates beyond the step
+		// count; nothing was pruned then.
+		res.Pruned = max(res.TotalSteps-len(p.points), 0) + windowed
 		var sel []planPoint
 		for i := 0; i < len(points); i += stride {
 			sel = append(sel, points[i])
+			steps = append(steps, points[i].step)
 		}
-		res.CrashesRun = len(sel)
-		viols, skipped, notes := checkSnapshots(ctx, inv, sel, resolveWorkers(o.Workers))
-		res.Violations = viols
-		res.Skipped += skipped
-		res.Notes = append(res.Notes, notes...)
-		if skipped > 0 || len(notes) > 0 {
-			res.Partial = true
+		check = func(i int) (*Violation, bool, error) { return sel[i].check(inv), false, nil }
+	} else {
+		r := execute(ctx, m, entry, interp.NopHooks{}, Options{}, o.MaxSteps)
+		if err := res.begin(r, "step-counting run", "full run"); err != nil {
+			return nil, err
 		}
-		return res, nil
-	}
-
-	ip := interp.New(m, interp.NopHooks{})
-	if o.MaxSteps > 0 {
-		ip.MaxSteps = o.MaxSteps
-	}
-	ip.SetContext(ctx)
-	if _, err := ip.Run(entry); err != nil {
-		switch {
-		case ip.Canceled():
-			res.Partial = true
-			res.Notes = append(res.Notes,
-				fmt.Sprintf("step-counting run canceled after %d steps; enumerating the completed prefix", ip.Steps()-1))
-		case ip.BudgetExhausted() && o.MaxSteps > 0:
-			// Enumerate over the truncated prefix.
-		default:
-			return nil, fmt.Errorf("crashsim: full run: %w", err)
+		for k := 1; k <= res.TotalSteps; k += stride {
+			steps = append(steps, k)
 		}
+		check = func(i int) (*Violation, bool, error) { return checkOne(ctx, m, entry, inv, o, steps[i]) }
 	}
-	res.TotalSteps = completedSteps(ip, o)
-	var sel []int
-	for k := 1; k <= res.TotalSteps; k += stride {
-		sel = append(sel, k)
-	}
-	res.CrashesRun = len(sel)
-	viols, skipped, notes, err := checkPoints(ctx, m, entry, inv, o, sel, resolveWorkers(o.Workers))
+	res.CrashesRun = len(steps)
+	viols, skipped, notes, err := checkPoints(ctx, steps, fanout.Workers(o.Workers), check)
 	if err != nil {
 		return nil, err
 	}
@@ -224,16 +172,78 @@ func EnumerateCtx(ctx context.Context, m *ir.Module, entry string, inv Invariant
 	return res, nil
 }
 
-// completedSteps returns how many instructions fully executed: on a
-// budget abort or a cancellation the interpreter's counter includes the
-// instruction it refused to run.
-func completedSteps(ip *interp.Interp, o Options) int {
-	n := ip.Steps()
-	if ip.Canceled() {
-		return n - 1
+// begin records how the run that finds the crash points ended: it sets
+// TotalSteps, and a canceled run leaves a partial result over the
+// completed prefix.  Any stop other than that or the Options.MaxSteps
+// budget is an error.
+func (res *Result) begin(r run, name, errName string) error {
+	switch r.stop {
+	case runCanceled:
+		res.Partial = true
+		res.Notes = append(res.Notes,
+			fmt.Sprintf("%s canceled after %d steps; enumerating the completed prefix", name, r.steps))
+	case runFailed:
+		return fmt.Errorf("crashsim: %s: %w", errName, r.err)
 	}
-	if ip.BudgetExhausted() && o.MaxSteps > 0 && n > o.MaxSteps {
-		n = o.MaxSteps
+	res.TotalSteps = r.steps
+	return nil
+}
+
+// runStop says how one interpreter run ended.
+type runStop int
+
+const (
+	runDone     runStop = iota // the entry function returned
+	runBudget                  // the step budget ran out: a simulated crash
+	runCanceled                // the context was done
+	runFailed                  // any other error
+)
+
+// run is the outcome of one interpreter execution.
+type run struct {
+	stop  runStop
+	steps int   // instructions that fully executed
+	err   error // the interpreter's error, unless stop is runDone
+	// sched is the injection schedule the run was decorated with, nil
+	// without one.
+	sched interface {
+		Injections() int
+		Log() string
 	}
-	return n
+}
+
+// execute is the one way this package runs a program: entry runs once
+// under hooks, decorated with a fresh copy of o's injection schedule
+// (Injector takes precedence over Faults), and stops after budget steps.
+// A budget of 0 keeps the interpreter's default, whose exhaustion is a
+// failure rather than a crash.  On a stop the interpreter's step counter
+// includes the instruction it refused to run, so that one is not
+// counted.
+func execute(ctx context.Context, m *ir.Module, entry string, hooks interp.Hooks, o Options, budget int) run {
+	var r run
+	switch {
+	case o.Injector != nil:
+		hooks, r.sched = o.Injector.Wrap(hooks), o.Injector
+	case o.Faults != nil:
+		sched := faultinj.New(*o.Faults)
+		hooks, r.sched = faultinj.Wrap(hooks, sched), sched
+	}
+	ip := interp.New(m, hooks)
+	if budget > 0 {
+		ip.MaxSteps = budget
+	}
+	ip.SetContext(ctx)
+	_, r.err = ip.Run(entry)
+	r.steps = ip.Steps()
+	switch {
+	case r.err == nil:
+		r.stop = runDone
+	case ip.Canceled():
+		r.stop, r.steps = runCanceled, r.steps-1
+	case ip.BudgetExhausted() && budget > 0:
+		r.stop, r.steps = runBudget, r.steps-1
+	default:
+		r.stop = runFailed
+	}
+	return r
 }

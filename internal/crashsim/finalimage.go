@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"deepmc/internal/faultinj"
-	"deepmc/internal/interp"
 	"deepmc/internal/ir"
 )
 
@@ -24,24 +22,10 @@ func FinalImage(ctx context.Context, m *ir.Module, entry string, o Options) (*Im
 		return nil, err
 	}
 	s := newNVMState(o.Contract)
-	var hooks interp.Hooks = s
-	switch {
-	case o.Injector != nil:
-		hooks = o.Injector.Wrap(s)
-	case o.Faults != nil:
-		hooks = faultinj.Wrap(s, faultinj.New(*o.Faults))
+	if r := execute(ctx, m, entry, s, o, o.MaxSteps); r.stop != runDone && r.stop != runBudget {
+		return nil, fmt.Errorf("crashsim: final-image run: %w", r.err)
 	}
-	ip := interp.New(m, hooks)
-	if o.MaxSteps > 0 {
-		ip.MaxSteps = o.MaxSteps
-	}
-	ip.SetContext(ctx)
-	if _, err := ip.Run(entry); err != nil {
-		if !(ip.BudgetExhausted() && o.MaxSteps > 0) {
-			return nil, fmt.Errorf("crashsim: final-image run: %w", err)
-		}
-	}
-	return s.image(), nil
+	return s.image(false), nil
 }
 
 // NewImage builds a durable image directly from a word map — the soak

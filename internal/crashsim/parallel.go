@@ -3,63 +3,15 @@ package crashsim
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
-	"deepmc/internal/faultinj"
-	"deepmc/internal/interp"
+	"deepmc/internal/fanout"
 	"deepmc/internal/ir"
 )
 
-// resolveWorkers maps core.Config.Workers semantics to a concrete pool
-// size: 0 means one worker per GOMAXPROCS, negative means 1.
-func resolveWorkers(n int) int {
-	switch {
-	case n == 0:
-		return runtime.GOMAXPROCS(0)
-	case n < 1:
-		return 1
-	default:
-		return n
-	}
-}
-
-// runPool shards indices [0, n) across a worker pool and waits for all
-// of them.  check must be safe for concurrent calls on distinct
-// indices.
-func runPool(n, workers int, check func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			check(i)
-		}
-		return
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				check(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
-
-// pointStatus is the per-crash-point outcome slot shared by checkPoints
-// and checkSnapshots: results land indexed by input position and merge
-// in crash-step order, so violations, skip counts, and notes — and any
-// run error, reported for the earliest failing point — are independent
-// of the worker count.
+// pointStatus is one crash point's outcome slot: results land indexed
+// by input position and merge in crash-step order, so violations, skip
+// counts, and notes — and any run error, reported for the earliest
+// failing point — are independent of the worker count.
 type pointStatus struct {
 	viol    *Violation
 	err     error
@@ -67,9 +19,32 @@ type pointStatus struct {
 	note    string
 }
 
-// mergeStatus folds per-point slots into the deterministic outputs.
-func mergeStatus(slots []pointStatus) (viols []Violation, skipped int, notes []string) {
-	for _, s := range slots {
+// checkPoints applies check to every selected crash point (steps holds
+// each point's step), fanning the points out across a worker pool.  A
+// done context skips the remaining points (counted, not errored); a
+// panic while checking one point is recovered into a note without
+// aborting siblings.
+func checkPoints(ctx context.Context, steps []int, workers int, check func(i int) (*Violation, bool, error)) ([]Violation, int, []string, error) {
+	slots := make([]pointStatus, len(steps))
+	fanout.Run(workers, len(steps), func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				slots[i].note = fmt.Sprintf("crash point at step %d: panic recovered: %v", steps[i], r)
+			}
+		}()
+		if ctx.Err() != nil {
+			slots[i].skipped = true
+			return
+		}
+		slots[i].viol, slots[i].skipped, slots[i].err = check(i)
+	})
+	var viols []Violation
+	var skipped int
+	var notes []string
+	for i, s := range slots {
+		if s.err != nil {
+			return nil, 0, nil, fmt.Errorf("crashsim: run to step %d: %w", steps[i], s.err)
+		}
 		if s.viol != nil {
 			viols = append(viols, *s.viol)
 		}
@@ -80,99 +55,42 @@ func mergeStatus(slots []pointStatus) (viols []Violation, skipped int, notes []s
 			notes = append(notes, s.note)
 		}
 	}
-	return viols, skipped, notes
-}
-
-// checkPoints re-executes the program to each selected crash point and
-// applies the invariant, fanning the points out across a worker pool.
-// A done context skips the remaining points (counted, not errored); a
-// panic while checking one point is recovered into a note without
-// aborting siblings.  Each crash point seeds its own sampled-outcome
-// RNG (checkOutcomes) and, when faults are configured, its own fresh
-// injection schedule, so workers share no random state and every
-// re-execution replays identical faults.
-func checkPoints(ctx context.Context, m *ir.Module, entry string, inv Invariant, o Options, points []int, workers int) ([]Violation, int, []string, error) {
-	if len(points) == 0 {
-		return nil, 0, nil, nil
-	}
-	slots := make([]pointStatus, len(points))
-	runPool(len(points), workers, func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				slots[i].note = fmt.Sprintf("crash point at step %d: panic recovered: %v", points[i], r)
-			}
-		}()
-		if ctx.Err() != nil {
-			slots[i].skipped = true
-			return
-		}
-		slots[i].viol, slots[i].skipped, slots[i].err = checkOne(ctx, m, entry, inv, o, points[i])
-	})
-	for i, s := range slots {
-		if s.err != nil {
-			return nil, 0, nil, fmt.Errorf("crashsim: run to step %d: %w", points[i], s.err)
-		}
-	}
-	viols, skipped, notes := mergeStatus(slots)
 	return viols, skipped, notes, nil
 }
 
-// checkSnapshots applies the invariant to pre-captured crash-point
-// state snapshots, sharded across a worker pool.  No re-execution
-// happens: each point's persist-outcome enumeration runs directly on
-// its snapshot (the planning run already proved the state equals a
-// re-execution's).  Skip and panic handling match checkPoints.
-func checkSnapshots(ctx context.Context, inv Invariant, points []planPoint, workers int) ([]Violation, int, []string) {
-	if len(points) == 0 {
-		return nil, 0, nil
+// check applies the invariant to a planned crash point's snapshot.  No
+// re-execution happens: the persist-outcome enumeration runs directly
+// on the snapshot (the planning run already proved the state equals a
+// re-execution's).
+func (p planPoint) check(inv Invariant) *Violation {
+	err := p.snap.checkOutcomes(inv, int64(p.step))
+	if err == nil {
+		return nil
 	}
-	slots := make([]pointStatus, len(points))
-	runPool(len(points), workers, func(i int) {
-		p := points[i]
-		defer func() {
-			if r := recover(); r != nil {
-				slots[i].note = fmt.Sprintf("crash point at step %d: panic recovered: %v", p.step, r)
-			}
-		}()
-		if ctx.Err() != nil {
-			slots[i].skipped = true
-			return
-		}
-		if ierr := p.snap.checkOutcomes(inv, int64(p.step)); ierr != nil {
-			if p.mid {
-				ierr = fmt.Errorf("mid-drain fault state: %w", ierr)
-			}
-			slots[i].viol = &Violation{Step: p.step, Err: ierr}
-		}
-	})
-	return mergeStatus(slots)
+	if p.mid {
+		err = fmt.Errorf("mid-drain fault state: %w", err)
+	}
+	return &Violation{Step: p.step, Err: err}
 }
 
 // checkOne simulates a crash after step k: re-execute with that step
 // budget (replaying the configured fault schedule, if any), then test
 // the invariant over every persist outcome of the in-flight words.  A
 // step-budget stop is the simulated crash; a context cancellation
-// reports the point as skipped; a nil run error means the program
-// completed (the final crash point); any other error is a real failure.
+// reports the point as skipped; a completed run is the final crash
+// point; any other error is a real failure.  Each crash point seeds its
+// own sampled-outcome RNG (checkOutcomes) and its own fresh injection
+// schedule, so workers share no random state.
 func checkOne(ctx context.Context, m *ir.Module, entry string, inv Invariant, o Options, k int) (*Violation, bool, error) {
 	st := newNVMState(o.Contract)
-	var hooks interp.Hooks = st
-	if o.Faults != nil {
-		hooks = faultinj.Wrap(st, faultinj.New(*o.Faults))
+	switch r := execute(ctx, m, entry, st, o, k); r.stop {
+	case runCanceled:
+		return nil, true, nil
+	case runFailed:
+		return nil, false, r.err
 	}
-	ip := interp.New(m, hooks)
-	ip.MaxSteps = k
-	ip.SetContext(ctx)
-	if _, err := ip.Run(entry); err != nil {
-		if ip.Canceled() {
-			return nil, true, nil
-		}
-		if !ip.BudgetExhausted() {
-			return nil, false, err
-		}
-	}
-	if ierr := st.checkOutcomes(inv, int64(k)); ierr != nil {
-		return &Violation{Step: k, Err: ierr}, false, nil
+	if err := st.checkOutcomes(inv, int64(k)); err != nil {
+		return &Violation{Step: k, Err: err}, false, nil
 	}
 	return nil, false, nil
 }

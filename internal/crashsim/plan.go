@@ -1,11 +1,11 @@
 package crashsim
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"cmp"
+	"maps"
+	"slices"
+	"strconv"
 
-	"deepmc/internal/interp"
 	"deepmc/internal/ir"
 	"deepmc/internal/pmcontract"
 )
@@ -65,27 +65,22 @@ func newPlanner(c pmcontract.Contract) *planner {
 // rest are still staged.  The snapshot is queued until the fence's
 // OnStep supplies the step index.
 func (p *planner) OnPartialFence(pick func(n int) []int, _ *ir.Site) {
-	staged := make([]Word, 0, len(p.staged))
-	for w := range p.staged {
-		staged = append(staged, w)
-	}
-	if len(staged) == 0 {
+	drain := p.sorted(func(e word) bool { return e.has(staged) })
+	if len(drain) == 0 {
 		return
 	}
-	sortWords(staged)
-	sel := pick(len(staged))
+	sel := pick(len(drain))
 	if len(sel) == 0 {
 		return
 	}
 	snap := p.nvmState.snapshot()
 	for _, i := range sel {
-		if i < 0 || i >= len(staged) {
+		if i < 0 || i >= len(drain) {
 			continue
 		}
-		w := staged[i]
-		snap.durable[w] = snap.current[w]
-		delete(snap.dirty, w)
-		delete(snap.staged, w)
+		e := snap.words[drain[i]]
+		e.persist()
+		snap.words[drain[i]] = e
 	}
 	p.pendingMid = append(p.pendingMid, snap)
 }
@@ -106,119 +101,71 @@ func (p *planner) OnStep(step int, _ ir.Op) {
 	p.points = append(p.points, planPoint{step: step, key: p.stateKey(), snap: p.nvmState.snapshot()})
 }
 
-// snapshot deep-copies the mutable tracking state.  Object pointers are
-// shared: the interpreter mutates only their volatile Slots, which the
-// crash model never reads — the durable image is reconstructed from the
-// tracked word maps, and objects contribute only their immutable
-// ID/Type/Persistent metadata.
+// snapshot copies the mutable tracking state: the word table, and the
+// touched-object set by reference (the next addition copies it; see
+// touch).  Object pointers are shared: the interpreter mutates only
+// their volatile Slots, which the crash model never reads — the durable
+// image is reconstructed from the word table, and objects contribute
+// only their immutable ID/Type/Persistent metadata.
 func (s *nvmState) snapshot() *nvmState {
-	c := &nvmState{
-		current:       make(map[Word]int64, len(s.current)),
-		durable:       make(map[Word]int64, len(s.durable)),
-		dirty:         make(map[Word]bool, len(s.dirty)),
-		staged:        make(map[Word]bool, len(s.staged)),
-		objects:       make(map[int]*interp.Object, len(s.objects)),
-		txDepth:       s.txDepth,
-		undo:          append([]undoRec(nil), s.undo...),
-		logged:        make(map[Word]bool, len(s.logged)),
-		contract:      s.contract,
-		domainPending: make(map[Word]bool, len(s.domainPending)),
-		devCommitted:  make(map[Word]int64, len(s.devCommitted)),
-	}
-	for w := range s.domainPending {
-		c.domainPending[w] = true
-	}
-	for w, v := range s.devCommitted {
-		c.devCommitted[w] = v
-	}
-	for w, v := range s.current {
-		c.current[w] = v
-	}
-	for w, v := range s.durable {
-		c.durable[w] = v
-	}
-	for w := range s.dirty {
-		c.dirty[w] = true
-	}
-	for w := range s.staged {
-		c.staged[w] = true
-	}
-	for id, o := range s.objects {
-		c.objects[id] = o
-	}
-	for w := range s.logged {
-		c.logged[w] = true
-	}
-	return c
+	s.objectsShared = true
+	c := *s
+	c.words = maps.Clone(s.words)
+	return &c
 }
 
-// stateKey canonically encodes everything checkOutcomes consumes:
-// durable words with values, in-flight words with their would-persist
-// values, the open transaction's undo pre-images (recovery rolls these
-// back whatever the cache did), the device-failure rollback state
-// (pending domain words with the committed value they roll back to),
-// and the set of touched objects.  Two crash points with equal keys
-// produce identical invariant verdicts, so the second is safely
-// deduped.
+// stateKey canonically encodes everything checkOutcomes consumes, in one
+// pass over the words in (object, offset) order.  Each word that carries
+// any of these is written as "obj.off" followed, in this order, by
+// d<durable value>, f<value it persists if in flight>, u<undo pre-image
+// an open transaction's recovery restores> and, for a domain word no
+// barrier has committed since its last store, p<value a device failure
+// rolls it back to> or p! when it has none; then ';'.  The touched
+// objects follow after '|'.  Two crash points with equal keys produce
+// identical invariant verdicts, so the second is safely deduped.
 func (s *nvmState) stateKey() string {
-	var b strings.Builder
-	words := make([]Word, 0, len(s.durable))
-	for w := range s.durable {
-		words = append(words, w)
-	}
-	sortWords(words)
-	for _, w := range words {
-		fmt.Fprintf(&b, "d%d.%d=%d;", w.Obj, w.Off, s.durable[w])
-	}
-	b.WriteByte('|')
-	for _, w := range s.inFlight() {
-		fmt.Fprintf(&b, "f%d.%d=%d;", w.Obj, w.Off, s.current[w])
-	}
-	b.WriteByte('|')
-	if s.txDepth > 0 {
-		u := append([]undoRec(nil), s.undo...)
-		sort.Slice(u, func(i, j int) bool {
-			if u[i].w.Obj != u[j].w.Obj {
-				return u[i].w.Obj < u[j].w.Obj
-			}
-			return u[i].w.Off < u[j].w.Off
-		})
-		for _, r := range u {
-			fmt.Fprintf(&b, "u%d.%d=%d;", r.w.Obj, r.w.Off, r.val)
+	b := make([]byte, 0, 24*len(s.words)+4*len(s.objects))
+	for _, w := range s.sorted(func(e word) bool { return e.has(durable|logged|pending) || e.inFlight() }) {
+		e := s.words[w]
+		b = strconv.AppendInt(b, int64(w.Obj), 10)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(w.Off), 10)
+		if e.has(durable) {
+			b = strconv.AppendInt(append(b, 'd'), e.dur, 10)
 		}
-	}
-	b.WriteByte('|')
-	if len(s.domainPending) > 0 {
-		pend := make([]Word, 0, len(s.domainPending))
-		for w := range s.domainPending {
-			pend = append(pend, w)
+		if e.inFlight() {
+			b = strconv.AppendInt(append(b, 'f'), e.cur, 10)
 		}
-		sortWords(pend)
-		for _, w := range pend {
-			if cv, ok := s.devCommitted[w]; ok {
-				fmt.Fprintf(&b, "p%d.%d>%d;", w.Obj, w.Off, cv)
+		if e.has(logged) {
+			b = strconv.AppendInt(append(b, 'u'), e.undo, 10)
+		}
+		if e.has(pending) {
+			b = append(b, 'p')
+			if e.has(committed) {
+				b = strconv.AppendInt(b, e.commit, 10)
 			} else {
-				fmt.Fprintf(&b, "p%d.%d>!;", w.Obj, w.Off)
+				b = append(b, '!')
 			}
 		}
+		b = append(b, ';')
 	}
-	b.WriteByte('|')
+	b = append(b, '|')
 	ids := make([]int, 0, len(s.objects))
 	for id := range s.objects {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
-		fmt.Fprintf(&b, "o%d;", id)
+		b = append(strconv.AppendInt(b, int64(id), 10), ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 func sortWords(ws []Word) {
-	sort.Slice(ws, func(i, j int) bool {
-		if ws[i].Obj != ws[j].Obj {
-			return ws[i].Obj < ws[j].Obj
+	slices.SortFunc(ws, func(a, b Word) int {
+		if a.Obj != b.Obj {
+			return cmp.Compare(a.Obj, b.Obj)
 		}
-		return ws[i].Off < ws[j].Off
+		return cmp.Compare(a.Off, b.Off)
 	})
 }

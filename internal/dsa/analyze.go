@@ -150,7 +150,7 @@ func (a *Analysis) localPhase(f *ir.Function) *Graph {
 			if p.Type.Elem != nil && p.Type.Elem.Kind == ir.KStruct {
 				tn = p.Type.Elem.Name
 			}
-			n := g.newNode(FlagIncomplete, tn, Site{})
+			n := g.newNode(FlagIncomplete, tn, nil)
 			g.Regs[p.Name] = Cell{Obj: n}
 		}
 	}
@@ -169,12 +169,12 @@ func (g *Graph) ensurePtr(v ir.Value) Cell {
 	r, ok := v.(ir.Reg)
 	if !ok {
 		// A constant used as an address: an opaque unknown object.
-		n := g.newNode(FlagIncomplete, "", Site{})
+		n := g.newNode(FlagIncomplete, "", nil)
 		return Cell{Obj: n}
 	}
 	c := g.Regs[r.Name].Norm()
 	if c.Obj == nil {
-		c = Cell{Obj: g.newNode(FlagIncomplete, "", Site{})}
+		c = Cell{Obj: g.newNode(FlagIncomplete, "", nil)}
 		g.Regs[r.Name] = c
 	}
 	return c
@@ -211,7 +211,7 @@ func (a *Analysis) localInstr(g *Graph, f *ir.Function, blk *ir.Block, idx int) 
 		if in.Persistent {
 			fl |= FlagPersistent
 		}
-		n := g.newNode(fl, tn, Site{Func: f.Name, File: f.File, Line: in.Line})
+		n := g.newNode(fl, tn, f.Site(in.Line))
 		g.Regs[in.Dst] = g.unifyCells(g.Regs[in.Dst], Cell{Obj: n})
 	case ir.OpGEP:
 		base := g.ensurePtr(in.Args[0])
@@ -285,11 +285,11 @@ func (a *Analysis) localCall(g *Graph, f *ir.Function, in *ir.Instr) {
 		return
 	}
 	if a.palloc[in.Callee] {
-		n := g.newNode(FlagHeap|FlagPersistent, "", Site{Func: f.Name, File: f.File, Line: in.Line})
+		n := g.newNode(FlagHeap|FlagPersistent, "", f.Site(in.Line))
 		g.Regs[in.Dst] = g.unifyCells(g.Regs[in.Dst], Cell{Obj: n})
 		return
 	}
-	n := g.newNode(FlagExternal|FlagIncomplete, "", Site{Func: f.Name, File: f.File, Line: in.Line})
+	n := g.newNode(FlagExternal|FlagIncomplete, "", f.Site(in.Line))
 	g.Regs[in.Dst] = g.unifyCells(g.Regs[in.Dst], Cell{Obj: n})
 }
 
@@ -354,7 +354,7 @@ func (g *Graph) cloneFrom(callee *Graph) map[*Node]*Node {
 	for _, n := range callee.nodes {
 		r := n.Find()
 		if _, done := mapping[r]; !done {
-			c := g.newNode(r.Flags, r.TypeName, Site{})
+			c := g.newNode(r.Flags, r.TypeName, nil)
 			c.Sites = append(c.Sites, r.Sites...)
 			for f := range r.Mod {
 				c.Mod[f] = true

@@ -406,7 +406,7 @@ func TestUnionFindProperties(t *testing.T) {
 			if i == 7 {
 				fl = FlagPersistent
 			}
-			nodes[i] = g.newNode(fl, "", Site{})
+			nodes[i] = g.newNode(fl, "", nil)
 		}
 		perm := r.Perm(n - 1)
 		for _, i := range perm {

@@ -35,7 +35,7 @@ func newGraph(a *Analysis, fn *ir.Function) *Graph {
 }
 
 // newNode allocates a fresh node in this graph.
-func (g *Graph) newNode(flags Flags, typeName string, site Site) *Node {
+func (g *Graph) newNode(flags Flags, typeName string, site *ir.Site) *Node {
 	*g.nextID++
 	n := &Node{
 		id:       *g.nextID,
@@ -45,7 +45,7 @@ func (g *Graph) newNode(flags Flags, typeName string, site Site) *Node {
 		Mod:      make(map[string]bool),
 		Ref:      make(map[string]bool),
 	}
-	if site != (Site{}) {
+	if site != nil {
 		n.Sites = append(n.Sites, site)
 	}
 	g.nodes = append(g.nodes, n)
@@ -168,7 +168,7 @@ func (g *Graph) deref(c Cell) *Node {
 	if c.Obj == nil {
 		// Dereferencing an unknown scalar: manufacture an incomplete node
 		// so downstream queries stay total.
-		return g.newNode(FlagIncomplete, "", Site{})
+		return g.newNode(FlagIncomplete, "", nil)
 	}
 	obj := c.Obj.Find()
 	if t, ok := obj.Edges[c.Field]; ok {
@@ -178,7 +178,7 @@ func (g *Graph) deref(c Cell) *Node {
 	if obj.Flags&FlagPersistent != 0 {
 		fl |= FlagPersistent
 	}
-	t := g.newNode(fl, g.pointeeTypeName(obj, c.Field), Site{})
+	t := g.newNode(fl, g.pointeeTypeName(obj, c.Field), nil)
 	obj.Edges[c.Field] = t
 	return t
 }

@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"deepmc/internal/ir"
 )
 
 // Flags describe properties of a DSG node.
@@ -47,13 +49,6 @@ const (
 	FlagExternal
 )
 
-// Site records an allocation or origin point of a node.
-type Site struct {
-	Func string
-	File string
-	Line int
-}
-
 // Node is one object in a Data Structure Graph.  Nodes form a union-find
 // forest: always call Find before reading fields.
 type Node struct {
@@ -70,7 +65,7 @@ type Node struct {
 	Mod map[string]bool
 	Ref map[string]bool
 	// Sites lists where this object is allocated or introduced.
-	Sites []Site
+	Sites []*ir.Site
 }
 
 // Find returns the representative of the node's union-find class, with

@@ -28,20 +28,9 @@
 // event order.  The instrumented interpreter is single-threaded per
 // run, so the decision sequence — and the injection log — is a pure
 // function of (seed, event stream): re-running the same program with
-// the same Config replays byte-identical faults.
-//
-// That attribution has a limit: when concurrent clients share one pool
-// (the soak engine), the pool's operation order varies run to run, so
-// the shared stream's k-th draw lands on a different event each time
-// and witnesses silently diverge.  Config.PerOpStream switches to keyed
-// per-class streams — the decision for the k-th eligible event of class
-// C is a pure function of (Seed, C, k), independent of what other
-// classes did in between — restoring replay determinism whenever each
-// class's eligible-event sequence is stable.  The residual limitation,
-// attributed here rather than hidden: if two clients race eligible
-// events of the SAME class on the SAME pool, the class ordinal they
-// draw still depends on their interleaving.  Partition-owned pools
-// (one writer per pool, the soak engine's layout) have no such races.
+// the same Config replays byte-identical faults.  Clients that drive one
+// pool concurrently perturb its event order, so their faults replay
+// only as far as that order does.
 package faultinj
 
 import (
@@ -119,14 +108,6 @@ type Config struct {
 	// Seed seeds the schedule RNG.  The same (Config, program, inputs)
 	// triple replays byte-identical injections.
 	Seed int64
-	// PerOpStream switches from the single shared RNG to keyed
-	// per-class decision streams: the decision (and any follow-up draws
-	// — subset, permutation, lag) for the k-th eligible event of class
-	// C depends only on (Seed, C, k).  Use it when several clients
-	// drive one pool concurrently; see the package doc for the exact
-	// determinism attribution.  Ignored by NewWithSource (a fuzzer
-	// genome tape is already position-keyed).
-	PerOpStream bool
 }
 
 // Enabled reports whether cl is in c.Classes.
@@ -180,35 +161,12 @@ type Schedule struct {
 	src     Source
 	records []Record
 	perCls  [numClasses]int
-
-	// Keyed-stream mode (Config.PerOpStream): every Fire derives its
-	// decision from (seed, class, per-class ordinal) via splitmix64 and
-	// re-points src at a sub-RNG seeded from the same key, so the
-	// follow-up draws of one injection are independent of every other
-	// event.
-	perOp bool
-	seed  int64
-	opSeq [numClasses]uint64
 }
 
 // New builds a Schedule from cfg, drawing decisions from a fresh RNG
 // seeded with cfg.Seed.
 func New(cfg Config) *Schedule {
-	s := NewWithSource(cfg, rand.New(rand.NewSource(cfg.Seed)))
-	if cfg.PerOpStream {
-		s.perOp = true
-		s.seed = cfg.Seed
-	}
-	return s
-}
-
-// splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed hash for
-// deriving per-(class, ordinal) decision keys from one seed.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return NewWithSource(cfg, rand.New(rand.NewSource(cfg.Seed)))
 }
 
 // NewWithSource builds a Schedule whose decisions come from src instead
@@ -229,24 +187,10 @@ func NewWithSource(cfg Config, src Source) *Schedule {
 
 // Fire decides whether to inject cl at the current eligible event.  It
 // consumes source state only when the class is enabled, keeping the
-// decision stream a pure function of (source, event stream).  In keyed
-// mode (Config.PerOpStream) the decision is a pure function of (seed,
-// class, per-class ordinal) instead, and the follow-up draws for this
-// injection come from a sub-RNG derived from the same key.
+// decision stream a pure function of (source, event stream).
 func (s *Schedule) Fire(cl Class) bool {
 	if !s.enabled[cl] {
 		return false
-	}
-	if s.perOp {
-		k := splitmix64(uint64(s.seed) ^ splitmix64(uint64(cl)+1)<<1 ^ s.opSeq[cl])
-		s.opSeq[cl]++
-		// Scale the top 53 bits into [0,1) the same way rand.Float64
-		// does, then re-point follow-up draws at the keyed sub-RNG.
-		if float64(k>>11)/(1<<53) >= s.rate {
-			return false
-		}
-		s.src = rand.New(rand.NewSource(int64(splitmix64(k))))
-		return true
 	}
 	return s.src.Float64() < s.rate
 }

@@ -9,13 +9,13 @@
 // rendered, diffed and replayed byte-for-byte from its seed alone.
 //
 // The ordinal here is the dial count: the injector derives an
-// independent decision stream per dial (splitmix64-keyed, like
-// faultinj.PerOpStream), so dial N always draws the same plan under
-// the same seed.  Residual nondeterminism is the dial *order* itself —
-// concurrent transports race to dial, so which logical request gets
-// ordinal N can vary across runs.  The schedule (the plan sequence by
-// ordinal) is exactly reproducible; the assignment of plans to
-// requests is as reproducible as the caller's concurrency.
+// independent decision stream per dial (splitmix64-keyed), so dial N
+// always draws the same plan under the same seed.  Residual
+// nondeterminism is the dial *order* itself — concurrent transports
+// race to dial, so which logical request gets ordinal N can vary across
+// runs.  The schedule (the plan sequence by ordinal) is exactly
+// reproducible; the assignment of plans to requests is as reproducible
+// as the caller's concurrency.
 package netfault
 
 import (
@@ -139,9 +139,8 @@ func New(cfg Config) *Injector {
 	return in
 }
 
-// splitmix64 is the same mixing finalizer faultinj uses for its keyed
-// per-op streams: consecutive ordinals land in unrelated regions of
-// the decision space.
+// splitmix64 is the SplitMix64 mixing finalizer: consecutive ordinals
+// land in unrelated regions of the decision space.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

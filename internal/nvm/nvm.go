@@ -65,15 +65,9 @@ type Config struct {
 	// fire on in-domain ranges (stores there are durable whole at store
 	// time and have no clwb to drop).
 	//
-	// Replay determinism: with the default shared decision stream it
-	// holds for single-threaded clients only (the stream is a pure
-	// function of the pool's operation order, which concurrent clients
-	// perturb).  Set Faults.PerOpStream for keyed per-class streams —
-	// the decision for the k-th eligible event of each class depends
-	// only on (Seed, class, k) — so concurrent clients replay
-	// deterministically as long as each client's own event sequence is
-	// stable; see the faultinj.Config.PerOpStream doc for the residual
-	// same-class interleaving caveat.
+	// Replay determinism holds for single-threaded clients only: the
+	// decision stream is a pure function of the pool's operation order,
+	// which concurrent clients perturb.
 	Faults *faultinj.Config
 	// Contract is the hardware persistency contract the pool simulates.
 	// The zero value is x86 (clwb/sfence), preserving every

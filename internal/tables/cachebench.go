@@ -8,6 +8,7 @@ import (
 
 	"deepmc/internal/anacache"
 	"deepmc/internal/core"
+	"deepmc/internal/fanout"
 )
 
 // cacheBenchResult is the BENCH_cache.json schema.
@@ -26,7 +27,7 @@ type cacheBenchResult struct {
 // byte-identical to the cold one — the speedup may not cost
 // determinism.
 func cacheBench() Result {
-	workers := resolvedWorkers()
+	workers := fanout.Workers(Workers)
 	const rounds = 5
 	jobs, err := corpusJobs(core.Config{Workers: workers})
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"deepmc/internal/corpus"
 	"deepmc/internal/crashsim"
+	"deepmc/internal/fanout"
 )
 
 // crashsimBench times crash-point enumeration over the differential
@@ -19,7 +20,7 @@ import (
 // render byte-identical results at every worker count — the speedup is
 // free of any nondeterminism tax.
 func crashsimBench() Result {
-	workers := resolvedWorkers()
+	workers := fanout.Workers(Workers)
 	cases, err := corpus.CrashCases()
 	if err != nil {
 		return fail("crashsim bench", err)

@@ -16,6 +16,7 @@ import (
 
 	"deepmc/internal/core"
 	"deepmc/internal/corpus"
+	"deepmc/internal/fanout"
 	"deepmc/internal/nvm"
 	"deepmc/internal/pmcontract"
 )
@@ -25,7 +26,7 @@ import (
 // diverges from the contract semantics.
 func pmodelGate() Result {
 	ctx := context.Background()
-	w := resolvedWorkers()
+	w := fanout.Workers(Workers)
 
 	rs, err := corpus.PModelDifferential(ctx, w)
 	if err != nil {
@@ -98,7 +99,7 @@ func pmodelWorkload(p *nvm.Pool, n int, flush bool, fenceEvery int) (nvm.Stats, 
 // flushes and batches global persist barriers.  The analysis half times
 // the whole-corpus static scan under each -pmodel.
 func pmodelBench() Result {
-	workers := resolvedWorkers()
+	workers := fanout.Workers(Workers)
 	const records = 4096
 	const batch = 64
 

@@ -18,6 +18,7 @@ import (
 
 	"deepmc/internal/core"
 	"deepmc/internal/corpus"
+	"deepmc/internal/fanout"
 	"deepmc/internal/ir"
 	"deepmc/internal/report"
 )
@@ -46,21 +47,11 @@ func table1Rows() []ruleRow {
 }
 
 // Workers is the checker fan-out used by every corpus run in this
-// package (the -jobs flag of deepmc-bench), resolved by
-// resolvedWorkers: 0 means GOMAXPROCS, 1 (or less) the serial checker.
-// The deterministic-merge guarantee makes every table byte-identical
-// under any setting.
+// package (the -jobs flag of deepmc-bench), resolved by fanout.Workers:
+// 0 means GOMAXPROCS, 1 (or less) the serial checker.  The
+// deterministic-merge guarantee makes every table byte-identical under
+// any setting.
 var Workers = 1
-
-func resolvedWorkers() int {
-	if Workers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if Workers < 1 {
-		return 1
-	}
-	return Workers
-}
 
 // CorpusRun holds one checker run over one corpus program, cross-scored
 // against ground truth.  Err is set (and Eval nil) when the program's
@@ -76,7 +67,7 @@ type CorpusRun struct {
 func RunCorpus() []CorpusRun {
 	var out []CorpusRun
 	for _, p := range corpus.All() {
-		ev, err := corpus.Evaluate(context.Background(), p, resolvedWorkers())
+		ev, err := corpus.Evaluate(context.Background(), p, fanout.Workers(Workers))
 		out = append(out, CorpusRun{Program: p, Eval: ev, Err: err})
 	}
 	return out
@@ -100,7 +91,7 @@ func corpusErr(runs []CorpusRun) string {
 // (DSA + trace collection + rule checking) and rendering; the two
 // renders must be byte-identical.
 func speedup() Result {
-	workers := resolvedWorkers()
+	workers := fanout.Workers(Workers)
 	serialJobs, err := corpusJobs(core.Config{Workers: 1})
 	if err != nil {
 		return fail("speedup", err)
