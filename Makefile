@@ -9,6 +9,7 @@
 #   make bench       speedup benchmark for the parallel checker
 #   make bench-trace trace-collection benchmark (PMDK and a 335-function generated app)
 #   make bench-crash crash-path benchmark (four-class fault differential over the 15 crash harnesses)
+#   make bench-nvm   NVM pool benchmark (memcache-shaped store/flush/fence mix; x86 and cxl, clean and faulted)
 #   make cache-gate  incremental-cache byte-identity gate (cold vs warm, workers 1/2/8)
 #   make serve-gate  analysis-daemon chaos/soak gate (graceful restarts, shedding, breakers)
 #   make crashsim    cross-validate the static checker against crash enumeration
@@ -35,7 +36,7 @@ FAULTSEED ?= 42
 PAIRS ?= 10
 SEED ?= 1
 
-.PHONY: build test race vet fuzz-short bench bench-trace bench-crash cache-gate serve-gate crashsim faults fuzz-gate soak-short soak fleet-gate pmodel-gate stress bench-selftest ci perf-ab clean
+.PHONY: build test race vet fuzz-short bench bench-trace bench-crash bench-nvm cache-gate serve-gate crashsim faults fuzz-gate soak-short soak fleet-gate pmodel-gate stress bench-selftest ci perf-ab clean
 
 build:
 	$(GO) build ./...
@@ -69,6 +70,9 @@ bench-trace:
 
 bench-crash:
 	$(GO) test -run '^$$' -bench BenchmarkCrashFaults -benchmem -benchtime 20x .
+
+bench-nvm:
+	$(GO) test -run '^$$' -bench BenchmarkPoolOps -benchmem .
 
 # The cache gate: a warm (fully memoized) corpus analysis must render
 # byte-identical reports to a cold one at workers 1, 2 and 8, and the

@@ -23,6 +23,7 @@ import (
 	"deepmc/internal/interp"
 	"deepmc/internal/ir"
 	"deepmc/internal/nvm"
+	"deepmc/internal/pmcontract"
 	"deepmc/internal/pmem"
 	"deepmc/internal/pmem/mnemosyne"
 	"deepmc/internal/pmem/pmdk"
@@ -495,4 +496,47 @@ func BenchmarkCrashFaults(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(points), "crash-points/op")
+}
+
+// BenchmarkPoolOps prices the NVM pool alone under a memcache-shaped op
+// mix: each op stores a 64-byte value and an 8-byte header word into
+// its slot, flushes both and fences.  It runs an x86 pool and a CXL
+// pool whose persistence domain is the whole pool, each with and
+// without every fault class (at the soak's default rate).
+func BenchmarkPoolOps(b *testing.B) {
+	const size, slot = 4 << 20, 128
+	for _, pc := range []struct {
+		name     string
+		contract pmcontract.Contract
+	}{
+		{"x86", pmcontract.X86Contract()},
+		{"cxl", pmcontract.CXLContract(pmcontract.WholeDomain())},
+	} {
+		for _, faults := range []*faultinj.Config{nil, {Classes: faultinj.AllClasses(), Rate: 0.2, Seed: 42}} {
+			name := pc.name + "/clean"
+			if faults != nil {
+				name = pc.name + "/faults"
+			}
+			b.Run(name, func(b *testing.B) {
+				p := nvm.NewPool(nvm.Config{Size: size, Faults: faults, Contract: pc.contract})
+				val := make([]byte, 64)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					off := i * 7919 % (size / slot) * slot
+					val[0] = byte(i)
+					if err := p.Store(off, val); err != nil {
+						b.Fatal(err)
+					}
+					if err := p.Store64(off+64, uint64(i)); err != nil {
+						b.Fatal(err)
+					}
+					if err := p.Flush(off, 72); err != nil {
+						b.Fatal(err)
+					}
+					p.Fence()
+				}
+			})
+		}
+	}
 }

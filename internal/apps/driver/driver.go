@@ -6,7 +6,6 @@
 package driver
 
 import (
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,8 +66,6 @@ var sink atomic.Uint64
 type Result struct {
 	Ops     int
 	Elapsed time.Duration
-	// Retries counts per-op attempts beyond the first (RunRetry).
-	Retries int
 }
 
 // Throughput returns operations per second.
@@ -79,82 +76,15 @@ func (r Result) Throughput() float64 {
 	return float64(r.Ops) / r.Elapsed.Seconds()
 }
 
-// RetryPolicy bounds per-operation retries with jittered exponential
-// backoff.  Real benchmark harnesses (memslap, redis-benchmark) retry
-// transient wire errors rather than aborting a multi-minute run on the
-// first EAGAIN; this is the equivalent for the simulated stores.
-type RetryPolicy struct {
-	// MaxAttempts is the total tries per operation (1 = no retry; 0
-	// behaves as 1).
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; each further
-	// retry doubles it, capped at MaxDelay (0 = a one-minute ceiling,
-	// so the doubling series can never overflow into a zero sleep).
-	// The actual sleep is jittered uniformly in [delay/2, delay) so
-	// clients desynchronize.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Transient classifies retryable errors; nil retries every error.
-	Transient func(error) bool
-	// Seed drives the per-client jitter RNGs (deterministic tests);
-	// client id is mixed in so clients draw distinct sequences.
-	Seed int64
-}
-
-// backoffCeiling caps the backoff when the policy sets no MaxDelay and
-// the doubling series overflows int64 nanoseconds.
-const backoffCeiling = time.Minute
-
-// backoff returns the jittered sleep before retry attempt (0-based).
-// The doubling series saturates at MaxDelay (or backoffCeiling when no
-// cap is set) instead of overflowing: BaseDelay << attempt wraps to a
-// non-positive value around attempt 62, which used to read as "no
-// delay configured" and silently disabled backoff exactly when a store
-// had been failing longest.
-func (p RetryPolicy) backoff(attempt int, rng *rand.Rand) time.Duration {
-	d := p.BaseDelay
-	if d <= 0 {
-		return 0
-	}
-	cap := p.MaxDelay
-	if cap <= 0 {
-		cap = backoffCeiling
-	}
-	overflowed := attempt >= 63
-	if !overflowed {
-		d <<= uint(attempt)
-		overflowed = d <= 0 || d>>uint(attempt) != p.BaseDelay
-	}
-	if overflowed || d > cap {
-		d = cap
-	}
-	// Uniform in [d/2, d).
-	return d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
-}
-
 // Run executes opsPerClient operations of the mix on each of clients
-// concurrent client threads, failing the run on the first error (no
-// retries) — RunRetry with a one-attempt policy.
+// concurrent client threads.  A client stops at its first failed
+// operation, and Run returns the first such error in client order.
 func Run(kv KV, mix workload.Mix, clients, opsPerClient int, keyspace uint64) (Result, error) {
-	return RunRetry(kv, mix, clients, opsPerClient, keyspace, RetryPolicy{MaxAttempts: 1})
-}
-
-// RunRetry is Run with bounded, jittered retry of transient per-client
-// operation failures.  An operation that still fails after
-// pol.MaxAttempts tries fails its client (first such error in client
-// order is returned); a non-transient error (per pol.Transient) fails
-// immediately.  Result.Retries counts the extra attempts across all
-// clients.
-func RunRetry(kv KV, mix workload.Mix, clients, opsPerClient int, keyspace uint64, pol RetryPolicy) (Result, error) {
 	if err := mix.Validate(); err != nil {
 		return Result{}, err
 	}
-	if pol.MaxAttempts < 1 {
-		pol.MaxAttempts = 1
-	}
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
-	var retries atomic.Int64
 	start := time.Now()
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -165,25 +95,8 @@ func RunRetry(kv KV, mix workload.Mix, clients, opsPerClient int, keyspace uint6
 				errs[id] = err
 				return
 			}
-			rng := rand.New(rand.NewSource(pol.Seed ^ int64(id)*-0x61c8864680b583eb))
 			for i := 0; i < opsPerClient; i++ {
-				op := gen.Next()
-				var err error
-				for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
-					if attempt > 0 {
-						retries.Add(1)
-						if d := pol.backoff(attempt-1, rng); d > 0 {
-							time.Sleep(d)
-						}
-					}
-					if err = kv.Do(int64(id+1), op); err == nil {
-						break
-					}
-					if pol.Transient != nil && !pol.Transient(err) {
-						break
-					}
-				}
-				if err != nil {
+				if err := kv.Do(int64(id+1), gen.Next()); err != nil {
 					errs[id] = err
 					return
 				}
@@ -191,7 +104,7 @@ func RunRetry(kv KV, mix workload.Mix, clients, opsPerClient int, keyspace uint6
 		}(c)
 	}
 	wg.Wait()
-	res := Result{Ops: clients * opsPerClient, Elapsed: time.Since(start), Retries: int(retries.Load())}
+	res := Result{Ops: clients * opsPerClient, Elapsed: time.Since(start)}
 	for _, err := range errs {
 		if err != nil {
 			return res, err

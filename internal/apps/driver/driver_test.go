@@ -1,6 +1,8 @@
 package driver
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
 	"deepmc/internal/apps/memcache"
@@ -183,4 +185,79 @@ func TestTrackedRunFindsNoFalseRaces(t *testing.T) {
 	if len(rep.Warnings) != 0 {
 		t.Errorf("tracker reported %d false races:\n%s", len(rep.Warnings), rep)
 	}
+}
+
+var errTransient = errors.New("transient wire error")
+
+// flakyKV fails every failEvery-th operation of each thread.
+type flakyKV struct {
+	mu        sync.Mutex
+	attempts  map[int64]int // by thread
+	failEvery int
+}
+
+func (f *flakyKV) Do(thread int64, op workload.Op) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.attempts == nil {
+		f.attempts = make(map[int64]int)
+	}
+	f.attempts[thread]++
+	if f.failEvery > 0 && f.attempts[thread]%f.failEvery == 0 {
+		return errTransient
+	}
+	return nil
+}
+
+// TestRunStopsAtFirstError: Run makes one attempt per operation, so a
+// failure fails the run.
+func TestRunStopsAtFirstError(t *testing.T) {
+	kv := &flakyKV{failEvery: 20}
+	if _, err := Run(kv, workload.Mix{Read: 100}, 2, 20, 64); !errors.Is(err, errTransient) {
+		t.Fatalf("Run returned %v, want the first operation failure", err)
+	}
+}
+
+// TestRunDeterministicStreams: two runs over an engine that records the
+// op stream issue identical per-client sequences.
+func TestRunDeterministicStreams(t *testing.T) {
+	record := func() map[int64][]workload.Op {
+		rec := &recordingKV{ops: map[int64][]workload.Op{}}
+		if _, err := Run(rec, workload.Mix{Read: 60, Update: 30, Insert: 10}, 3, 200, 128); err != nil {
+			t.Fatal(err)
+		}
+		return rec.ops
+	}
+	a, b := record(), record()
+	if len(a) != len(b) {
+		t.Fatalf("client counts differ: %d vs %d", len(a), len(b))
+	}
+	for th, ops := range a {
+		if len(ops) != len(b[th]) {
+			t.Fatalf("client %d op counts differ: %d vs %d", th, len(ops), len(b[th]))
+		}
+		for i := range ops {
+			if ops[i] != b[th][i] {
+				t.Fatalf("client %d op %d diverged: %+v vs %+v", th, i, ops[i], b[th][i])
+			}
+		}
+	}
+}
+
+func TestRunRejectsMalformedMix(t *testing.T) {
+	if _, err := Run(&flakyKV{}, workload.Mix{Read: 50}, 1, 1, 64); err == nil {
+		t.Fatal("Run accepted a mix summing to 50")
+	}
+}
+
+type recordingKV struct {
+	mu  sync.Mutex
+	ops map[int64][]workload.Op
+}
+
+func (r *recordingKV) Do(thread int64, op workload.Op) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ops[thread] = append(r.ops[thread], op)
+	return nil
 }

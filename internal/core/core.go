@@ -40,12 +40,6 @@ type Config struct {
 	AllFunctions bool
 	// FieldInsensitive disables DSA field sensitivity (ablation).
 	FieldInsensitive bool
-	// NoPathPriority disables persistent-path prioritization in trace
-	// collection (ablation).
-	NoPathPriority bool
-	// LoopIterations overrides the trace collector's loop bound
-	// (default 10, as in the paper).
-	LoopIterations int
 	// MaxTraceEntries overrides the per-trace entry budget (default
 	// 4096).  A function whose merged traces exceed it is analyzed up to
 	// the cap and reported as partial with a budget-attributed skip —
@@ -55,9 +49,6 @@ type Config struct {
 	// MaxPaths overrides the per-function explored-path budget
 	// (default 64).
 	MaxPaths int
-	// PersistentAllocFns names external allocation functions returning
-	// persistent objects.
-	PersistentAllocFns []string
 	// Workers is the number of concurrent static-checker workers,
 	// resolved by fanout.Workers: 0 selects runtime.GOMAXPROCS(0), 1 or
 	// less runs serially.  Any worker count produces a byte-identical
@@ -115,11 +106,6 @@ func (c Config) checkerOptions() (checker.Options, error) {
 	opts.Contract = ct
 	opts.AllFunctions = c.AllFunctions
 	opts.DSA.FieldSensitive = !c.FieldInsensitive
-	opts.DSA.PersistentAllocFns = c.PersistentAllocFns
-	opts.Trace.PrioritizePersistent = !c.NoPathPriority
-	if c.LoopIterations > 0 {
-		opts.Trace.LoopIterations = c.LoopIterations
-	}
 	if c.MaxTraceEntries > 0 {
 		opts.Trace.MaxTraceEntries = c.MaxTraceEntries
 	}

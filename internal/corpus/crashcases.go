@@ -114,8 +114,9 @@ func parseHarness(s crashCaseSpec, variant, src string) (*ir.Module, error) {
 // CrossValidateCtx runs the full differential harness: the static
 // checker over each corpus program supplies the Flagged verdicts, and
 // the crash enumerator (with the given options) supplies reproduction
-// and fixed-clean verdicts.  ctx bounds the enumeration only; see
-// crashsim.CrossValidateCtx for the partial-result caveat.
+// and fixed-clean verdicts.  Both run under o.Contract.  ctx bounds the
+// enumeration only; see crashsim.CrossValidateCtx for the
+// partial-result caveat.
 func CrossValidateCtx(ctx context.Context, o crashsim.Options) (*crashsim.CrossReport, error) {
 	cases, err := CrashCases()
 	if err != nil {
@@ -123,13 +124,17 @@ func CrossValidateCtx(ctx context.Context, o crashsim.Options) (*crashsim.CrossR
 	}
 	flagged := make(map[string]bool)
 	for _, p := range All() {
-		// The static verdicts run to completion whatever the deadline:
-		// only the enumeration is bounded by ctx.
-		ev, err := Evaluate(context.Background(), p, 1)
+		m, err := p.Module()
 		if err != nil {
 			return nil, err
 		}
-		for _, w := range ev.Report.Warnings {
+		// The static verdicts run to completion whatever the deadline:
+		// only the enumeration is bounded by ctx.
+		rep, err := analyzeContract(context.Background(), m, p.Model, o.Contract, 1)
+		if err != nil {
+			return nil, err
+		}
+		for _, w := range rep.Warnings {
 			flagged[w.Key()] = true
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"deepmc/internal/crashsim"
 	"deepmc/internal/dynamic"
 	"deepmc/internal/interp"
+	"deepmc/internal/pmcontract"
 	"deepmc/internal/report"
 )
 
@@ -229,14 +230,15 @@ func InterThreadCases() ([]crashsim.CrossCase, error) {
 }
 
 // dynamicFlagged runs the case's buggy module once under the runtime
-// happens-before checker and reports whether it warned about a
-// cross-strand dependence in the case's file.  This is the
-// inter-thread cases' Flagged oracle — the analogue of the
+// happens-before checker, under contract ct, and reports whether it
+// warned about a cross-strand dependence in the case's file.  This is
+// the inter-thread cases' Flagged oracle — the analogue of the
 // static-checker run CrossValidateCtx uses for the single-strand corpus:
 // the static passes see each strand's persists as locally well-ordered,
 // so only the dynamic analysis can supply this verdict.
-func dynamicFlagged(c *crashsim.CrossCase) (bool, error) {
+func dynamicFlagged(c *crashsim.CrossCase, ct pmcontract.Contract) (bool, error) {
 	rt := dynamic.NewRuntime(true)
+	rt.Contract = ct
 	ip := interp.New(c.Buggy, rt)
 	if _, err := ip.Run(c.Entry); err != nil {
 		return false, fmt.Errorf("corpus: dynamic oracle run %s %s:%d: %w", c.Program, c.File, c.Line, err)
@@ -262,7 +264,7 @@ func CrossValidateInterThreadCtx(ctx context.Context, o crashsim.Options) (*cras
 		return nil, err
 	}
 	for i := range cases {
-		flagged, err := dynamicFlagged(&cases[i])
+		flagged, err := dynamicFlagged(&cases[i], o.Contract)
 		if err != nil {
 			return nil, err
 		}

@@ -41,6 +41,10 @@ type CrossOutcome struct {
 	Reproduced bool
 	// FixedClean: the repaired harness enumerates with no violation.
 	FixedClean bool
+	// Healed: the contract's persistence domain removes the bug — the
+	// contract has a domain, neither oracle reports the bug, and the
+	// fix enumerates clean.
+	Healed bool
 
 	Buggy *Result
 	Fixed *Result
@@ -48,8 +52,10 @@ type CrossOutcome struct {
 
 // Agree reports full agreement between the oracles on this case: the
 // checker flags it, a crash point reproduces it, and the fix silences
-// it.
-func (o *CrossOutcome) Agree() bool { return o.Flagged && o.Reproduced && o.FixedClean }
+// it — or the persistence domain healed it for both oracles.
+func (o *CrossOutcome) Agree() bool {
+	return o.Healed || o.Flagged && o.Reproduced && o.FixedClean
+}
 
 // CrossReport aggregates the differential validation over all cases.
 type CrossReport struct {
@@ -85,7 +91,10 @@ func (r *CrossReport) String() string {
 	for i := range r.Outcomes {
 		o := &r.Outcomes[i]
 		verdict := "AGREE"
-		if !o.Agree() {
+		switch {
+		case o.Healed:
+			verdict = "AGREE (healed by the persistence domain)"
+		case !o.Agree():
 			verdict = "DISAGREE"
 		}
 		fmt.Fprintf(&b, "  %-11s %-24s %-26s flagged=%s reproduced=%s fixed-clean=%s %s\n",
@@ -100,11 +109,14 @@ func (r *CrossReport) String() string {
 // and fixed harness with the given options.  A bug agrees when the
 // static verdict (Flagged), the reproduction (a violating crash point in
 // the buggy harness) and the repair (a clean enumeration of the fixed
-// harness) all line up.  When ctx expires mid-corpus, already-enumerated
-// cases keep their verdicts and the remaining enumerations return
-// partial results (which typically read as disagreement — a timed-out
-// differential run is not trustworthy, so callers should check
-// ctx.Err() before acting on a FAIL).
+// harness) all line up.  Under a contract with a persistence domain a
+// bug also agrees when the domain healed it: neither the static verdict
+// nor the enumeration reports it, and the fix enumerates clean.  When
+// ctx expires mid-corpus, already-enumerated cases keep their verdicts
+// and the remaining enumerations return partial results (which
+// typically read as disagreement — a timed-out differential run is not
+// trustworthy, so callers should check ctx.Err() before acting on a
+// FAIL).
 func CrossValidateCtx(ctx context.Context, cases []CrossCase, o Options) (*CrossReport, error) {
 	rep := &CrossReport{}
 	for i := range cases {
@@ -125,6 +137,7 @@ func CrossValidateCtx(ctx context.Context, cases []CrossCase, o Options) (*Cross
 			Flagged:    c.Flagged,
 			Reproduced: !br.Clean(),
 			FixedClean: fr.Clean(),
+			Healed:     o.Contract.HasDomain() && !c.Flagged && br.Clean() && fr.Clean(),
 			Buggy:      br,
 			Fixed:      fr,
 		})

@@ -53,8 +53,10 @@ import (
 // PIR text (or built-in corpus name) the module came from.  The HTTP
 // transport refuses jobs without one — re-printing a live module
 // could shift line numbers and silently break fleet==batch
-// byte-identity, so the original bytes travel instead.  In-process
-// transports ignore both and analyze Module directly.
+// byte-identity, so the original bytes travel instead.  It also
+// refuses a Config that sets FieldInsensitive or MaxPaths, which
+// /analyze cannot carry.  In-process transports ignore Source and
+// Corpus and analyze Module directly.
 type Job struct {
 	Name   string
 	Module *ir.Module
@@ -67,9 +69,6 @@ type Job struct {
 type Config struct {
 	// Shards is the number of failure-independent workers (default 4).
 	Shards int
-	// Replicas is the virtual nodes per shard on the hash ring
-	// (default 16).
-	Replicas int
 	// CacheDir hosts the shared verdict tier; empty disables the disk
 	// layer (shards still share the in-memory tier).
 	CacheDir string
@@ -107,9 +106,6 @@ const tierFlushEvery = 200 * time.Millisecond
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 4
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 16
 	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 2
@@ -278,7 +274,7 @@ func New(cfg Config) (*Fleet, error) {
 	baseCtx, stop := context.WithCancel(context.Background())
 	f := &Fleet{
 		cfg:       cfg,
-		ring:      newRing(cfg.Shards, cfg.Replicas),
+		ring:      newRing(cfg.Shards),
 		tier:      tier,
 		stopFlush: tier.FlushLoop(tierFlushEvery),
 		breakers:  serve.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),

@@ -62,7 +62,7 @@ func batchRender(t *testing.T, jobs []Job) string {
 }
 
 func TestRingDeterministicAndLiveAware(t *testing.T) {
-	r := newRing(8, 16)
+	r := newRing(8)
 	names := []string{"PMDK", "PMFS", "NVM-Direct", "Mnemosyne", "app-0", "app-1"}
 	for _, n := range names {
 		a, b := r.owner(n), r.owner(n)

@@ -13,6 +13,7 @@ import (
 
 	"deepmc/internal/anacache"
 	"deepmc/internal/report"
+	"deepmc/internal/serve"
 )
 
 // HTTPTransport drives one `deepmc serve -shard` daemon as a fleet
@@ -167,38 +168,33 @@ func (t *HTTPTransport) Close() error {
 // wireRequest shapes a Job for POST /analyze.  Jobs must carry Source
 // or Corpus: serializing a live module by printing it could shift line
 // numbers and break fleet==batch byte-identity, so the transport
-// refuses to guess.
-func wireRequest(job Job) (map[string]any, error) {
+// refuses to guess.  It refuses a configuration /analyze cannot carry
+// for the same reason: a shard would analyze it with defaults the
+// in-process fleet does not use.
+func wireRequest(job Job) (serve.Request, error) {
 	if job.Source == "" && job.Corpus == "" {
-		return nil, fmt.Errorf("job %q has neither Source nor Corpus: the HTTP transport needs the original text", job.Name)
+		return serve.Request{}, fmt.Errorf("job %q has neither Source nor Corpus: the HTTP transport needs the original text", job.Name)
 	}
 	cfg := job.Config
-	req := map[string]any{}
+	if cfg.FieldInsensitive {
+		return serve.Request{}, fmt.Errorf("job %q sets FieldInsensitive, which /analyze cannot carry", job.Name)
+	}
+	if cfg.MaxPaths > 0 {
+		return serve.Request{}, fmt.Errorf("job %q sets MaxPaths, which /analyze cannot carry", job.Name)
+	}
+	req := serve.Request{
+		Model:           cfg.Model,
+		PModel:          cfg.PModel,
+		AllFunctions:    cfg.AllFunctions,
+		Passes:          cfg.Passes,
+		DisablePasses:   cfg.DisablePasses,
+		MaxTraceEntries: max(cfg.MaxTraceEntries, 0),
+		Workers:         max(cfg.Workers, 0),
+	}
 	if job.Source != "" {
-		req["source"] = job.Source
+		req.Source = job.Source
 	} else {
-		req["corpus"] = job.Corpus
-	}
-	if cfg.Model != "" {
-		req["model"] = cfg.Model
-	}
-	if cfg.PModel != "" {
-		req["pmodel"] = cfg.PModel
-	}
-	if cfg.AllFunctions {
-		req["all_functions"] = true
-	}
-	if len(cfg.Passes) > 0 {
-		req["passes"] = cfg.Passes
-	}
-	if len(cfg.DisablePasses) > 0 {
-		req["disable_passes"] = cfg.DisablePasses
-	}
-	if cfg.MaxTraceEntries > 0 {
-		req["max_trace_entries"] = cfg.MaxTraceEntries
-	}
-	if cfg.Workers > 0 {
-		req["workers"] = cfg.Workers
+		req.Corpus = job.Corpus
 	}
 	return req, nil
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -123,6 +124,27 @@ func TestHTTPTransportRefusesModuleOnlyJobs(t *testing.T) {
 	var ne *NetError
 	if !errors.As(err, &ne) || ne.Class != ErrTerminal {
 		t.Fatalf("want terminal NetError, got %v", err)
+	}
+}
+
+// TestHTTPTransportRefusesUncarriedConfig: a job whose configuration
+// sets a field /analyze has no slot for fails terminally, naming the
+// field, instead of being analyzed over the wire with that field's
+// default (which the in-process transport would not do).
+func TestHTTPTransportRefusesUncarriedConfig(t *testing.T) {
+	_, url := startShardServer(t, "")
+	tr := NewHTTPTransport(url, HTTPOptions{})
+	defer tr.Close()
+	for field, cfg := range map[string]core.Config{
+		"FieldInsensitive": {FieldInsensitive: true},
+		"MaxPaths":         {MaxPaths: 8},
+	} {
+		job := Job{Name: "bank", Corpus: "PMDK", Config: cfg}
+		_, err := tr.Analyze(context.Background(), job)
+		var ne *NetError
+		if !errors.As(err, &ne) || ne.Class != ErrTerminal || !strings.Contains(ne.Msg, field) {
+			t.Errorf("%s: want a terminal NetError naming the field, got %v", field, err)
+		}
 	}
 }
 

@@ -5,12 +5,12 @@ import (
 	"sort"
 )
 
-// Consistent-hash placement: each shard owns Replicas virtual nodes on
-// a 64-bit ring, and a job lands on the first virtual node at or after
-// its name's hash.  Adding or removing a shard moves only the jobs in
-// the arcs that shard's virtual nodes covered — restarts do not
-// reshuffle the whole corpus, so shard-local caches stay warm across
-// fleet resizes.
+// Consistent-hash placement: each shard owns ringReplicas virtual
+// nodes on a 64-bit ring, and a job lands on the first virtual node at
+// or after its name's hash.  Adding or removing a shard moves only the
+// jobs in the arcs that shard's virtual nodes covered — restarts do
+// not reshuffle the whole corpus, so shard-local caches stay warm
+// across fleet resizes.
 //
 // The ring decides *initial* placement only.  Liveness is the
 // scheduler's problem: a dead or breaker-ejected shard is skipped at
@@ -51,12 +51,14 @@ func ringHash(s string) uint64 {
 	return h
 }
 
-// newRing builds the ring for shards shards with replicas virtual
-// nodes each.
-func newRing(shards, replicas int) *ring {
-	r := &ring{points: make([]ringPoint, 0, shards*replicas)}
+// ringReplicas is the number of virtual nodes per shard.
+const ringReplicas = 16
+
+// newRing builds the ring for shards shards.
+func newRing(shards int) *ring {
+	r := &ring{points: make([]ringPoint, 0, shards*ringReplicas)}
 	for s := 0; s < shards; s++ {
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			r.points = append(r.points, ringPoint{
 				hash:  ringHash(fmt.Sprintf("shard-%d/vnode-%d", s, v)),
 				shard: s,

@@ -72,39 +72,6 @@ func TestCXLDomainFlushIsNoOp(t *testing.T) {
 	}
 }
 
-// TestCXLPartialDomainStraddle: with a partial domain, a fenced
-// out-of-domain write sharing a cacheline with an uncommitted domain
-// write must survive a device failure while the domain write rolls
-// back.
-func TestCXLPartialDomainStraddle(t *testing.T) {
-	// Domain covers the first 32 bytes of line 0 only.
-	p := NewCXLPool(Config{Size: 1 << 12}, pmcontract.RangeDomain(0, 32))
-	if err := p.Store64(0, 11); err != nil { // in-domain, buffered
-		t.Fatal(err)
-	}
-	if err := p.Store64(32, 22); err != nil { // out-of-domain, same line
-		t.Fatal(err)
-	}
-	if err := p.Flush(32, 8); err != nil {
-		t.Fatal(err)
-	}
-	p.Fence()
-	// The fence committed both; write a fresh uncommitted domain value.
-	if err := p.Store64(8, 33); err != nil {
-		t.Fatal(err)
-	}
-	p.CrashDevice()
-	if v, _ := p.Load64(32); v != 22 {
-		t.Errorf("fenced out-of-domain write lost on device failure: got %d, want 22", v)
-	}
-	if v, _ := p.Load64(0); v != 11 {
-		t.Errorf("committed domain write lost on device failure: got %d, want 11", v)
-	}
-	if v, _ := p.Load64(8); v != 0 {
-		t.Errorf("uncommitted domain write survived device failure: got %d, want 0", v)
-	}
-}
-
 // TestCXLDomainFaultImmunity: with the whole heap in-domain, no fault
 // class can fire — torn writes and dropped flushes are contractually
 // impossible (stores are durable whole at store time, there is no clwb

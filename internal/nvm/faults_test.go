@@ -7,10 +7,7 @@ import (
 )
 
 func faultedPool(classes []faultinj.Class, seed int64) *Pool {
-	cfg := DefaultConfig()
-	cfg.Size = 1 << 16
-	cfg.Faults = &faultinj.Config{Classes: classes, Rate: 1, Seed: seed}
-	return NewPool(cfg)
+	return NewPool(Config{Size: 1 << 16, Faults: &faultinj.Config{Classes: classes, Rate: 1, Seed: seed}})
 }
 
 // TestTornWritePartialDurability: a 32-byte store under torn-write
@@ -182,7 +179,7 @@ func TestFaultLogDeterminism(t *testing.T) {
 // TestNoFaultsNoOverheadPath: a pool without a fault config reports an
 // empty log and zero injections — the hot path is untouched.
 func TestNoFaultsNoOverheadPath(t *testing.T) {
-	p := NewPool(DefaultConfig())
+	p := NewPool(Config{})
 	a, _ := p.Alloc(64)
 	p.Store64(a, 1)
 	p.Flush(a, 8)

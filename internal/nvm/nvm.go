@@ -11,17 +11,18 @@
 //   - Fence (sfence) makes all staged lines durable, in order.
 //   - A Crash discards everything not yet durable; Recover exposes the
 //     durable image.
-//   - Optional seeded random eviction spontaneously persists dirty lines,
-//     reproducing the "unpredictable cache evictions" that make unflushed
-//     writes intermittent in real hardware.
 //
-// Under the CXL contract (Config.Contract) the pool adds a device-side
-// persistence domain: stores inside it are durable at store time (no
-// flush needed — in-domain flushes are accounted no-ops), the fence is a
+// The "unpredictable cache evictions" that make unflushed writes
+// intermittent on real hardware are the torn-write fault class
+// (Config.Faults): part of a dirty store persists early.
+//
+// Under the CXL contract (Config.Contract) with a persistence domain,
+// the domain is the whole pool: every store is durable at store time
+// (no flush needed — flushes are accounted no-ops), the fence is a
 // global persist barrier that additionally commits the domain's
-// device-side buffer, and a device failure (CrashDevice) rolls the
-// domain back to its last barrier-committed image while host/power
-// crashes (Crash) preserve it.  A CXL pool with an empty domain is
+// device-side buffer, and a device failure (CrashDevice) rolls the pool
+// back to its last barrier-committed image while host/power crashes
+// (Crash) preserve it.  A CXL pool with an empty domain is
 // byte-identical to an x86 pool in crash images and fault logs.
 //
 // The pool also keeps the accounting the performance experiments need:
@@ -33,8 +34,7 @@ package nvm
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"deepmc/internal/faultinj"
@@ -44,26 +44,34 @@ import (
 // CachelineSize is the write-back granularity in bytes.
 const CachelineSize = 64
 
+// defaultSize is the capacity of a pool whose Config.Size is unset.
+const defaultSize = 16 << 20
+
+// Latency model, in simulated nanoseconds: the 2–4x flush-vs-store
+// asymmetry the paper cites.  A CXL fence is a global persist barrier
+// that round-trips to the device to commit its buffered domain writes,
+// so it costs more than a local sfence drain (the asymmetry the -pmodel
+// bench measures).
+const (
+	storeNs    = 10
+	loadNs     = 10
+	flushNs    = 30
+	fenceNs    = 20
+	cxlFenceNs = 60
+)
+
 // Config parameterizes a pool.
 type Config struct {
-	// Size is the pool capacity in bytes.
+	// Size is the pool capacity in bytes (16 MiB when unset).
 	Size int
-	// EvictEvery spontaneously evicts one random dirty line every N
-	// stores (0 disables eviction).
-	EvictEvery int
-	// Seed drives the eviction RNG (deterministic tests).
-	Seed int64
-	// Latency model, in simulated nanoseconds.  Defaults follow the
-	// 2–4x flush-vs-store asymmetry the paper cites.
-	StoreNs, LoadNs, FlushNs, FenceNs int64
 	// Faults enables deterministic fault injection (package faultinj):
-	// torn writes persist part of a multi-granule store early, dropped
-	// flushes are retried at the next fence, reordered persists drain
-	// staged lines in a scrambled (logged) order, and delayed drains add
-	// fence latency.  All classes stay within the pool's contract; under
-	// a CXL persistence domain, torn writes and dropped flushes cannot
-	// fire on in-domain ranges (stores there are durable whole at store
-	// time and have no clwb to drop).
+	// torn writes persist part of a multi-granule store early (the
+	// early eviction of a dirty line), dropped flushes are retried at
+	// the next fence, reordered persists drain staged lines in a
+	// scrambled (logged) order, and delayed drains add fence latency.
+	// All classes stay within the pool's contract; in a CXL pool with a
+	// persistence domain none can fire (stores there are durable whole
+	// at store time, and nothing is ever staged).
 	//
 	// Replay determinism holds for single-threaded clients only: the
 	// decision stream is a pure function of the pool's operation order,
@@ -77,18 +85,6 @@ type Config struct {
 	Contract pmcontract.Contract
 }
 
-// DefaultConfig returns a 16 MiB pool with the default latency model and
-// no random eviction.
-func DefaultConfig() Config {
-	return Config{
-		Size:    16 << 20,
-		StoreNs: 10,
-		LoadNs:  10,
-		FlushNs: 30,
-		FenceNs: 20,
-	}
-}
-
 // Stats is the pool's operation accounting.
 type Stats struct {
 	Stores        uint64
@@ -97,7 +93,6 @@ type Stats struct {
 	LinesFlushed  uint64 // cachelines staged
 	Fences        uint64
 	BytesWritten  uint64 // write-back traffic to the medium
-	Evictions     uint64
 	Injections    uint64 // faults injected (Config.Faults)
 	SimulatedNs   int64
 	AllocatedByte uint64
@@ -107,79 +102,65 @@ type Stats struct {
 	DomainCommits uint64 // buffered domain lines committed by barriers
 }
 
+// Per-cacheline state bits, kept in Pool.lines.
+const (
+	lineDirty   uint8 = 1 << iota // modified since its last write-back
+	lineStaged                    // flushed, awaiting the next fence
+	lineDropped                   // clwb dropped by fault injection, retried at the next fence
+	linePending                   // domain write buffered device-side until the next barrier
+)
+
 // Pool is one simulated NVM device.
 type Pool struct {
-	mu  sync.Mutex
-	cfg Config
+	mu      sync.Mutex
+	cfg     Config
+	fenceNs int64
 
-	current []byte       // volatile view (cache + medium merged)
-	durable []byte       // what survives a crash
-	dirty   map[int]bool // line index -> modified since last write-back
-	staged  map[int]bool // line index -> flushed, awaiting fence
+	current []byte // volatile view (cache + medium merged)
+	durable []byte // what survives a crash
+	// lines holds each cacheline's state bits.  It has a slot past the
+	// last line, which a zero-size flush at the pool end stages.
+	lines []uint8
+	// fenced lists, once each, the lines holding a staged, dropped or
+	// pending bit: the lines the next fence acts on.
+	fenced []int
+	drain  []int // Fence's scratch list of staged lines
 
-	next       int // bump allocator cursor
-	rng        *rand.Rand
-	stats      Stats
-	storeCount int
+	next  int // bump allocator cursor
+	stats Stats
+	sched *faultinj.Schedule
 
-	sched   *faultinj.Schedule
-	dropped map[int]bool // line index -> clwb dropped, retried at next fence
-
-	// CXL persistence-domain state (nil/empty under x86 or an empty
-	// domain).  devCommitted is the image a device failure exposes:
-	// durable minus domain writes buffered device-side since the last
-	// global persist barrier.  domainPending marks lines with such
-	// buffered writes.
-	devCommitted  []byte
-	domainPending map[int]bool
+	// devCommitted is the image a device failure exposes: durable minus
+	// the domain writes buffered device-side since the last global
+	// persist barrier.  It is non-nil exactly when the contract has a
+	// persistence domain; such a pool's lines only ever hold pending
+	// bits, and an x86 or empty-domain pool's never do.
+	devCommitted []byte
 }
 
 // NewPool creates a pool.
 func NewPool(cfg Config) *Pool {
 	if cfg.Size <= 0 {
-		cfg.Size = DefaultConfig().Size
-	}
-	d := DefaultConfig()
-	if cfg.StoreNs == 0 {
-		cfg.StoreNs = d.StoreNs
-	}
-	if cfg.LoadNs == 0 {
-		cfg.LoadNs = d.LoadNs
-	}
-	if cfg.FlushNs == 0 {
-		cfg.FlushNs = d.FlushNs
-	}
-	if cfg.FenceNs == 0 {
-		if cfg.Contract.ID == pmcontract.CXL {
-			cfg.FenceNs = cxlFenceNs
-		} else {
-			cfg.FenceNs = d.FenceNs
-		}
+		cfg.Size = defaultSize
 	}
 	p := &Pool{
 		cfg:     cfg,
+		fenceNs: fenceNs,
 		current: make([]byte, cfg.Size),
 		durable: make([]byte, cfg.Size),
-		dirty:   make(map[int]bool),
-		staged:  make(map[int]bool),
-		dropped: make(map[int]bool),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		lines:   make([]uint8, cfg.Size/CachelineSize+1),
+	}
+	if cfg.Contract.ID == pmcontract.CXL {
+		p.fenceNs = cxlFenceNs
 	}
 	if cfg.Contract.HasDomain() {
 		p.devCommitted = make([]byte, cfg.Size)
-		p.domainPending = make(map[int]bool)
 	}
 	if cfg.Faults != nil {
 		p.sched = faultinj.New(*cfg.Faults)
 	}
 	return p
 }
-
-// cxlFenceNs is the default global-persist-barrier latency: the barrier
-// round-trips to the CXL device to commit its buffered domain writes,
-// so it costs more than a local sfence drain (the asymmetry the
-// -pmodel bench measures).
-const cxlFenceNs = 60
 
 // CXLPool is a Pool running the CXL-era contract.  It is the same
 // simulator parameterized differently, not a fork: every Pool method
@@ -248,11 +229,11 @@ func (p *Pool) check(addr, size int) error {
 }
 
 // Store writes bytes into the volatile view and marks the lines dirty.
-// Inside a CXL persistence domain the store is durable at store time
+// Under a CXL persistence domain the store is durable at store time
 // instead: it lands in the durable image immediately (buffered
 // device-side until the next global persist barrier commits it against
 // device failure) and never passes through the dirty/staged machinery —
-// so torn writes and evictions cannot touch it.
+// so torn writes cannot touch it.
 func (p *Pool) Store(addr int, data []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -260,25 +241,33 @@ func (p *Pool) Store(addr int, data []byte) error {
 		return err
 	}
 	copy(p.current[addr:], data)
-	if p.cfg.Contract.AutoPersists(addr, len(data)) {
-		copy(p.durable[addr:addr+len(data)], data)
-		for l := addr / CachelineSize; l <= (addr+len(data)-1)/CachelineSize; l++ {
-			p.domainPending[l] = true
+	p.stats.Stores++
+	p.stats.SimulatedNs += storeNs
+	first, last := addr/CachelineSize, (addr+len(data)-1)/CachelineSize
+	if p.devCommitted != nil {
+		copy(p.durable[addr:], data)
+		for l := first; l <= last; l++ {
+			p.mark(l, linePending)
 		}
-		p.stats.Stores++
 		p.stats.DomainStores++
 		p.stats.BytesWritten += uint64(len(data))
-		p.stats.SimulatedNs += p.cfg.StoreNs
 		return nil
 	}
-	for l := addr / CachelineSize; l <= (addr+len(data)-1)/CachelineSize; l++ {
-		p.dirty[l] = true
+	for l := first; l <= last; l++ {
+		p.lines[l] |= lineDirty
 	}
-	p.stats.Stores++
-	p.stats.SimulatedNs += p.cfg.StoreNs
 	p.tearWrite(addr, len(data))
-	p.maybeEvict()
 	return nil
+}
+
+// mark sets a fence-time bit (staged, dropped or pending) on line l,
+// listing the line for the next fence when it gains its first one.
+// Caller holds mu.
+func (p *Pool) mark(l int, bit uint8) {
+	if p.lines[l]&^lineDirty == 0 {
+		p.fenced = append(p.fenced, l)
+	}
+	p.lines[l] |= bit
 }
 
 // tearWrite injects a torn write: a nonempty proper subset of the
@@ -294,12 +283,8 @@ func (p *Pool) tearWrite(addr, size int) {
 	sel := p.sched.Subset(grans)
 	for _, g := range sel {
 		start := addr + g*granule
-		end := start + granule
-		if end > p.cfg.Size {
-			end = p.cfg.Size
-		}
+		end := min(start+granule, p.cfg.Size)
 		copy(p.durable[start:end], p.current[start:end])
-		p.mirrorCommitted(start, end)
 		p.stats.BytesWritten += uint64(end - start)
 	}
 	p.stats.Injections++
@@ -324,7 +309,7 @@ func (p *Pool) Load(addr, size int) ([]byte, error) {
 	out := make([]byte, size)
 	copy(out, p.current[addr:addr+size])
 	p.stats.Loads++
-	p.stats.SimulatedNs += p.cfg.LoadNs
+	p.stats.SimulatedNs += loadNs
 	return out, nil
 }
 
@@ -348,65 +333,70 @@ func (p *Pool) Flush(addr, size int) error {
 	if size == 0 {
 		size = 1
 	}
-	if p.cfg.Contract.AutoPersists(addr, size) {
+	p.stats.Flushes++
+	if p.devCommitted != nil {
 		// In-domain data was durable at store time: the clwb writes back
 		// nothing (and there is no clwb for a dropped-flush fault to
 		// drop).  Accounted as a cheap no-op — the waste DMC-X01 flags.
-		p.stats.Flushes++
 		p.stats.DomainFlushes++
-		p.stats.SimulatedNs += p.cfg.LoadNs
+		p.stats.SimulatedNs += loadNs
 		return nil
 	}
-	p.stats.Flushes++
+	first, last := addr/CachelineSize, (addr+size-1)/CachelineSize
 	if p.sched != nil && p.sched.Fire(faultinj.DroppedFlush) {
 		// The clwb is transiently dropped; Fence retries it, so the
 		// sfence durability guarantee is unchanged — but until then the
 		// lines stay dirty instead of staged (wider crash surface).
-		first := addr / CachelineSize
-		last := (addr + size - 1) / CachelineSize
 		for l := first; l <= last; l++ {
-			p.dropped[l] = true
+			p.mark(l, lineDropped)
 		}
 		p.stats.Injections++
-		p.stats.SimulatedNs += p.cfg.FlushNs
+		p.stats.SimulatedNs += flushNs
 		p.sched.Record(faultinj.DroppedFlush, fmt.Sprintf("pool+%d", addr),
 			fmt.Sprintf("clwb lines [%d,%d] dropped, retried at next fence", first, last))
 		return nil
 	}
-	for l := addr / CachelineSize; l <= (addr+size-1)/CachelineSize; l++ {
-		if p.dirty[l] || p.staged[l] {
-			p.staged[l] = true
-			p.stats.LinesFlushed++
-		} else {
-			// Clean-line flush still costs a write-back on real hardware
-			// (clwb of a clean line is cheap but not free); account it.
-			p.stats.LinesFlushed++
-			p.staged[l] = true
-		}
-		p.stats.SimulatedNs += p.cfg.FlushNs
+	for l := first; l <= last; l++ {
+		// A clean line is staged and accounted too: clwb of a clean line
+		// is cheap on real hardware, but not free.
+		p.mark(l, lineStaged)
+		p.stats.LinesFlushed++
+		p.stats.SimulatedNs += flushNs
 	}
 	return nil
 }
 
-// Fence makes all staged lines durable (sfence + drain semantics).
-// Dropped-flush lines are retried here (hardware re-issues the clwb at
-// the drain), so the fence guarantee holds under fault injection.
+// Fence makes all staged lines durable (sfence + drain semantics),
+// draining them in ascending line order.  Dropped-flush lines are
+// retried here (hardware re-issues the clwb at the drain), so the fence
+// guarantee holds under fault injection.  Under CXL the fence is a
+// global persist barrier: it additionally commits the device-side
+// domain buffer, after which a device failure can no longer discard
+// those writes.
 func (p *Pool) Fence() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for l := range p.dropped {
-		if p.dirty[l] {
-			p.staged[l] = true
+	slices.Sort(p.fenced)
+	lines := p.drain[:0]
+	for _, l := range p.fenced {
+		f := p.lines[l]
+		if f&lineDropped != 0 && f&lineDirty != 0 {
+			f |= lineStaged
 			p.stats.LinesFlushed++
-			p.stats.SimulatedNs += p.cfg.FlushNs
+			p.stats.SimulatedNs += flushNs
 		}
+		if f&lineStaged != 0 {
+			lines = append(lines, l)
+		}
+		if f&linePending != 0 {
+			start, end := p.lineBounds(l)
+			copy(p.devCommitted[start:end], p.durable[start:end])
+			p.stats.DomainCommits++
+		}
+		p.lines[l] = f &^ (lineStaged | lineDropped | linePending)
 	}
-	p.dropped = make(map[int]bool)
-	lines := make([]int, 0, len(p.staged))
-	for l := range p.staged {
-		lines = append(lines, l)
-	}
-	sort.Ints(lines)
+	p.fenced = p.fenced[:0]
+	p.drain = lines
 	if p.sched != nil && len(lines) > 1 && p.sched.Fire(faultinj.ReorderedPersist) {
 		// Drain in a scrambled order.  The post-fence durable state is
 		// order-independent; the logged order is what a mid-drain crash
@@ -424,105 +414,32 @@ func (p *Pool) Fence() {
 	for _, l := range lines {
 		p.writeBack(l)
 	}
-	p.staged = make(map[int]bool)
-	// Under CXL the fence is a global persist barrier: it additionally
-	// commits the device-side domain buffer, after which a device
-	// failure can no longer discard those writes.
-	if len(p.domainPending) > 0 {
-		committed := make([]int, 0, len(p.domainPending))
-		for l := range p.domainPending {
-			committed = append(committed, l)
-		}
-		sort.Ints(committed)
-		p.domainPending = make(map[int]bool)
-		for _, l := range committed {
-			start := l * CachelineSize
-			end := start + CachelineSize
-			if end > p.cfg.Size {
-				end = p.cfg.Size
-			}
-			p.mirrorCommitted(start, end)
-		}
-		p.stats.DomainCommits += uint64(len(committed))
-	}
 	p.stats.Fences++
-	p.stats.SimulatedNs += p.cfg.FenceNs
+	p.stats.SimulatedNs += p.fenceNs
 	if p.sched != nil && len(lines) > 0 && p.sched.Fire(faultinj.DelayedDrain) {
 		// The drain lags: charge extra fence latency.  The log records
 		// the lag in fence-latency multiples, not ns, so schedules stay
 		// byte-comparable across contracts with different barrier costs.
 		mult := int64(1 + p.sched.Intn(4))
-		p.stats.SimulatedNs += mult * p.cfg.FenceNs
+		p.stats.SimulatedNs += mult * p.fenceNs
 		p.stats.Injections++
 		p.sched.Record(faultinj.DelayedDrain, "pool fence",
 			fmt.Sprintf("drain of %d lines lagged %dx fence latency", len(lines), mult))
 	}
 }
 
+// lineBounds returns the byte range of line l, clipped to the pool.
+func (p *Pool) lineBounds(l int) (start, end int) {
+	start = l * CachelineSize
+	return start, min(start+CachelineSize, p.cfg.Size)
+}
+
 // writeBack copies one line into the durable image.  Caller holds mu.
-func (p *Pool) writeBack(line int) {
-	start := line * CachelineSize
-	end := start + CachelineSize
-	if end > p.cfg.Size {
-		end = p.cfg.Size
-	}
+func (p *Pool) writeBack(l int) {
+	start, end := p.lineBounds(l)
 	copy(p.durable[start:end], p.current[start:end])
-	p.mirrorCommitted(start, end)
-	delete(p.dirty, line)
+	p.lines[l] &^= lineDirty
 	p.stats.BytesWritten += uint64(end - start)
-}
-
-// mirrorCommitted copies durable[start:end) into the device-committed
-// image, skipping bytes of domain writes still buffered device-side
-// (they commit at the next global persist barrier, not here).  No-op
-// under x86 or an empty domain.  Caller holds mu.
-func (p *Pool) mirrorCommitted(start, end int) {
-	if p.devCommitted == nil {
-		return
-	}
-	for l := start / CachelineSize; l <= (end-1)/CachelineSize; l++ {
-		ls := l * CachelineSize
-		le := ls + CachelineSize
-		if ls < start {
-			ls = start
-		}
-		if le > end {
-			le = end
-		}
-		if p.domainPending[l] {
-			// The line holds uncommitted domain bytes (it straddles the
-			// domain boundary, or a barrier has not run yet): mirror only
-			// the out-of-domain bytes.
-			for b := ls; b < le; b++ {
-				if !p.cfg.Contract.Domain.Contains(b, 1) {
-					p.devCommitted[b] = p.durable[b]
-				}
-			}
-		} else {
-			copy(p.devCommitted[ls:le], p.durable[ls:le])
-		}
-	}
-}
-
-// maybeEvict spontaneously persists a random dirty line.  Caller holds mu.
-func (p *Pool) maybeEvict() {
-	if p.cfg.EvictEvery <= 0 {
-		return
-	}
-	p.storeCount++
-	if p.storeCount%p.cfg.EvictEvery != 0 || len(p.dirty) == 0 {
-		return
-	}
-	// Pick a pseudo-random dirty line deterministically.
-	k := p.rng.Intn(len(p.dirty))
-	for l := range p.dirty {
-		if k == 0 {
-			p.writeBack(l)
-			p.stats.Evictions++
-			return
-		}
-		k--
-	}
 }
 
 // Crash discards all volatile state: dirty lines vanish; staged-but-not-
@@ -537,9 +454,11 @@ func (p *Pool) Crash() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	copy(p.current, p.durable)
-	p.dirty = make(map[int]bool)
-	p.staged = make(map[int]bool)
-	p.dropped = make(map[int]bool)
+	// A domain pool's lines hold only pending bits, which are device
+	// state; every other bit is host state and vanishes.
+	if p.devCommitted == nil {
+		p.clearLines()
+	}
 }
 
 // CrashDevice simulates the CXL-only failure domain: the device fails,
@@ -553,12 +472,15 @@ func (p *Pool) CrashDevice() {
 	defer p.mu.Unlock()
 	if p.devCommitted != nil {
 		copy(p.durable, p.devCommitted)
-		p.domainPending = make(map[int]bool)
 	}
 	copy(p.current, p.durable)
-	p.dirty = make(map[int]bool)
-	p.staged = make(map[int]bool)
-	p.dropped = make(map[int]bool)
+	p.clearLines()
+}
+
+// clearLines drops every line's state bits.  Caller holds mu.
+func (p *Pool) clearLines() {
+	clear(p.lines)
+	p.fenced = p.fenced[:0]
 }
 
 // DurableLoad reads from the durable image without simulating a crash
@@ -588,15 +510,13 @@ func (p *Pool) DurableLoad64(addr int) (uint64, error) {
 func (p *Pool) PersistAll() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for l := range p.dirty {
-		p.writeBack(l)
-	}
-	p.staged = make(map[int]bool)
-	p.dropped = make(map[int]bool)
-	if len(p.domainPending) > 0 {
-		p.domainPending = make(map[int]bool)
-		if p.devCommitted != nil {
-			copy(p.devCommitted, p.durable)
+	for l, f := range p.lines {
+		if f&lineDirty != 0 {
+			p.writeBack(l)
 		}
 	}
+	if p.devCommitted != nil {
+		copy(p.devCommitted, p.durable)
+	}
+	p.clearLines()
 }

@@ -7,11 +7,7 @@ import (
 	"testing/quick"
 )
 
-func newTestPool() *Pool {
-	cfg := DefaultConfig()
-	cfg.Size = 1 << 16
-	return NewPool(cfg)
-}
+func newTestPool() *Pool { return NewPool(Config{Size: 1 << 16}) }
 
 func TestStoreLoadRoundTrip(t *testing.T) {
 	p := newTestPool()
@@ -120,24 +116,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestEvictionPersistsSpontaneously(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Size = 1 << 16
-	cfg.EvictEvery = 1
-	cfg.Seed = 7
-	p := NewPool(cfg)
-	a := mustAlloc(p, 8)
-	p.Store64(a, 99) // with EvictEvery=1 the single dirty line evicts
-	p.Crash()
-	v, _ := p.Load64(a)
-	if v != 99 {
-		t.Errorf("eviction should have persisted the line: %d", v)
-	}
-	if p.Stats().Evictions == 0 {
-		t.Error("no eviction recorded")
-	}
-}
-
 func TestPersistAll(t *testing.T) {
 	p := newTestPool()
 	a := mustAlloc(p, 8)
@@ -156,9 +134,7 @@ func TestCrashConsistencyProperty(t *testing.T) {
 	const slotsPerLine = CachelineSize / 8
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		cfg := DefaultConfig()
-		cfg.Size = 1 << 12
-		p := NewPool(cfg)
+		p := NewPool(Config{Size: 1 << 12})
 		const slots = 32
 		base := mustAlloc(p, slots*8)
 		// The reference model works at cacheline granularity: flushing

@@ -7,15 +7,21 @@
 // off CXL: persist barriers become global, devices can export a
 // persistence domain in which stores are durable at store time (an
 // eADR-style energy reserve drains them on power loss), and host and
-// device fail independently.  A Contract captures exactly the knobs the
-// rest of the stack keys on:
+// device fail independently.  A Contract captures exactly the
+// predicates the rest of the stack keys on:
 //
-//   - durability granularity and flush semantics (does a store need a
-//     flush before it can become durable?),
-//   - fence semantics (per-thread staged-line drain vs global persist
-//     barrier),
-//   - the crash-discard rule (what a crash image keeps), and
-//   - the failure domains a simulator must enumerate.
+//   - HasDomain: is the persistent heap in a device persistence domain,
+//     so that stores are durable at store time and need no flush, and
+//     torn writes and dropped flushes cannot happen?
+//   - EffectiveID: which rule set applies?  A CXL contract with an
+//     empty domain follows the x86 rules.
+//   - Key: the fingerprint two contracts share exactly when they yield
+//     the same crash images and diagnostics.
+//
+// The fence is a staged-line drain under x86 and a global persist
+// barrier under CXL, where it also commits the domain's device-side
+// buffer.  With a domain, a host crash keeps every domain write, and a
+// device failure loses those buffered since the last barrier.
 //
 // The zero Contract value is the x86 contract, so existing
 // configuration structs gain contract awareness without breaking any
@@ -43,7 +49,8 @@ const (
 	// CXL is the CXL-era contract: fences are global persist barriers,
 	// and an optional device-side persistence domain makes stores in it
 	// durable at store time with no flush.  Host and device fail
-	// independently (FailDevice below).
+	// independently: a device failure rolls the domain back to its last
+	// barrier-committed image.
 	CXL
 )
 
@@ -68,84 +75,26 @@ func (id ID) String() string {
 	return fmt.Sprintf("pmodel(%d)", uint8(id))
 }
 
-// Domain is a device-side persistence domain: the address range whose
-// stores are durable at store time under the CXL contract.  The zero
-// Domain is empty.  Whole marks the entire persistent heap as
-// in-domain regardless of Start/Len (the common CXL deployment, and
-// what the static checker assumes when it has no address layout).
+// Domain is a device-side persistence domain: under the CXL contract,
+// stores inside it are durable at store time.  It is whole or empty: a
+// device either puts the entire persistent heap in its domain (the CXL
+// deployment every layer models) or has none.  The zero Domain is
+// empty.
 type Domain struct {
 	Whole bool
-	// Start/Len bound a partial domain in pool-offset bytes.  Ignored
-	// when Whole is set.
-	Start, Len int
 }
 
 // WholeDomain covers the entire persistent heap.
 func WholeDomain() Domain { return Domain{Whole: true} }
 
-// RangeDomain covers [start, start+length).
-func RangeDomain(start, length int) Domain { return Domain{Start: start, Len: length} }
-
 // Empty reports whether the domain covers nothing.
-func (d Domain) Empty() bool { return !d.Whole && d.Len <= 0 }
-
-// Contains reports whether [addr, addr+size) lies entirely inside the
-// domain.  Partial overlap is out-of-domain: a store straddling the
-// boundary gets no auto-persist guarantee for any of its bytes, which
-// is the conservative reading for a checker.
-func (d Domain) Contains(addr, size int) bool {
-	if d.Whole {
-		return true
-	}
-	if d.Len <= 0 || size < 0 {
-		return false
-	}
-	return addr >= d.Start && addr+size <= d.Start+d.Len
-}
+func (d Domain) Empty() bool { return !d.Whole }
 
 func (d Domain) String() string {
-	switch {
-	case d.Whole:
+	if d.Whole {
 		return "whole"
-	case d.Len <= 0:
-		return "empty"
-	default:
-		return fmt.Sprintf("[%d,%d)", d.Start, d.Start+d.Len)
 	}
-}
-
-// Failure is one failure domain a crash simulator must enumerate.
-type Failure uint8
-
-const (
-	// FailGlobal is full power loss.  Under x86 it discards dirty and
-	// staged lines; under CXL the persistence domain survives (the
-	// energy reserve drains it) while everything outside follows the
-	// x86 rule.
-	FailGlobal Failure = iota
-	// FailHost is a host-only crash (kernel panic, CPU reset) — the
-	// device keeps power.  Same discard rule as FailGlobal in this
-	// model: the domain survives, host caches do not.  Enumerated
-	// separately because the two diverge in richer device models.
-	FailHost
-	// FailDevice is a device-only failure under CXL: domain stores
-	// buffered device-side since the last global persist barrier are
-	// lost, rolling the domain back to its last barrier-committed
-	// image.  Does not exist under x86 (the "device" is the DIMM the
-	// durable image lives on).
-	FailDevice
-)
-
-func (f Failure) String() string {
-	switch f {
-	case FailGlobal:
-		return "global"
-	case FailHost:
-		return "host"
-	case FailDevice:
-		return "device"
-	}
-	return fmt.Sprintf("failure(%d)", uint8(f))
+	return "empty"
 }
 
 // Contract is one hardware persistency contract: an ID plus its
@@ -199,49 +148,6 @@ func (c Contract) EffectiveID() ID {
 		return X86
 	}
 	return c.ID
-}
-
-// AutoPersists reports whether a store to [addr, addr+size) is durable
-// at store time with no flush, per the contract.
-func (c Contract) AutoPersists(addr, size int) bool {
-	return c.ID == CXL && c.Domain.Contains(addr, size)
-}
-
-// BarrierName renders the contract's fence primitive for diagnostics.
-func (c Contract) BarrierName() string {
-	if c.ID == CXL {
-		return "global persist barrier"
-	}
-	return "persist barrier (sfence)"
-}
-
-// FaultEligible reports whether a fault class (by its faultinj name:
-// "torn", "dropped", "reordered", "delayed") can legally fire on
-// [addr, addr+size) under the contract.  Inside a persistence domain,
-// stores are durable whole at store time, so torn writes cannot exist,
-// and there are no flushes to drop.  Reordered/delayed drains concern
-// the staged set outside the domain and stay eligible everywhere.
-func (c Contract) FaultEligible(class string, addr, size int) bool {
-	if !c.AutoPersists(addr, size) {
-		return true
-	}
-	switch class {
-	case "torn", "dropped":
-		return false
-	}
-	return true
-}
-
-// Failures lists the failure domains a simulator must enumerate under
-// this contract.  x86 has one observable crash image; CXL with a
-// domain adds the device-failure image (host/global share an image in
-// this model but FailHost is listed so enumerators surface the
-// distinction explicitly).
-func (c Contract) Failures() []Failure {
-	if c.HasDomain() {
-		return []Failure{FailGlobal, FailHost, FailDevice}
-	}
-	return []Failure{FailGlobal}
 }
 
 // Key returns a stable fingerprint string for cache keys and schedule

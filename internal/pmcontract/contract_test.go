@@ -7,11 +7,8 @@ func TestZeroValueIsX86(t *testing.T) {
 	if c.ID != X86 || c.Name() != "x86" {
 		t.Fatalf("zero Contract = %+v, want x86", c)
 	}
-	if c.HasDomain() || c.AutoPersists(0, 8) {
+	if c.HasDomain() || c.EffectiveID() != X86 {
 		t.Fatalf("zero Contract must not expose a persistence domain")
-	}
-	if got := c.Failures(); len(got) != 1 || got[0] != FailGlobal {
-		t.Fatalf("x86 failures = %v, want [global]", got)
 	}
 }
 
@@ -44,76 +41,20 @@ func TestParse(t *testing.T) {
 	}
 }
 
-func TestDomainContains(t *testing.T) {
-	d := RangeDomain(64, 128) // [64, 192)
-	for _, tc := range []struct {
-		addr, size int
-		want       bool
-	}{
-		{64, 8, true},
-		{184, 8, true},
-		{64, 128, true},
-		{60, 8, false},  // straddles the start boundary
-		{188, 8, false}, // straddles the end boundary
-		{0, 8, false},
-		{192, 8, false},
-	} {
-		if got := d.Contains(tc.addr, tc.size); got != tc.want {
-			t.Errorf("Contains(%d,%d) = %v, want %v", tc.addr, tc.size, got, tc.want)
-		}
-	}
-	if !WholeDomain().Contains(1<<30, 4096) {
-		t.Fatalf("whole domain must contain everything")
-	}
-	if (Domain{}).Contains(0, 0) {
-		t.Fatalf("empty domain must contain nothing")
-	}
-	if !(Domain{}).Empty() || WholeDomain().Empty() || d.Empty() {
+func TestCXLSemantics(t *testing.T) {
+	if !(Domain{}).Empty() || WholeDomain().Empty() {
 		t.Fatalf("Empty() misclassifies domains")
 	}
-}
-
-func TestCXLSemantics(t *testing.T) {
-	c := CXLContract(RangeDomain(0, 256))
-	if !c.AutoPersists(0, 256) || c.AutoPersists(256, 8) {
-		t.Fatalf("AutoPersists ignores the domain bounds")
+	whole := CXLContract(WholeDomain())
+	if !whole.HasDomain() || whole.EffectiveID() != CXL {
+		t.Fatalf("whole-domain CXL = %+v: want a domain and the CXL rule set", whole)
 	}
-	if got := c.Failures(); len(got) != 3 {
-		t.Fatalf("CXL-with-domain failures = %v, want global+host+device", got)
-	}
-	if c.BarrierName() != "global persist barrier" {
-		t.Fatalf("BarrierName = %q", c.BarrierName())
-	}
-
 	empty := CXLContract(Domain{})
-	if empty.HasDomain() || empty.AutoPersists(0, 8) {
-		t.Fatalf("empty-domain CXL must not auto-persist")
+	if empty.HasDomain() || empty.EffectiveID() != X86 {
+		t.Fatalf("empty-domain CXL = %+v: want no domain and the x86 rule set", empty)
 	}
-	if got := empty.Failures(); len(got) != 1 || got[0] != FailGlobal {
-		t.Fatalf("empty-domain CXL failures = %v, want [global]", got)
-	}
-}
-
-func TestFaultEligible(t *testing.T) {
-	c := CXLContract(WholeDomain())
-	if c.FaultEligible("torn", 0, 16) || c.FaultEligible("dropped", 64, 8) {
-		t.Fatalf("torn/dropped must be ineligible inside a persistence domain")
-	}
-	if !c.FaultEligible("reordered", 0, 16) || !c.FaultEligible("delayed", 0, 16) {
-		t.Fatalf("reordered/delayed stay eligible under CXL")
-	}
-	x86 := X86Contract()
-	for _, cl := range []string{"torn", "dropped", "reordered", "delayed"} {
-		if !x86.FaultEligible(cl, 0, 16) {
-			t.Fatalf("all classes eligible under x86, %q was not", cl)
-		}
-	}
-	part := CXLContract(RangeDomain(0, 64))
-	if part.FaultEligible("torn", 0, 64) {
-		t.Fatalf("in-domain torn write must be ineligible")
-	}
-	if !part.FaultEligible("torn", 64, 16) {
-		t.Fatalf("out-of-domain torn write must stay eligible")
+	if (Contract{Domain: WholeDomain()}).HasDomain() {
+		t.Fatalf("x86 must ignore a domain")
 	}
 }
 
@@ -121,10 +62,18 @@ func TestKeyStability(t *testing.T) {
 	a := X86Contract()
 	b := CXLContract(WholeDomain())
 	c := CXLContract(Domain{})
-	d := CXLContract(RangeDomain(64, 128))
-	keys := map[string]bool{a.Key(): true, b.Key(): true, c.Key(): true, d.Key(): true}
-	if len(keys) != 4 {
-		t.Fatalf("contract keys collide: %v", keys)
+	// Cache fingerprints embed these strings.
+	for _, tc := range []struct {
+		c    Contract
+		want string
+	}{
+		{a, "pm=x86;dom=empty"},
+		{b, "pm=cxl;dom=whole"},
+		{c, "pm=cxl;dom=empty"},
+	} {
+		if got := tc.c.Key(); got != tc.want {
+			t.Errorf("Key() = %q, want %q", got, tc.want)
+		}
 	}
 	if a.Key() != X86Contract().Key() {
 		t.Fatalf("Key must be deterministic")
