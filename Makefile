@@ -26,6 +26,7 @@
 #   make perf-ab BASE=<rev> W=<workload> PAIRS=<n> [SEED=<first seed>]
 #                    paired perfbench runs of BASE against the working tree, with a
 #                    verdict per end-to-end metric against BENCHMARK.json (not in ci)
+#   make loc         lines of non-test Go outside perfbench/, the simplicity ledger (not in ci)
 #
 # A gate target's bench step is `deepmc-bench <target>`;
 # `go run ./cmd/deepmc-bench -h` lists every gate and paper entry.
@@ -36,7 +37,7 @@ FAULTSEED ?= 42
 PAIRS ?= 10
 SEED ?= 1
 
-.PHONY: build test race vet fuzz-short bench bench-trace bench-crash bench-nvm cache-gate serve-gate crashsim faults fuzz-gate soak-short soak fleet-gate pmodel-gate stress bench-selftest ci perf-ab clean
+.PHONY: build test race vet fuzz-short bench bench-trace bench-crash bench-nvm cache-gate serve-gate crashsim faults fuzz-gate soak-short soak fleet-gate pmodel-gate stress bench-selftest ci perf-ab loc clean
 
 build:
 	$(GO) build ./...
@@ -160,6 +161,11 @@ ci: build vet test race fuzz-short cache-gate serve-gate crashsim faults fuzz-ga
 perf-ab:
 	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make perf-ab BASE=<rev> W=<workload> [PAIRS=n] [SEED=s]"; exit 2; }
 	python3 scripts/perf_ab.py --base $(BASE) --workload $(W) --pairs $(PAIRS) --seed $(SEED)
+
+# The simplicity ledger: lines of non-test Go outside the benchmark
+# harness, the figure ROADMAP tracks across simplification changes.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

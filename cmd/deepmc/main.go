@@ -1033,7 +1033,6 @@ func setupCache(cfg *core.Config, dir string) error {
 	if err != nil {
 		return err
 	}
-	cfg.CacheDir = dir
 	cfg.Cache = c
 	return nil
 }

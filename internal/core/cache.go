@@ -22,20 +22,6 @@ import (
 	"deepmc/internal/report"
 )
 
-// cache resolves the configured cache: an explicit Cache wins (shared
-// in-memory tier across modules); otherwise a CacheDir constructs a
-// fresh cache backed by that directory, so separate CLI invocations
-// still share the disk tier.
-func (c Config) cache() (*anacache.Cache, error) {
-	if c.Cache != nil {
-		return c.Cache, nil
-	}
-	if c.CacheDir == "" {
-		return nil, nil
-	}
-	return anacache.New(c.CacheDir)
-}
-
 // fingerprintFacts lowers the analysis configuration into the fact
 // strings the content fingerprints hash.  Trace facts cover everything
 // that shapes per-function traces and DSA; verdict facts additionally
@@ -73,10 +59,10 @@ func fragment(ws []report.Warning) *report.Report {
 	return rep
 }
 
-// analyzeCached is AnalyzeCtx's engine when a cache is configured.  It
+// analyzeCached is AnalyzeCtx's engine when cfg.Cache is set.  It
 // never fails: cfg was validated by the caller and cache misses simply
 // degrade to cold analysis.
-func analyzeCached(ctx context.Context, m *ir.Module, cfg Config, opts checker.Options, cache *anacache.Cache) *report.Report {
+func analyzeCached(ctx context.Context, m *ir.Module, cfg Config, opts checker.Options) *report.Report {
 	enabled, _ := cfg.enabledPasses() // validated by checkerOptions
 	traceFacts, verdictFacts := fingerprintFacts(opts, enabled)
 	fp := anacache.Fingerprint(m, traceFacts, verdictFacts)
@@ -95,7 +81,7 @@ func analyzeCached(ctx context.Context, m *ir.Module, cfg Config, opts checker.O
 
 	hits := make(map[string][]report.Warning, len(targets))
 	for _, fn := range targets {
-		if ws, ok := cache.LookupVerdicts(fp.Verdict[fn]); ok {
+		if ws, ok := cfg.Cache.LookupVerdicts(fp.Verdict[fn]); ok {
 			hits[fn] = ws
 		}
 	}
@@ -115,7 +101,7 @@ func analyzeCached(ctx context.Context, m *ir.Module, cfg Config, opts checker.O
 	// Seed memoized trace sets so the precompute waves skip hit
 	// functions' exploration; the scan still reads them via the memo.
 	for _, fn := range m.FuncNames() {
-		if art, ok := cache.LookupTraces(fp.Trace[fn]); ok {
+		if art, ok := cfg.Cache.LookupTraces(fp.Trace[fn]); ok {
 			ck.Collector.Seed(fn, art.Traces, art.Truncated)
 		}
 	}
@@ -131,14 +117,14 @@ func analyzeCached(ctx context.Context, m *ir.Module, cfg Config, opts checker.O
 		// Memoize only complete outcomes of an uncanceled run: partial
 		// trace sets and panic-degraded scans must never become hits.
 		if outs[i].Complete() && ctx.Err() == nil {
-			cache.StoreVerdicts(fp.Verdict[fn], outs[i].Report.Warnings, ck.Analysis.FuncSummary(fn))
+			cfg.Cache.StoreVerdicts(fp.Verdict[fn], outs[i].Report.Warnings, ck.Analysis.FuncSummary(fn))
 		}
 	}
 	if ctx.Err() == nil {
 		// The tier keeps traces in their chain form, entries unfilled:
 		// one form per trace, shared by every collector it seeds.
 		for _, fn := range ck.Collector.ComputedFuncs() {
-			cache.StoreTraces(fp.Trace[fn], &anacache.TraceArtifact{
+			cfg.Cache.StoreTraces(fp.Trace[fn], &anacache.TraceArtifact{
 				Traces:    ck.Collector.Collect(fn),
 				DSA:       ck.Analysis.FuncSummary(fn),
 				Truncated: ck.Collector.Truncated(fn),

@@ -205,25 +205,6 @@ func TestCacheDiskTierAcrossInstances(t *testing.T) {
 	}
 }
 
-// TestCacheDirConfig: CacheDir alone (no explicit Cache) enables the
-// disk tier, so separate Config values — separate CLI invocations —
-// share memoized verdicts.
-func TestCacheDirConfig(t *testing.T) {
-	dir := t.TempDir()
-	src := tenFuncSrc(3, "")
-	cold := renderReport(t, mustAnalyze(t, src, Config{CacheDir: dir}))
-	warm := renderReport(t, mustAnalyze(t, src, Config{CacheDir: dir}))
-	if warm != cold {
-		t.Errorf("CacheDir-only warm run diverged\n--- cold:\n%s--- warm:\n%s", cold, warm)
-	}
-	probe, err := anacache.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := probe.Stats()
-	_ = st // probe only verifies the directory opens as a cache
-}
-
 // TestDisablePassExactness: disabling one pass removes exactly its
 // diagnostics — the remaining report equals the full report minus the
 // warnings carrying that pass's code, byte for byte.

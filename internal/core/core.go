@@ -69,14 +69,9 @@ type Config struct {
 	// Disabling a pass removes exactly its diagnostics: gating happens
 	// at the emission sites, so the shared scan state is unperturbed.
 	DisablePasses []string
-	// CacheDir enables the analysis cache's on-disk verdict tier in the
-	// given directory (created if missing).  Setting it turns caching on
-	// even when Cache is nil.
-	CacheDir string
 	// Cache memoizes per-function analysis artifacts (trace sets, DSA
 	// summaries, per-pass verdicts) across runs and modules, keyed by
-	// content fingerprints; see package anacache.  Nil with an empty
-	// CacheDir analyzes cold.
+	// content fingerprints; see package anacache.  Nil analyzes cold.
 	Cache *anacache.Cache
 }
 
@@ -154,15 +149,11 @@ func AnalyzeCtx(ctx context.Context, m *ir.Module, cfg Config) (*report.Report, 
 	if err != nil {
 		return nil, err
 	}
-	cache, err := cfg.cache()
-	if err != nil {
-		return nil, err
-	}
 	var rep *report.Report
-	if cache == nil {
+	if cfg.Cache == nil {
 		rep = checker.New(m, opts).CheckModuleParallelCtx(ctx, cfg.workers())
 	} else {
-		rep = analyzeCached(ctx, m, cfg, opts, cache)
+		rep = analyzeCached(ctx, m, cfg, opts)
 	}
 	rep.Contract = opts.Contract.Name()
 	return rep, nil

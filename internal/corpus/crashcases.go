@@ -3,6 +3,7 @@ package corpus
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"deepmc/internal/crashsim"
 	"deepmc/internal/fixer"
@@ -11,12 +12,14 @@ import (
 )
 
 // This file builds the differential-validation harnesses for every
-// model-violation bug in the corpus: small PIR programs that copy the
-// buggy corpus function verbatim (same file/line annotations, so the
-// static checker's warning and the fixer's repair key match), drive it
-// from a harness main that pre-initializes distinguishable durable
-// state, and pair it with a consistency invariant over the durable
-// image.
+// model-violation bug in the corpus: small PIR programs that splice in
+// the corpus program's own declarations of the buggy function, its
+// callees and their types (printed from the parsed corpus module, so the
+// crash enumerator runs exactly the code the static checker flags, and
+// the checker's warning and the fixer's repair key on the same
+// file/line annotations), drive them from a harness main that
+// pre-initializes distinguishable durable state, and pair them with a
+// consistency invariant over the durable image.
 //
 // Harness design rules, learned from the clwb/sfence crash model:
 //
@@ -33,20 +36,26 @@ import (
 // Mechanical bug classes (unflushed-write, missing-persist-barrier,
 // missing-barrier-nested-tx) take their fixed variant from fixer.Fix —
 // validating the repair engine end-to-end; semantic classes
-// (semantic-mismatch, multiple-writes-at-once) carry a handwritten
-// fixed harness expressing the programmer's intent (merged transaction,
-// barrier between epochs).
+// (semantic-mismatch, multiple-writes-at-once) carry handwritten
+// repairs of the corpus functions expressing the programmer's intent
+// (merged transaction, barrier between epochs), swapped in by name.
 
 // crashCaseSpec is the source-level description of one cross-validation
 // case.
 type crashCaseSpec struct {
-	program  string
-	file     string
-	line     int
-	rule     report.Rule
-	buggy    string
-	fixedSrc string // handwritten fixed source; empty => repair buggy via fixer
-	inv      crashsim.Invariant
+	program string
+	file    string
+	line    int
+	rule    report.Rule
+	// uses names the corpus program's types and functions the harness
+	// runs; they are printed from the program's module, in this order,
+	// ahead of the harness.
+	uses    []string
+	harness string // harness-only types and main
+	// fix holds handwritten repaired functions, each replacing its
+	// namesake in the fixed variant; empty => repair via fixer.Fix.
+	fix string
+	inv crashsim.Invariant
 }
 
 // fld reads a named field of an object from the durable image, treating
@@ -61,30 +70,42 @@ func fld(im *crashsim.Image, obj int, name string) int64 {
 // model-violation bug in the corpus.  Flagged is left false; the
 // CrossValidateCtx glue fills it from a static-checker run.
 func CrashCases() ([]crashsim.CrossCase, error) {
-	var out []crashsim.CrossCase
-	for _, s := range crashCaseSpecs() {
-		bm, err := parseHarness(s, "buggy", s.buggy)
+	mods, err := corpusModules()
+	if err != nil {
+		return nil, err
+	}
+	return buildCases(crashCaseSpecs(), mods)
+}
+
+// corpusModules parses every corpus program, keyed by program name.
+func corpusModules() (map[string]*ir.Module, error) {
+	mods := make(map[string]*ir.Module)
+	for _, p := range All() {
+		m, err := p.Module()
 		if err != nil {
 			return nil, err
 		}
-		var fm *ir.Module
-		if s.fixedSrc != "" {
-			fm, err = parseHarness(s, "fixed", s.fixedSrc)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			w := report.Warning{Rule: s.rule, File: s.file, Line: s.line}
-			var res *fixer.Result
-			fm, res = fixer.Fix(bm, []report.Warning{w})
-			if res.FixedCount() != 1 {
-				return nil, fmt.Errorf("crashcases %s %s:%d: fixer did not repair the bug:\n%s",
-					s.program, s.file, s.line, res)
-			}
-			if err := ir.Verify(fm); err != nil {
-				return nil, fmt.Errorf("crashcases %s %s:%d: fixed module invalid: %w",
-					s.program, s.file, s.line, err)
-			}
+		mods[p.Name] = m
+	}
+	return mods, nil
+}
+
+// buildCases assembles each spec's harness pair, taking the declarations
+// it uses from the module of its program in mods.
+func buildCases(specs []crashCaseSpec, mods map[string]*ir.Module) ([]crashsim.CrossCase, error) {
+	out := make([]crashsim.CrossCase, 0, len(specs))
+	for _, s := range specs {
+		src, err := harnessSource(s, mods[s.program])
+		if err != nil {
+			return nil, err
+		}
+		bm, err := parseHarness(s, "buggy", src)
+		if err != nil {
+			return nil, err
+		}
+		fm, err := fixedHarness(s, bm)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, crashsim.CrossCase{
 			Program:   s.program,
@@ -98,6 +119,58 @@ func CrashCases() ([]crashsim.CrossCase, error) {
 		})
 	}
 	return out, nil
+}
+
+// harnessSource prints the declarations s uses from the corpus module
+// ahead of s's harness.
+func harnessSource(s crashCaseSpec, corpus *ir.Module) (string, error) {
+	var b strings.Builder
+	b.WriteString("module harness\n")
+	for _, name := range s.uses {
+		if t := corpus.Types[name]; t != nil {
+			b.WriteString(ir.PrintType(t))
+		} else if f := corpus.Func(name); f != nil {
+			b.WriteString(ir.PrintFunc(f))
+		} else {
+			return "", fmt.Errorf("crashcases %s %s:%d: %s declares no %s", s.program, s.file, s.line, s.program, name)
+		}
+	}
+	b.WriteString(s.harness)
+	return b.String(), nil
+}
+
+// fixedHarness builds s's fixed variant: the buggy module bm with each
+// of s's fix functions in place of its namesake, or, without fixes, the
+// fixer's repair of the bug.
+func fixedHarness(s crashCaseSpec, bm *ir.Module) (*ir.Module, error) {
+	if s.fix == "" {
+		w := report.Warning{Rule: s.rule, File: s.file, Line: s.line}
+		fm, res := fixer.Fix(bm, []report.Warning{w})
+		if res.FixedCount() != 1 {
+			return nil, fmt.Errorf("crashcases %s %s:%d: fixer did not repair the bug:\n%s",
+				s.program, s.file, s.line, res)
+		}
+		if err := ir.Verify(fm); err != nil {
+			return nil, fmt.Errorf("crashcases %s %s:%d: fixed module invalid: %w",
+				s.program, s.file, s.line, err)
+		}
+		return fm, nil
+	}
+	fixes, err := ir.Parse("module fix\n" + s.fix)
+	if err != nil {
+		return nil, fmt.Errorf("crashcases %s %s:%d (fix): %w", s.program, s.file, s.line, err)
+	}
+	fm := bm.Clone()
+	for _, name := range fixes.FuncNames() {
+		if fm.Func(name) == nil {
+			return nil, fmt.Errorf("crashcases %s %s:%d (fix): the harness has no function %s to replace",
+				s.program, s.file, s.line, name)
+		}
+		fm.AddFunc(fixes.Funcs[name])
+	}
+	// Reparse the printed module so the repairs resolve the harness's
+	// types like every other function does.
+	return parseHarness(s, "fixed", ir.Print(fm))
 }
 
 func parseHarness(s crashCaseSpec, variant, src string) (*ir.Module, error) {
@@ -114,23 +187,24 @@ func parseHarness(s crashCaseSpec, variant, src string) (*ir.Module, error) {
 // CrossValidateCtx runs the full differential harness: the static
 // checker over each corpus program supplies the Flagged verdicts, and
 // the crash enumerator (with the given options) supplies reproduction
-// and fixed-clean verdicts.  Both run under o.Contract.  ctx bounds the
+// and fixed-clean verdicts over harnesses built from the same parsed
+// corpus modules.  Both run under o.Contract.  ctx bounds the
 // enumeration only; see crashsim.CrossValidateCtx for the
 // partial-result caveat.
 func CrossValidateCtx(ctx context.Context, o crashsim.Options) (*crashsim.CrossReport, error) {
-	cases, err := CrashCases()
+	mods, err := corpusModules()
+	if err != nil {
+		return nil, err
+	}
+	cases, err := buildCases(crashCaseSpecs(), mods)
 	if err != nil {
 		return nil, err
 	}
 	flagged := make(map[string]bool)
 	for _, p := range All() {
-		m, err := p.Module()
-		if err != nil {
-			return nil, err
-		}
 		// The static verdicts run to completion whatever the deadline:
 		// only the enumeration is bounded by ctx.
-		rep, err := analyzeContract(context.Background(), m, p.Model, o.Contract, 1)
+		rep, err := analyzeContract(context.Background(), mods[p.Name], p.Model, o.Contract, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +214,7 @@ func CrossValidateCtx(ctx context.Context, o crashsim.Options) (*crashsim.CrossR
 	}
 	for i := range cases {
 		c := &cases[i]
-		c.Flagged = flagged[fmt.Sprintf("%s|%s|%d", c.Rule, c.File, c.Line)]
+		c.Flagged = flagged[report.Warning{Rule: report.Rule(c.Rule), File: c.File, Line: c.Line}.Key()]
 	}
 	return crashsim.CrossValidateCtx(ctx, cases, o)
 }
@@ -154,31 +228,8 @@ func crashCaseSpecs() []crashCaseSpec {
 		// parent.n=2 durable while items[1] may persist old or new.
 		{
 			program: "PMDK", file: "btree_map.c", line: 201, rule: report.RuleUnflushedWrite,
-			buggy: `
-module h_btree
-type tree_map_node struct {
-	n: int
-	items: [8]int
-	slots: [9]int
-}
-func btree_map_create_split_node(node: *tree_map_node, parent: *tree_map_node) {
-	file "btree_map.c"
-	%c = load %node.n            @199
-	%i = sub %c, 1               @200
-	%p = index %node.items, %i   @201
-	store %p, 0                  @201
-	ret                          @203
-}
-func btree_map_insert(node: *tree_map_node, parent: *tree_map_node) {
-	file "btree_map.c"
-	txbegin                      @190
-	txadd %parent                @193
-	store %parent.n, 2           @194
-	call btree_map_create_split_node(%node, %parent) @196
-	txend                        @205
-	fence                        @205
-	ret
-}
+			uses: []string{"tree_map_node", "btree_map_create_split_node", "btree_map_insert"},
+			harness: `
 func main() {
 	file "harness.c"
 	%n = palloc tree_map_node
@@ -210,23 +261,10 @@ func main() {
 		// persist barrier; the next durable commit can land first.
 		{
 			program: "PMDK", file: "rbtree_map.c", line: 379, rule: report.RuleMissingBarrier,
-			buggy: `
-module h_rbtree
-type rbnode struct {
-	color: int
-	key: int
-	value: int
-	left: int
-	right: int
-}
+			uses: []string{"rbnode", "rbtree_map_remove"},
+			harness: `
 type hmarker struct {
 	done: int
-}
-func rbtree_map_remove(n: *rbnode) {
-	file "rbtree_map.c"
-	store %n.value, 0            @377
-	flush %n.value               @379
-	ret                          @381
 }
 func main() {
 	file "harness.c"
@@ -255,24 +293,8 @@ func main() {
 		// next transaction commits hdr=7.
 		{
 			program: "PMDK", file: "obj_pmemlog.c", line: 130, rule: report.RuleMissingBarrier,
-			buggy: `
-module h_pmemlog_init
-type pmemlog struct {
-	hdr: int
-	tail: int
-	length: int
-}
-func pmemlog_init(log: *pmemlog) {
-	file "obj_pmemlog.c"
-	store %log.length, 0         @128
-	flush %log.length            @130
-	txbegin                      @134
-	txadd %log.hdr               @135
-	store %log.hdr, 7            @136
-	txend                        @137
-	fence                        @137
-	ret
-}
+			uses: []string{"pmemlog", "pmemlog_init"},
+			harness: `
 func main() {
 	file "harness.c"
 	%l = palloc pmemlog
@@ -295,27 +317,8 @@ func main() {
 		// two separate transactions.
 		{
 			program: "PMDK", file: "obj_pmemlog.c", line: 91, rule: report.RuleSemanticMismatch,
-			buggy: `
-module h_pmemlog_append
-type pmemlog struct {
-	hdr: int
-	tail: int
-	length: int
-}
-func pmemlog_append(log: *pmemlog) {
-	file "obj_pmemlog.c"
-	txbegin                      @85
-	txadd %log.hdr               @86
-	store %log.hdr, 1            @87
-	txend                        @88
-	fence                        @88
-	txbegin                      @90
-	txadd %log.tail              @91
-	store %log.tail, 2           @91
-	txend                        @92
-	fence                        @92
-	ret
-}
+			uses: []string{"pmemlog", "pmemlog_append"},
+			harness: `
 func main() {
 	file "harness.c"
 	%l = palloc pmemlog
@@ -323,13 +326,7 @@ func main() {
 	ret
 }
 `,
-			fixedSrc: `
-module h_pmemlog_append_fixed
-type pmemlog struct {
-	hdr: int
-	tail: int
-	length: int
-}
+			fix: `
 func pmemlog_append(log: *pmemlog) {
 	file "obj_pmemlog.c"
 	txbegin                      @85
@@ -339,12 +336,6 @@ func pmemlog_append(log: *pmemlog) {
 	store %log.tail, 2           @91
 	txend                        @92
 	fence                        @92
-	ret
-}
-func main() {
-	file "harness.c"
-	%l = palloc pmemlog
-	call pmemlog_append(%l)
 	ret
 }
 `,
@@ -355,61 +346,176 @@ func main() {
 		// transactions (Figure 1).
 		{
 			program: "PMDK", file: "hash_map.c", line: 120, rule: report.RuleSemanticMismatch,
-			buggy:    hmSplitTxSource("h_hm_create", hmCreateBuggy),
-			fixedSrc: hmSplitTxSource("h_hm_create_fixed", hmCreateFixed),
-			inv:      hmBucketsInvariant(16),
+			uses: []string{"hashmap", "hm_create"},
+			harness: `
+type hmarker struct {
+	init: int
+}
+func main() {
+	file "harness.c"
+	%h = palloc hashmap
+	%m = palloc hmarker
+	store %h.nbuckets, 8
+	flush %h.nbuckets
+	fence
+	%b0 = index %h.buckets, 0
+	store %b0, 55
+	flush %b0
+	fence
+	store %m.init, 1
+	flush %m.init
+	fence
+	call hm_create(%h)
+	ret
+}
+`,
+			fix: `
+func hm_create(h: *hashmap) {
+	file "hash_map.c"
+	txbegin                      @115
+	txadd %h.buckets             @116
+	txadd %h.nbuckets            @120
+	memset %h.buckets, 0, 128    @117
+	store %h.nbuckets, 16        @120
+	txend                        @121
+	fence                        @121
+	ret
+}
+`,
+			inv: hmBucketsInvariant(16),
 		},
 
 		// hash_map.c:264 — count and mask commit in separate transactions.
 		{
 			program: "PMDK", file: "hash_map.c", line: 264, rule: report.RuleSemanticMismatch,
-			buggy:    hmSplitTxSource("h_hm_rebuild", hmRebuildBuggy),
-			fixedSrc: hmSplitTxSource("h_hm_rebuild_fixed", hmRebuildFixed),
-			inv:      hmCountMaskInvariant(15),
+			uses: []string{"hashmap", "hm_rebuild"},
+			harness: `
+type hmarker struct {
+	init: int
+}
+func main() {
+	file "harness.c"
+	%h = palloc hashmap
+	%m = palloc hmarker
+	store %h.count, 5
+	flush %h.count
+	fence
+	store %h.mask, 7
+	flush %h.mask
+	fence
+	store %m.init, 1
+	flush %m.init
+	fence
+	call hm_rebuild(%h)
+	ret
+}
+`,
+			fix: `
+func hm_rebuild(h: *hashmap) {
+	file "hash_map.c"
+	txbegin                      @260
+	txadd %h.count               @261
+	txadd %h.mask                @264
+	store %h.count, 0            @262
+	store %h.mask, 15            @264
+	txend                        @265
+	fence                        @265
+	ret
+}
+`,
+			inv: hmCountMaskInvariant(15),
 		},
 
 		// hashmap_atomic.c:285 — grow commits the cleared bucket array and
 		// the new bucket count in separate transactions.
 		{
 			program: "PMDK", file: "hashmap_atomic.c", line: 285, rule: report.RuleSemanticMismatch,
-			buggy:    hmSplitTxSource("h_hma_grow", hmaGrowBuggy),
-			fixedSrc: hmSplitTxSource("h_hma_grow_fixed", hmaGrowFixed),
-			inv:      hmBucketsInvariant(32),
+			uses: []string{"hashmap", "hma_grow"},
+			harness: `
+type hmarker struct {
+	init: int
+}
+func main() {
+	file "harness.c"
+	%h = palloc hashmap
+	%m = palloc hmarker
+	store %h.nbuckets, 8
+	flush %h.nbuckets
+	fence
+	%b0 = index %h.buckets, 0
+	store %b0, 55
+	flush %b0
+	fence
+	store %m.init, 1
+	flush %m.init
+	fence
+	call hma_grow(%h)
+	ret
+}
+`,
+			fix: `
+func hma_grow(h: *hashmap) {
+	file "hashmap_atomic.c"
+	txbegin                      @280
+	txadd %h.buckets             @281
+	txadd %h.nbuckets            @285
+	memset %h.buckets, 0, 128    @282
+	store %h.nbuckets, 32        @285
+	txend                        @286
+	fence                        @286
+	ret
+}
+`,
+			inv: hmBucketsInvariant(32),
 		},
 
 		// hashmap_atomic.c:496 — rebuild commits count and mask separately.
 		{
 			program: "PMDK", file: "hashmap_atomic.c", line: 496, rule: report.RuleSemanticMismatch,
-			buggy:    hmSplitTxSource("h_hma_rebuild", hmaRebuildBuggy),
-			fixedSrc: hmSplitTxSource("h_hma_rebuild_fixed", hmaRebuildFixed),
-			inv:      hmCountMaskInvariant(31),
+			uses: []string{"hashmap", "hma_rebuild"},
+			harness: `
+type hmarker struct {
+	init: int
+}
+func main() {
+	file "harness.c"
+	%h = palloc hashmap
+	%m = palloc hmarker
+	store %h.count, 5
+	flush %h.count
+	fence
+	store %h.mask, 7
+	flush %h.mask
+	fence
+	store %m.init, 1
+	flush %m.init
+	fence
+	call hma_rebuild(%h)
+	ret
+}
+`,
+			fix: `
+func hma_rebuild(h: *hashmap) {
+	file "hashmap_atomic.c"
+	txbegin                      @492
+	txadd %h.count               @493
+	txadd %h.mask                @496
+	store %h.count, 0            @494
+	store %h.mask, 31            @496
+	txend                        @497
+	fence                        @497
+	ret
+}
+`,
+			inv: hmCountMaskInvariant(31),
 		},
 
 		// obj_pmemlog_simple.c:207 — header and tail split across
 		// consecutive transactions, as in obj_pmemlog.c.
 		{
 			program: "PMDK", file: "obj_pmemlog_simple.c", line: 207, rule: report.RuleSemanticMismatch,
-			buggy: `
-module h_pls_append
-type pmemlog struct {
-	hdr: int
-	tail: int
-	length: int
-}
-func pls_append(log: *pmemlog) {
-	file "obj_pmemlog_simple.c"
-	txbegin                      @200
-	txadd %log.hdr               @201
-	store %log.hdr, 1            @202
-	txend                        @203
-	fence                        @203
-	txbegin                      @206
-	txadd %log.tail              @207
-	store %log.tail, 2           @207
-	txend                        @208
-	fence                        @208
-	ret
-}
+			uses: []string{"pmemlog", "pls_append"},
+			harness: `
 func main() {
 	file "harness.c"
 	%l = palloc pmemlog
@@ -417,13 +523,7 @@ func main() {
 	ret
 }
 `,
-			fixedSrc: `
-module h_pls_append_fixed
-type pmemlog struct {
-	hdr: int
-	tail: int
-	length: int
-}
+			fix: `
 func pls_append(log: *pmemlog) {
 	file "obj_pmemlog_simple.c"
 	txbegin                      @200
@@ -433,12 +533,6 @@ func pls_append(log: *pmemlog) {
 	store %log.tail, 2           @207
 	txend                        @208
 	fence                        @208
-	ret
-}
-func main() {
-	file "harness.c"
-	%l = palloc pmemlog
-	call pls_append(%l)
 	ret
 }
 `,
@@ -451,28 +545,8 @@ func main() {
 		// once: the commit block can persist before the journal head.
 		{
 			program: "PMFS", file: "journal.c", line: 632, rule: report.RuleMultipleWritesAtOnce,
-			buggy: `
-module h_journal
-type pmfs_journal struct {
-	head: int
-	tail: int
-}
-type pmfs_commit_blk struct {
-	data: int
-}
-func pmfs_commit_transaction(j: *pmfs_journal, cb: *pmfs_commit_blk) {
-	file "journal.c"
-	epochbegin                   @620
-	store %j.head, 1             @622
-	flush %j.head                @623
-	epochend                     @624
-	epochbegin                   @626
-	store %cb.data, 2            @627
-	flush %cb.data               @628
-	epochend                     @629
-	fence                        @632
-	ret
-}
+			uses: []string{"pmfs_journal", "pmfs_commit_blk", "pmfs_commit_transaction"},
+			harness: `
 func main() {
 	file "harness.c"
 	%j = palloc pmfs_journal
@@ -481,15 +555,7 @@ func main() {
 	ret
 }
 `,
-			fixedSrc: `
-module h_journal_fixed
-type pmfs_journal struct {
-	head: int
-	tail: int
-}
-type pmfs_commit_blk struct {
-	data: int
-}
+			fix: `
 func pmfs_commit_transaction(j: *pmfs_journal, cb: *pmfs_commit_blk) {
 	file "journal.c"
 	epochbegin                   @620
@@ -502,13 +568,6 @@ func pmfs_commit_transaction(j: *pmfs_journal, cb: *pmfs_commit_blk) {
 	flush %cb.data               @628
 	epochend                     @629
 	fence                        @632
-	ret
-}
-func main() {
-	file "harness.c"
-	%j = palloc pmfs_journal
-	%cb = palloc pmfs_commit_blk
-	call pmfs_commit_transaction(%j, %cb)
 	ret
 }
 `,
@@ -526,22 +585,10 @@ func main() {
 		// symlink block contents.
 		{
 			program: "PMFS", file: "symlink.c", line: 38, rule: report.RuleMissingBarrierNestedTx,
-			buggy: `
-module h_symlink
-type pmfs_buf struct {
-	data: int
-	len: int
-}
+			uses: []string{"pmfs_buf", "pmfs_block_symlink"},
+			harness: `
 type hmarker struct {
 	done: int
-}
-func pmfs_block_symlink(blockp: *pmfs_buf) {
-	file "symlink.c"
-	txbegin                      @30
-	store %blockp.data, 7        @36
-	flush %blockp.data           @37
-	txend                        @38
-	ret                          @39
 }
 func main() {
 	file "harness.c"
@@ -570,41 +617,8 @@ func main() {
 		// final persist covers only state.
 		{
 			program: "NVM-Direct", file: "nvm_locks.c", line: 932, rule: report.RuleUnflushedWrite,
-			buggy: `
-module h_nvm_lock
-type nvm_amutex struct {
-	owners: int
-	level: int
-}
-type nvm_lkrec struct {
-	state: int
-	new_level: int
-	owner: int
-}
-func nvm_add_lock_op(mutex: *nvm_amutex) *nvm_lkrec {
-	file "nvm_locks.c"
-	%lk = palloc nvm_lkrec       @870
-	ret %lk                      @872
-}
-func nvm_lock(omutex: *nvm_amutex) {
-	file "nvm_locks.c"
-	%mutex = or %omutex, 0       @920
-	%lk = call nvm_add_lock_op(%mutex) @922
-	store %lk.state, 1           @924
-	flush %lk.state              @925
-	fence                        @925
-	%o = load %mutex.owners      @927
-	%o2 = sub %o, 1              @927
-	store %mutex.owners, %o2     @927
-	flush %mutex.owners          @928
-	fence                        @928
-	%lvl = load %mutex.level     @931
-	store %lk.new_level, %lvl    @932
-	store %lk.state, 2           @933
-	flush %lk.state              @934
-	fence                        @934
-	ret
-}
+			uses: []string{"nvm_amutex", "nvm_lkrec", "nvm_add_lock_op", "nvm_lock"},
+			harness: `
 func main() {
 	file "harness.c"
 	%m = palloc nvm_amutex
@@ -631,24 +645,8 @@ func main() {
 		// before the transaction that commits the root pointer.
 		{
 			program: "NVM-Direct", file: "nvm_region.c", line: 614, rule: report.RuleMissingBarrier,
-			buggy: `
-module h_nvm_create
-type nvm_region struct {
-	header: int
-	root: int
-	meta: int
-}
-func nvm_create_region(region: *nvm_region) {
-	file "nvm_region.c"
-	store %region.header, 1      @612
-	flush %region.header         @614
-	txbegin                      @617
-	txadd %region.root           @617
-	store %region.root, 5        @617
-	txend                        @618
-	fence                        @618
-	ret                          @620
-}
+			uses: []string{"nvm_region", "nvm_create_region"},
+			harness: `
 func main() {
 	file "harness.c"
 	%r = palloc nvm_region
@@ -668,26 +666,10 @@ func main() {
 		// zero-valued anchor needs an init marker and sentinel values.
 		{
 			program: "NVM-Direct", file: "nvm_region.c", line: 933, rule: report.RuleMissingBarrier,
-			buggy: `
-module h_nvm_destroy
-type nvm_region struct {
-	header: int
-	root: int
-	meta: int
-}
+			uses: []string{"nvm_region", "nvm_destroy_region"},
+			harness: `
 type hmarker struct {
 	init: int
-}
-func nvm_destroy_region(region: *nvm_region) {
-	file "nvm_region.c"
-	store %region.header, 0      @931
-	flush %region.header         @933
-	txbegin                      @936
-	txadd %region.meta           @936
-	store %region.meta, 0        @937
-	txend                        @938
-	fence                        @938
-	ret
 }
 func main() {
 	file "harness.c"
@@ -720,24 +702,10 @@ func main() {
 		// never written back.
 		{
 			program: "Mnemosyne", file: "phlog_base.c", line: 132, rule: report.RuleUnflushedWrite,
-			buggy: `
-module h_phlog
-type phlog struct {
-	head: int
-	tail: int
-}
+			uses: []string{"phlog", "phlog_append"},
+			harness: `
 type hmarker struct {
 	done: int
-}
-func phlog_append(log: *phlog) {
-	file "phlog_base.c"
-	epochbegin                   @128
-	store %log.head, 1           @130
-	flush %log.head              @131
-	store %log.tail, 2           @132
-	epochend                     @134
-	fence                        @135
-	ret
 }
 func main() {
 	file "harness.c"
@@ -796,275 +764,3 @@ func hmCountMaskInvariant(wantMask int64) crashsim.Invariant {
 		return nil
 	}
 }
-
-// hmSplitTxSource assembles a hashmap harness module: shared types, the
-// framework function under test, and the pre-initializing driver.
-func hmSplitTxSource(modname, body string) string {
-	return "module " + modname + `
-type hashmap struct {
-	nbuckets: int
-	mask: int
-	count: int
-	buckets: [16]int
-}
-type hmarker struct {
-	init: int
-}
-` + body
-}
-
-const hmCreateBuggy = `
-func hm_create(h: *hashmap) {
-	file "hash_map.c"
-	txbegin                      @115
-	txadd %h.buckets             @116
-	memset %h.buckets, 0, 128    @117
-	txend                        @118
-	fence                        @118
-	txbegin                      @119
-	txadd %h.nbuckets            @120
-	store %h.nbuckets, 16        @120
-	txend                        @121
-	fence                        @121
-	ret
-}
-func main() {
-	file "harness.c"
-	%h = palloc hashmap
-	%m = palloc hmarker
-	store %h.nbuckets, 8
-	flush %h.nbuckets
-	fence
-	%b0 = index %h.buckets, 0
-	store %b0, 55
-	flush %b0
-	fence
-	store %m.init, 1
-	flush %m.init
-	fence
-	call hm_create(%h)
-	ret
-}
-`
-
-const hmCreateFixed = `
-func hm_create(h: *hashmap) {
-	file "hash_map.c"
-	txbegin                      @115
-	txadd %h.buckets             @116
-	txadd %h.nbuckets            @120
-	memset %h.buckets, 0, 128    @117
-	store %h.nbuckets, 16        @120
-	txend                        @121
-	fence                        @121
-	ret
-}
-func main() {
-	file "harness.c"
-	%h = palloc hashmap
-	%m = palloc hmarker
-	store %h.nbuckets, 8
-	flush %h.nbuckets
-	fence
-	%b0 = index %h.buckets, 0
-	store %b0, 55
-	flush %b0
-	fence
-	store %m.init, 1
-	flush %m.init
-	fence
-	call hm_create(%h)
-	ret
-}
-`
-
-const hmRebuildBuggy = `
-func hm_rebuild(h: *hashmap) {
-	file "hash_map.c"
-	txbegin                      @260
-	txadd %h.count               @261
-	store %h.count, 0            @262
-	txend                        @263
-	fence                        @263
-	txbegin                      @264
-	txadd %h.mask                @264
-	store %h.mask, 15            @264
-	txend                        @265
-	fence                        @265
-	ret
-}
-func main() {
-	file "harness.c"
-	%h = palloc hashmap
-	%m = palloc hmarker
-	store %h.count, 5
-	flush %h.count
-	fence
-	store %h.mask, 7
-	flush %h.mask
-	fence
-	store %m.init, 1
-	flush %m.init
-	fence
-	call hm_rebuild(%h)
-	ret
-}
-`
-
-const hmRebuildFixed = `
-func hm_rebuild(h: *hashmap) {
-	file "hash_map.c"
-	txbegin                      @260
-	txadd %h.count               @261
-	txadd %h.mask                @264
-	store %h.count, 0            @262
-	store %h.mask, 15            @264
-	txend                        @265
-	fence                        @265
-	ret
-}
-func main() {
-	file "harness.c"
-	%h = palloc hashmap
-	%m = palloc hmarker
-	store %h.count, 5
-	flush %h.count
-	fence
-	store %h.mask, 7
-	flush %h.mask
-	fence
-	store %m.init, 1
-	flush %m.init
-	fence
-	call hm_rebuild(%h)
-	ret
-}
-`
-
-const hmaGrowBuggy = `
-func hma_grow(h: *hashmap) {
-	file "hashmap_atomic.c"
-	txbegin                      @280
-	txadd %h.buckets             @281
-	memset %h.buckets, 0, 128    @282
-	txend                        @283
-	fence                        @283
-	txbegin                      @284
-	txadd %h.nbuckets            @285
-	store %h.nbuckets, 32        @285
-	txend                        @286
-	fence                        @286
-	ret
-}
-func main() {
-	file "harness.c"
-	%h = palloc hashmap
-	%m = palloc hmarker
-	store %h.nbuckets, 8
-	flush %h.nbuckets
-	fence
-	%b0 = index %h.buckets, 0
-	store %b0, 55
-	flush %b0
-	fence
-	store %m.init, 1
-	flush %m.init
-	fence
-	call hma_grow(%h)
-	ret
-}
-`
-
-const hmaGrowFixed = `
-func hma_grow(h: *hashmap) {
-	file "hashmap_atomic.c"
-	txbegin                      @280
-	txadd %h.buckets             @281
-	txadd %h.nbuckets            @285
-	memset %h.buckets, 0, 128    @282
-	store %h.nbuckets, 32        @285
-	txend                        @286
-	fence                        @286
-	ret
-}
-func main() {
-	file "harness.c"
-	%h = palloc hashmap
-	%m = palloc hmarker
-	store %h.nbuckets, 8
-	flush %h.nbuckets
-	fence
-	%b0 = index %h.buckets, 0
-	store %b0, 55
-	flush %b0
-	fence
-	store %m.init, 1
-	flush %m.init
-	fence
-	call hma_grow(%h)
-	ret
-}
-`
-
-const hmaRebuildBuggy = `
-func hma_rebuild(h: *hashmap) {
-	file "hashmap_atomic.c"
-	txbegin                      @492
-	txadd %h.count               @493
-	store %h.count, 0            @494
-	txend                        @495
-	fence                        @495
-	txbegin                      @496
-	txadd %h.mask                @496
-	store %h.mask, 31            @496
-	txend                        @497
-	fence                        @497
-	ret
-}
-func main() {
-	file "harness.c"
-	%h = palloc hashmap
-	%m = palloc hmarker
-	store %h.count, 5
-	flush %h.count
-	fence
-	store %h.mask, 7
-	flush %h.mask
-	fence
-	store %m.init, 1
-	flush %m.init
-	fence
-	call hma_rebuild(%h)
-	ret
-}
-`
-
-const hmaRebuildFixed = `
-func hma_rebuild(h: *hashmap) {
-	file "hashmap_atomic.c"
-	txbegin                      @492
-	txadd %h.count               @493
-	txadd %h.mask                @496
-	store %h.count, 0            @494
-	store %h.mask, 31            @496
-	txend                        @497
-	fence                        @497
-	ret
-}
-func main() {
-	file "harness.c"
-	%h = palloc hashmap
-	%m = palloc hmarker
-	store %h.count, 5
-	flush %h.count
-	fence
-	store %h.mask, 7
-	flush %h.mask
-	fence
-	store %m.init, 1
-	flush %m.init
-	fence
-	call hma_rebuild(%h)
-	ret
-}
-`

@@ -6,11 +6,16 @@ import (
 	"testing"
 
 	"deepmc/internal/crashsim"
+	"deepmc/internal/ir"
 	"deepmc/internal/pmcontract"
+	"deepmc/internal/report"
 )
 
 // TestCrashCasesBuild ensures every harness pair parses, verifies, and
-// (for mechanical rules) is repaired by the fixer.
+// (for mechanical rules) is repaired by the fixer, and that each buggy
+// harness runs the corpus's own code: the function holding the bug's
+// file:line prints exactly as the corpus program's function of that
+// name.
 func TestCrashCasesBuild(t *testing.T) {
 	cases, err := CrashCases()
 	if err != nil {
@@ -19,14 +24,45 @@ func TestCrashCasesBuild(t *testing.T) {
 	if len(cases) != 15 {
 		t.Fatalf("built %d harness cases, want 15", len(cases))
 	}
+	mods, err := corpusModules()
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := map[string]bool{}
 	for _, c := range cases {
-		key := fmt.Sprintf("%s|%s|%d", c.Rule, c.File, c.Line)
+		key := report.Warning{Rule: report.Rule(c.Rule), File: c.File, Line: c.Line}.Key()
 		if seen[key] {
 			t.Errorf("duplicate harness for %s", key)
 		}
 		seen[key] = true
+		f := funcAt(c.Buggy, c.File, c.Line)
+		if f == nil {
+			t.Errorf("%s %s:%d: no buggy harness instruction sits at the bug's line", c.Program, c.File, c.Line)
+			continue
+		}
+		orig := mods[c.Program].Func(f.Name)
+		if orig == nil || ir.PrintFunc(orig) != ir.PrintFunc(f) {
+			t.Errorf("%s %s:%d: harness function %s is not the corpus program's own", c.Program, c.File, c.Line, f.Name)
+		}
 	}
+}
+
+// funcAt returns the function of m holding an instruction at file:line.
+func funcAt(m *ir.Module, file string, line int) *ir.Function {
+	for _, name := range m.FuncNames() {
+		f := m.Funcs[name]
+		if f.File != file {
+			continue
+		}
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Line == line {
+					return f
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // TestCrossValidateAgreement is the differential acceptance gate: for

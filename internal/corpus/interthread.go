@@ -19,16 +19,20 @@ import (
 // strands' persist operations, so finding them exercises interleaving-
 // and fault-schedule exploration rather than plain enumeration depth.
 //
-// The harnesses follow the crashcases design rules (commit-marker
-// anchored one-directional invariants, distinguishable sentinel
-// values), but their Flagged oracle is the DYNAMIC checker: the static
-// passes see each strand's persists as locally well-ordered; only the
-// runtime happens-before analysis observes the cross-strand dependence.
+// The harnesses are crashcases specs assembled the same way: no corpus
+// program declares these strands, so each harness carries its producer
+// and consumer itself, and the fixed variant swaps the repaired
+// producer in by name.  They follow the crashcases design rules
+// (commit-marker anchored one-directional invariants, distinguishable
+// sentinel values), but their Flagged oracle is the DYNAMIC checker:
+// the static passes see each strand's persists as locally well-ordered;
+// only the runtime happens-before analysis observes the cross-strand
+// dependence.
 
 // interThreadSpecs returns the planted inter-thread pairs.  Both carry
-// handwritten fixed variants (the repair — ordering the producer's
-// persist before the consumer strand runs — is a scheduling fix, not a
-// mechanical flush/fence insertion the fixer knows).
+// a handwritten repair of the producer (ordering its persist before the
+// consumer strand runs is a scheduling fix, not a mechanical
+// flush/fence insertion the fixer knows).
 func interThreadSpecs() []crashCaseSpec {
 	return []crashCaseSpec{
 		// itqueue.c:11 — the producer strand stores the payload and hands
@@ -39,8 +43,7 @@ func interThreadSpecs() []crashCaseSpec {
 		// The dynamic checker reports this as DMC-D03 (unflushed RAW).
 		{
 			program: "ITQUEUE", file: "itqueue.c", line: 11, rule: report.RuleStrandDependence,
-			buggy: `
-module h_itqueue
+			harness: `
 type mqueue struct {
 	data: int
 	commit: int
@@ -70,12 +73,7 @@ func main() {
 	ret
 }
 `,
-			fixedSrc: `
-module h_itqueue
-type mqueue struct {
-	data: int
-	commit: int
-}
+			fix: `
 func producer(q: *mqueue) {
 	file "itqueue.c"
 	strandbegin 1        @10
@@ -84,23 +82,6 @@ func producer(q: *mqueue) {
 	strandend 1          @12
 	fence                @12
 	ret                  @13
-}
-func consumer(q: *mqueue) {
-	file "itqueue.c"
-	strandbegin 2        @20
-	%v = load %q.data    @21
-	store %q.commit, 1   @22
-	flush %q.commit      @23
-	strandend 2          @24
-	fence                @25
-	ret                  @26
-}
-func main() {
-	file "harness_it.c"
-	%q = palloc mqueue
-	call producer(%q)
-	call consumer(%q)
-	ret
 }
 `,
 			// queue = obj 1.
@@ -123,8 +104,7 @@ func main() {
 		// flushed, just never fenced before the dependence.
 		{
 			program: "ITLOG", file: "itlog.c", line: 32, rule: report.RuleStrandDependence,
-			buggy: `
-module h_itlog
+			harness: `
 type xlog struct {
 	rec: int
 	commit: int
@@ -155,12 +135,7 @@ func main() {
 	ret
 }
 `,
-			fixedSrc: `
-module h_itlog
-type xlog struct {
-	rec: int
-	commit: int
-}
+			fix: `
 func publish(l: *xlog) {
 	file "itlog.c"
 	strandbegin 1        @30
@@ -169,23 +144,6 @@ func publish(l: *xlog) {
 	strandend 1          @33
 	fence                @33
 	ret                  @34
-}
-func index_entry(l: *xlog) {
-	file "itlog.c"
-	strandbegin 2        @40
-	%v = load %l.rec     @41
-	store %l.commit, 1   @42
-	flush %l.commit      @43
-	strandend 2          @44
-	fence                @45
-	ret                  @46
-}
-func main() {
-	file "harness_it.c"
-	%l = palloc xlog
-	call publish(%l)
-	call index_entry(%l)
-	ret
 }
 `,
 			// log = obj 1.
@@ -203,30 +161,9 @@ func main() {
 // InterThreadCases builds the harness pair for every planted
 // inter-thread persistency bug.  Flagged is left false; the
 // inter-thread cross-validation glue fills it from a DYNAMIC checker
-// run (see DynamicFlagged) rather than the static passes.
+// run (see dynamicFlagged) rather than the static passes.
 func InterThreadCases() ([]crashsim.CrossCase, error) {
-	var out []crashsim.CrossCase
-	for _, s := range interThreadSpecs() {
-		bm, err := parseHarness(s, "buggy", s.buggy)
-		if err != nil {
-			return nil, err
-		}
-		fm, err := parseHarness(s, "fixed", s.fixedSrc)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, crashsim.CrossCase{
-			Program:   s.program,
-			File:      s.file,
-			Line:      s.line,
-			Rule:      string(s.rule),
-			Entry:     "main",
-			Buggy:     bm,
-			Fixed:     fm,
-			Invariant: s.inv,
-		})
-	}
-	return out, nil
+	return buildCases(interThreadSpecs(), nil)
 }
 
 // dynamicFlagged runs the case's buggy module once under the runtime

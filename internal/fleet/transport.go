@@ -47,7 +47,6 @@ func newLocalTransport(tier *anacache.Cache) (*localTransport, error) {
 func (t *localTransport) Analyze(ctx context.Context, job Job) (*report.Report, error) {
 	cfg := job.Config
 	cfg.Cache = t.cache
-	cfg.CacheDir = "" // the shard cache already layers over the tier
 	return core.AnalyzeCtx(ctx, job.Module, cfg)
 }
 
