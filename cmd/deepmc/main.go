@@ -163,17 +163,16 @@ commands:
           global-mutex baseline)
   serve   [-addr :7437] [-jobs N] [-inflight N] [-queue N] [-timeout D]
           [-max-trace-entries N] [-drain D] [-cache-dir DIR]
-          [-breaker-threshold N] [-breaker-cooldown D]
           [-shard] [-tier URL]
           run the hardened analysis daemon: POST /analyze (PIR source or
           corpus target -> JSON report), GET /corpus/{name}, /healthz,
           /readyz, /stats; bounded admission queue sheds overload with
-          429, per-request budgets degrade to partial reports, per-pass
-          circuit breakers isolate crashing rules, and SIGINT/SIGTERM
-          drains in-flight requests before flushing the disk cache;
-          -shard prints SHARD_ADDR=<addr> once bound (fleet shard mode)
-          and -tier plugs the daemon's cache into a shared HTTP verdict
-          tier, flushed before drain exit
+          429, per-request budgets degrade to partial reports, a rule
+          that panics costs one function a rule-scan skip, and
+          SIGINT/SIGTERM drains in-flight requests before flushing the
+          disk cache; -shard prints SHARD_ADDR=<addr> once bound (fleet
+          shard mode) and -tier plugs the daemon's cache into a shared
+          HTTP verdict tier, flushed before drain exit
   tier    [-addr :7500] -dir DIR [-cap N] [-flush-every D]
           host the shared verdict tier as a standalone service:
           GET/PUT /tier/{key} in the anacache disk format, bodies
@@ -677,8 +676,6 @@ func cmdServe(args []string) error {
 	maxEntries := fs.Int("max-trace-entries", 4096, "per-trace entry budget ceiling (requests may lower it, never raise it)")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown drain deadline")
 	cacheDir := fs.String("cache-dir", "", "disk tier for the shared analysis cache (flushed on drain)")
-	breakerThreshold := fs.Int("breaker-threshold", 3, "consecutive attributed pass failures before the breaker opens")
-	breakerCooldown := fs.Duration("breaker-cooldown", 5*time.Second, "open-state cooldown before a half-open probe")
 	shard := fs.Bool("shard", false, "fleet-shard mode: print SHARD_ADDR=<addr> on stdout once the listener is bound (use -addr :0 for an ephemeral port)")
 	tier := fs.String("tier", "", "shared verdict tier URL (read-through/write-behind; flushed on drain)")
 	fs.Parse(args)
@@ -686,17 +683,15 @@ func cmdServe(args []string) error {
 		return fmt.Errorf("serve: unexpected arguments %q", fs.Args())
 	}
 	s, err := serve.NewServer(serve.Config{
-		Addr:             *addr,
-		Workers:          *jobs,
-		MaxInFlight:      *inflight,
-		QueueDepth:       *queue,
-		RequestTimeout:   *timeout,
-		MaxTraceEntries:  *maxEntries,
-		DrainTimeout:     *drain,
-		CacheDir:         *cacheDir,
-		TierURL:          *tier,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
+		Addr:            *addr,
+		Workers:         *jobs,
+		MaxInFlight:     *inflight,
+		QueueDepth:      *queue,
+		RequestTimeout:  *timeout,
+		MaxTraceEntries: *maxEntries,
+		DrainTimeout:    *drain,
+		CacheDir:        *cacheDir,
+		TierURL:         *tier,
 	})
 	if err != nil {
 		return err

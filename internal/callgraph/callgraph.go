@@ -212,44 +212,6 @@ func (g *Graph) SCCs() [][]*ir.Function {
 	return out
 }
 
-// IsRecursive reports whether the named function participates in a cycle
-// (including self-recursion).
-func (g *Graph) IsRecursive(name string) bool {
-	n := g.Nodes[name]
-	if n == nil {
-		return false
-	}
-	for _, scc := range g.sccOrder {
-		if len(scc) > 1 {
-			for _, m := range scc {
-				if m == n {
-					return true
-				}
-			}
-		}
-	}
-	for _, o := range n.Outs {
-		if o == n {
-			return true
-		}
-	}
-	return false
-}
-
-// Callers returns the names of functions that call the named function.
-func (g *Graph) Callers(name string) []string {
-	n := g.Nodes[name]
-	if n == nil {
-		return nil
-	}
-	out := make([]string, 0, len(n.Ins))
-	for _, c := range n.Ins {
-		out = append(out, c.Func.Name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Roots returns functions never called within the module (entry points),
 // in declaration order.
 func (g *Graph) Roots() []*ir.Function {

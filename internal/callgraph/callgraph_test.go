@@ -59,8 +59,8 @@ func TestEdgesAndExternals(t *testing.T) {
 	if len(g.External) != 1 || g.External[0] != "external_fn" {
 		t.Errorf("externals = %v", g.External)
 	}
-	if got := g.Callers("leaf"); len(got) != 2 || got[0] != "mid" || got[1] != "top" {
-		t.Errorf("Callers(leaf) = %v", got)
+	if ins := g.Nodes["leaf"].Ins; len(ins) != 2 || ins[0].Func.Name != "mid" || ins[1].Func.Name != "top" {
+		t.Errorf("leaf ins wrong: %v", ins)
 	}
 }
 
@@ -81,14 +81,8 @@ func TestPostOrder(t *testing.T) {
 
 func TestRecursionDetection(t *testing.T) {
 	g := New(ir.MustParse(cgSrc))
-	if !g.IsRecursive("selfrec") {
-		t.Error("selfrec should be recursive")
-	}
-	if !g.IsRecursive("mutA") || !g.IsRecursive("mutB") {
-		t.Error("mutA/mutB should be recursive")
-	}
-	if g.IsRecursive("leaf") || g.IsRecursive("top") {
-		t.Error("leaf/top should not be recursive")
+	if sr := g.Nodes["selfrec"]; len(sr.Outs) != 1 || sr.Outs[0] != sr {
+		t.Errorf("selfrec must be its own only callee: %v", sr.Outs)
 	}
 	if g.Nodes["mutA"].SCC != g.Nodes["mutB"].SCC {
 		t.Error("mutA and mutB must share an SCC")

@@ -1,8 +1,7 @@
-// Package cfg builds control flow graphs over PIR functions and provides
-// the graph algorithms the DeepMC pipeline needs: predecessor/successor
-// maps, reverse post-order, dominator trees, and natural-loop detection.
-// This corresponds to step ① of the paper's Figure 8, where LLVM CFGs feed
-// the trace collector.
+// Package cfg builds the control flow graph of a PIR function: one node
+// per basic block with its successor edges, the graph the trace
+// collector walks.  This corresponds to step ① of the paper's Figure 8,
+// where LLVM CFGs feed the trace collector.
 package cfg
 
 import (
@@ -11,40 +10,33 @@ import (
 	"deepmc/internal/ir"
 )
 
-// Node is one basic block plus its graph edges.
+// Node is one basic block plus its successor edges.
 type Node struct {
 	Block *ir.Block
-	Index int // position in Graph.Nodes (entry is 0)
 	Succs []*Node
-	Preds []*Node
 }
 
 // Graph is the control flow graph of one function.
 type Graph struct {
-	Func  *ir.Function
-	Nodes []*Node
-
-	byName map[string]*Node
-	idom   []int // immediate dominator indices; computed lazily
+	Nodes []*Node // in block order; the entry block is first
 }
 
 // New builds the CFG of f.  It fails if a branch targets a block that does
 // not exist (the IR verifier catches this earlier with a better message).
 func New(f *ir.Function) (*Graph, error) {
-	g := &Graph{Func: f, byName: make(map[string]*Node, len(f.Blocks))}
+	g := &Graph{Nodes: make([]*Node, len(f.Blocks))}
+	byName := make(map[string]*Node, len(f.Blocks))
 	for i, b := range f.Blocks {
-		n := &Node{Block: b, Index: i}
-		g.Nodes = append(g.Nodes, n)
-		g.byName[b.Name] = n
+		g.Nodes[i] = &Node{Block: b}
+		byName[b.Name] = g.Nodes[i]
 	}
 	for _, n := range g.Nodes {
 		for _, succ := range n.Block.Succs() {
-			sn := g.byName[succ]
+			sn := byName[succ]
 			if sn == nil {
 				return nil, fmt.Errorf("cfg: %s: branch to unknown block %q", f.Name, succ)
 			}
 			n.Succs = append(n.Succs, sn)
-			sn.Preds = append(sn.Preds, n)
 		}
 	}
 	return g, nil
@@ -56,182 +48,4 @@ func (g *Graph) Entry() *Node {
 		return nil
 	}
 	return g.Nodes[0]
-}
-
-// ByName returns the node for the named block, or nil.
-func (g *Graph) ByName(name string) *Node { return g.byName[name] }
-
-// PostOrder returns the nodes reachable from entry in post-order.
-func (g *Graph) PostOrder() []*Node {
-	var order []*Node
-	seen := make([]bool, len(g.Nodes))
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		seen[n.Index] = true
-		for _, s := range n.Succs {
-			if !seen[s.Index] {
-				walk(s)
-			}
-		}
-		order = append(order, n)
-	}
-	if e := g.Entry(); e != nil {
-		walk(e)
-	}
-	return order
-}
-
-// ReversePostOrder returns the nodes reachable from entry in reverse
-// post-order — the natural iteration order for forward dataflow.
-func (g *Graph) ReversePostOrder() []*Node {
-	po := g.PostOrder()
-	for i, j := 0, len(po)-1; i < j; i, j = i+1, j-1 {
-		po[i], po[j] = po[j], po[i]
-	}
-	return po
-}
-
-// computeDominators fills g.idom using the Cooper-Harvey-Kennedy iterative
-// algorithm over reverse post-order.
-func (g *Graph) computeDominators() {
-	n := len(g.Nodes)
-	g.idom = make([]int, n)
-	for i := range g.idom {
-		g.idom[i] = -1
-	}
-	if n == 0 {
-		return
-	}
-	rpo := g.ReversePostOrder()
-	rpoPos := make([]int, n)
-	for i := range rpoPos {
-		rpoPos[i] = -1
-	}
-	for i, node := range rpo {
-		rpoPos[node.Index] = i
-	}
-	entry := g.Entry().Index
-	g.idom[entry] = entry
-	intersect := func(a, b int) int {
-		for a != b {
-			for rpoPos[a] > rpoPos[b] {
-				a = g.idom[a]
-			}
-			for rpoPos[b] > rpoPos[a] {
-				b = g.idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, node := range rpo {
-			if node.Index == entry {
-				continue
-			}
-			newIdom := -1
-			for _, p := range node.Preds {
-				if g.idom[p.Index] == -1 {
-					continue // predecessor not yet processed / unreachable
-				}
-				if newIdom == -1 {
-					newIdom = p.Index
-				} else {
-					newIdom = intersect(p.Index, newIdom)
-				}
-			}
-			if newIdom != -1 && g.idom[node.Index] != newIdom {
-				g.idom[node.Index] = newIdom
-				changed = true
-			}
-		}
-	}
-	g.idom[entry] = -1 // entry has no immediate dominator
-}
-
-// IDom returns the immediate dominator of n, or nil for the entry node and
-// unreachable nodes.
-func (g *Graph) IDom(n *Node) *Node {
-	if g.idom == nil {
-		g.computeDominators()
-	}
-	i := g.idom[n.Index]
-	if i < 0 {
-		return nil
-	}
-	return g.Nodes[i]
-}
-
-// Dominates reports whether a dominates b (reflexively).
-func (g *Graph) Dominates(a, b *Node) bool {
-	if g.idom == nil {
-		g.computeDominators()
-	}
-	for n := b; n != nil; {
-		if n == a {
-			return true
-		}
-		i := g.idom[n.Index]
-		if i < 0 {
-			return false
-		}
-		n = g.Nodes[i]
-	}
-	return false
-}
-
-// Loop is a natural loop: a header plus the set of blocks in the loop body.
-type Loop struct {
-	Header *Node
-	Body   map[*Node]bool // includes the header
-}
-
-// NaturalLoops finds the natural loops of the graph: for each back edge
-// t→h where h dominates t, the loop body is every node that can reach t
-// without passing through h.  Loops sharing a header are merged.
-func (g *Graph) NaturalLoops() []*Loop {
-	byHeader := make(map[*Node]*Loop)
-	var headers []*Node
-	for _, n := range g.Nodes {
-		for _, s := range n.Succs {
-			if !g.Dominates(s, n) {
-				continue
-			}
-			loop := byHeader[s]
-			if loop == nil {
-				loop = &Loop{Header: s, Body: map[*Node]bool{s: true}}
-				byHeader[s] = loop
-				headers = append(headers, s)
-			}
-			// Walk backwards from the back-edge source.
-			stack := []*Node{n}
-			for len(stack) > 0 {
-				m := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if loop.Body[m] {
-					continue
-				}
-				loop.Body[m] = true
-				stack = append(stack, m.Preds...)
-			}
-		}
-	}
-	loops := make([]*Loop, 0, len(headers))
-	for _, h := range headers {
-		loops = append(loops, byHeader[h])
-	}
-	return loops
-}
-
-// BackEdges returns the back edges (tail, header) of the graph.
-func (g *Graph) BackEdges() [][2]*Node {
-	var edges [][2]*Node
-	for _, n := range g.Nodes {
-		for _, s := range n.Succs {
-			if g.Dominates(s, n) {
-				edges = append(edges, [2]*Node{n, s})
-			}
-		}
-	}
-	return edges
 }

@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"reflect"
 	"testing"
 
 	"deepmc/internal/ir"
@@ -58,6 +59,10 @@ iexit:
 done:
 	ret
 }
+
+func dangling() {
+	br nowhere
+}
 `
 
 func mustGraph(t *testing.T, m *ir.Module, fn string) *Graph {
@@ -69,109 +74,71 @@ func mustGraph(t *testing.T, m *ir.Module, fn string) *Graph {
 	return g
 }
 
+// succNames renders a node's successors as block names, in edge order.
+func succNames(n *Node) []string {
+	var out []string
+	for _, s := range n.Succs {
+		out = append(out, s.Block.Name)
+	}
+	return out
+}
+
+// checkSuccs compares every node's successors against want, keyed by
+// block name, and requires the nodes to be in block order.
+func checkSuccs(t *testing.T, g *Graph, f *ir.Function, want map[string][]string) {
+	t.Helper()
+	if len(g.Nodes) != len(f.Blocks) || len(want) != len(f.Blocks) {
+		t.Fatalf("%d nodes for %d blocks (%d expected)", len(g.Nodes), len(f.Blocks), len(want))
+	}
+	for i, n := range g.Nodes {
+		if n.Block != f.Blocks[i] {
+			t.Errorf("node %d is block %s, want %s", i, n.Block.Name, f.Blocks[i].Name)
+		}
+		if got := succNames(n); !reflect.DeepEqual(got, want[n.Block.Name]) {
+			t.Errorf("%s succs = %v, want %v", n.Block.Name, got, want[n.Block.Name])
+		}
+	}
+}
+
 func TestEdges(t *testing.T) {
 	m := ir.MustParse(loopSrc)
 	g := mustGraph(t, m, "diamond")
-	entry := g.Entry()
-	if len(entry.Succs) != 2 {
-		t.Fatalf("entry succs = %d, want 2", len(entry.Succs))
+	if g.Entry() != g.Nodes[0] {
+		t.Error("entry must be the first node")
 	}
-	join := g.ByName("join")
-	if len(join.Preds) != 2 {
-		t.Errorf("join preds = %d, want 2", len(join.Preds))
-	}
+	checkSuccs(t, g, m.Func("diamond"), map[string][]string{
+		"entry": {"left", "right"}, "left": {"join"}, "right": {"join"}, "join": nil,
+	})
 }
 
-func TestReversePostOrder(t *testing.T) {
-	m := ir.MustParse(loopSrc)
-	g := mustGraph(t, m, "diamond")
-	rpo := g.ReversePostOrder()
-	pos := map[string]int{}
-	for i, n := range rpo {
-		pos[n.Block.Name] = i
-	}
-	if pos["entry"] != 0 {
-		t.Errorf("entry at %d in RPO", pos["entry"])
-	}
-	if pos["join"] != len(rpo)-1 {
-		t.Errorf("join at %d, want last", pos["join"])
-	}
-	if pos["left"] >= pos["join"] || pos["right"] >= pos["join"] {
-		t.Errorf("branch blocks must precede join: %v", pos)
-	}
-}
-
-func TestDominators(t *testing.T) {
-	m := ir.MustParse(loopSrc)
-	g := mustGraph(t, m, "diamond")
-	entry, left, join := g.Entry(), g.ByName("left"), g.ByName("join")
-	if !g.Dominates(entry, join) {
-		t.Error("entry should dominate join")
-	}
-	if g.Dominates(left, join) {
-		t.Error("left should not dominate join")
-	}
-	if id := g.IDom(join); id != entry {
-		t.Errorf("idom(join) = %v, want entry", id.Block.Name)
-	}
-	if g.IDom(entry) != nil {
-		t.Error("entry must have no idom")
-	}
-}
-
+// TestNaturalLoops: a loop's back edge is an ordinary successor edge,
+// which the trace collector bounds with its per-path visit cap.
 func TestNaturalLoops(t *testing.T) {
 	m := ir.MustParse(loopSrc)
-	g := mustGraph(t, m, "looped")
-	loops := g.NaturalLoops()
-	if len(loops) != 1 {
-		t.Fatalf("found %d loops, want 1", len(loops))
-	}
-	l := loops[0]
-	if l.Header.Block.Name != "head" {
-		t.Errorf("loop header = %s, want head", l.Header.Block.Name)
-	}
-	if !l.Body[g.ByName("body")] {
-		t.Error("loop body must contain 'body'")
-	}
-	if l.Body[g.ByName("exit")] {
-		t.Error("loop body must not contain 'exit'")
-	}
+	checkSuccs(t, mustGraph(t, m, "looped"), m.Func("looped"), map[string][]string{
+		"entry": {"head"}, "head": {"body", "exit"}, "body": {"head"}, "exit": nil,
+	})
 }
 
 func TestNestedLoops(t *testing.T) {
 	m := ir.MustParse(loopSrc)
-	g := mustGraph(t, m, "nested")
-	loops := g.NaturalLoops()
-	if len(loops) != 2 {
-		t.Fatalf("found %d loops, want 2", len(loops))
-	}
-	var outer, inner *Loop
-	for _, l := range loops {
-		switch l.Header.Block.Name {
-		case "outer":
-			outer = l
-		case "ihead":
-			inner = l
-		}
-	}
-	if outer == nil || inner == nil {
-		t.Fatalf("loop headers wrong: %v", loops)
-	}
-	if !outer.Body[g.ByName("ihead")] {
-		t.Error("outer loop must contain inner header")
-	}
-	if inner.Body[g.ByName("outer")] {
-		t.Error("inner loop must not contain outer header")
-	}
-	if len(g.BackEdges()) != 2 {
-		t.Errorf("back edges = %d, want 2", len(g.BackEdges()))
-	}
+	checkSuccs(t, mustGraph(t, m, "nested"), m.Func("nested"), map[string][]string{
+		"entry": {"outer"}, "outer": {"inner", "done"}, "inner": {"ihead"},
+		"ihead": {"ibody", "iexit"}, "ibody": {"ihead"}, "iexit": {"outer"}, "done": nil,
+	})
 }
 
 func TestStraightLine(t *testing.T) {
 	m := ir.MustParse(loopSrc)
 	g := mustGraph(t, m, "straight")
-	if len(g.Nodes) != 1 || len(g.NaturalLoops()) != 0 || len(g.PostOrder()) != 1 {
+	if len(g.Nodes) != 1 || g.Entry() != g.Nodes[0] || len(g.Entry().Succs) != 0 {
 		t.Errorf("straight-line CFG wrong: %d nodes", len(g.Nodes))
+	}
+}
+
+func TestUnknownBranchTarget(t *testing.T) {
+	m := ir.MustParse(loopSrc)
+	if _, err := New(m.Func("dangling")); err == nil {
+		t.Fatal("a branch to a missing block must fail")
 	}
 }

@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"deepmc/internal/anacache"
 	"deepmc/internal/ir"
 	"deepmc/internal/report"
+	"deepmc/internal/trace"
 )
 
 // tenFuncSrc builds a module of n independent root functions, each with
@@ -345,5 +347,59 @@ func TestCacheRespectsPassSelection(t *testing.T) {
 	st := cache.Stats()
 	if st.TraceHits == 0 {
 		t.Errorf("expected trace-tier reuse across pass sets, stats %+v", st)
+	}
+}
+
+// TestScanPanicDegradesToPartial pins what isolates a failing rule: a
+// trace the scanner cannot read (a write entry with no cell, seeded
+// through the trace tier) panics inside one function's scan, and the
+// checker recovers it into a rule-scan skip for that function alone.
+// AnalyzeCtx still returns a report with a nil error, and the other
+// root's findings are intact.
+func TestScanPanicDegradesToPartial(t *testing.T) {
+	src := tenFuncSrc(2, "")
+	want := mustAnalyze(t, src, Config{})
+	m, err := ir.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := anacache.New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Cache: cache}
+	opts, err := cfg.checkerOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enabled, err := cfg.enabledPasses()
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceFacts, verdictFacts := fingerprintFacts(opts, enabled)
+	fp := anacache.Fingerprint(m, traceFacts, verdictFacts)
+	cache.StoreTraces(fp.Trace["f0"], &anacache.TraceArtifact{
+		Traces: []*trace.Trace{{Func: "f0", Entries: []trace.Entry{{Kind: trace.KWrite}}}},
+	})
+
+	rep, err := AnalyzeCtx(context.Background(), m, cfg)
+	if err != nil {
+		t.Fatalf("a scan panic must not fail the analysis: %v", err)
+	}
+	if len(rep.Skipped) != 1 {
+		t.Fatalf("skips = %v, want exactly one for f0", rep.Skipped)
+	}
+	if sk := rep.Skipped[0]; sk.Subject != "f0" || sk.Stage != report.StageScan ||
+		!strings.Contains(sk.Reason, "scan panic recovered") {
+		t.Errorf("skip = %+v, want f0 [%s] scan panic recovered", sk, report.StageScan)
+	}
+	var others []report.Warning
+	for _, w := range want.Warnings {
+		if w.Func != "f0" {
+			others = append(others, w)
+		}
+	}
+	if len(others) == 0 || !reflect.DeepEqual(rep.Warnings, others) {
+		t.Errorf("findings outside f0 changed\n--- want:\n%v\n--- got:\n%v", others, rep.Warnings)
 	}
 }

@@ -120,9 +120,6 @@ func (n *Node) String() string {
 // ModFields returns the sorted modified field paths.
 func (n *Node) ModFields() []string { return sortedKeys(n.Find().Mod) }
 
-// RefFields returns the sorted read field paths.
-func (n *Node) RefFields() []string { return sortedKeys(n.Find().Ref) }
-
 // sortNodesByID orders nodes by their raw allocation id.  Ids are
 // assigned in deterministic allocation order, so this gives a stable
 // iteration order for node sets collected from maps.

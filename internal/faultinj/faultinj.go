@@ -110,16 +110,6 @@ type Config struct {
 	Seed int64
 }
 
-// Enabled reports whether cl is in c.Classes.
-func (c Config) Enabled(cl Class) bool {
-	for _, e := range c.Classes {
-		if e == cl {
-			return true
-		}
-	}
-	return false
-}
-
 // Record is one injected fault, in injection order.
 type Record struct {
 	Seq    int // 1-based ordinal among this schedule's injections

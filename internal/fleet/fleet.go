@@ -11,14 +11,13 @@
 // placements, and work already queued on a shard that dies is drained
 // by the other shards' work-stealing, not by re-hashing.
 //
-// Failure handling reuses the serve daemon's circuit-breaker state
-// machine (serve.BreakerSet) keyed by shard: a shard that keeps
-// failing work is ejected from routing, health probes exercise the
-// half-open transition, and recovery closes the breaker.  Attributed
-// job failures retry with jittered exponential backoff under a bounded
-// budget; executions lost to shard death requeue immediately and for
-// free (the shard failed, not the job).  Stragglers are hedged onto
-// idle shards — duplicates are harmless because analysis is
+// Failure handling runs one circuit breaker per shard (breaker.go): a
+// shard that keeps failing work is ejected from routing, health probes
+// exercise the half-open transition, and recovery closes the breaker.
+// Attributed job failures retry with jittered exponential backoff under
+// a bounded budget; executions lost to shard death requeue immediately
+// and for free (the shard failed, not the job).  Stragglers are hedged
+// onto idle shards — duplicates are harmless because analysis is
 // deterministic and completion is first-wins.
 //
 // The output contract is the whole point: Run's merged result is byte-
@@ -32,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,7 +40,6 @@ import (
 	"deepmc/internal/core"
 	"deepmc/internal/ir"
 	"deepmc/internal/report"
-	"deepmc/internal/serve"
 )
 
 // Job is one unit of fleet work: a named module and its analysis
@@ -249,7 +246,7 @@ type Fleet struct {
 	// the final flush.
 	tier      *anacache.Cache
 	stopFlush func() error
-	breakers  *serve.BreakerSet
+	breakers  *breakerSet
 	stats     Stats
 
 	mu     sync.Mutex
@@ -277,7 +274,7 @@ func New(cfg Config) (*Fleet, error) {
 		ring:      newRing(cfg.Shards),
 		tier:      tier,
 		stopFlush: tier.FlushLoop(tierFlushEvery),
-		breakers:  serve.NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		breakers:  newBreakerSet(cfg.Shards, cfg.BreakerThreshold, cfg.BreakerCooldown),
 		shards:    make([]*shard, cfg.Shards),
 		baseCtx:   baseCtx,
 		stop:      stop,
@@ -312,22 +309,13 @@ func (f *Fleet) newTransport(id int) (Transport, error) {
 	return newLocalTransport(f.tier)
 }
 
-// shardID keys a shard's circuit breaker.
-func shardID(i int) string { return "shard-" + strconv.Itoa(i) }
-
-// parseShardID inverts shardID.
-func parseShardID(id string) (int, bool) {
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "shard-"))
-	return n, err == nil
-}
-
 // shardLive reports whether shard i accepts new placements: alive and
 // not breaker-ejected.
 func (f *Fleet) shardLive(i int) bool {
 	f.mu.Lock()
 	dead := f.shards[i].dead
 	f.mu.Unlock()
-	return !dead && !f.breakers.Tripped(shardID(i))
+	return !dead && !f.breakers.Tripped(i)
 }
 
 // Run analyzes jobs across the fleet and merges the outcome in input
@@ -418,7 +406,7 @@ func (f *Fleet) worker(s *shard, gen int, r *run) {
 			// whatever it produced is surplus.
 			r.drop(idx)
 		case err == nil:
-			f.breakers.OK(shardID(s.id))
+			f.breakers.OK(s.id)
 			r.complete(idx, rep)
 		default:
 			f.classifyFailure(s, r, idx, err)
@@ -433,7 +421,7 @@ func (f *Fleet) worker(s *shard, gen int, r *run) {
 func (f *Fleet) classifyFailure(s *shard, r *run, idx int, err error) {
 	var ne *NetError
 	if !errors.As(err, &ne) {
-		f.breakers.Fail(shardID(s.id))
+		f.breakers.Fail(s.id)
 		r.fail(idx, err)
 		return
 	}
@@ -443,7 +431,7 @@ func (f *Fleet) classifyFailure(s *shard, r *run, idx int, err error) {
 		// — consecutive failures eject the shard from placement and
 		// from pulling (see next()) — and requeue for free after a
 		// beat, exactly like an in-process shard death.
-		f.breakers.Fail(shardID(s.id))
+		f.breakers.Fail(s.id)
 		if ne.Class == ErrCorrupt {
 			f.stats.Corrupt.Add(1)
 		}
@@ -461,7 +449,7 @@ func (f *Fleet) classifyFailure(s *shard, r *run, idx int, err error) {
 		f.stats.Throttled.Add(1)
 		r.failAfter(idx, err, ne.RetryAfter)
 	default: // ErrServer
-		f.breakers.Fail(shardID(s.id))
+		f.breakers.Fail(s.id)
 		r.failAfter(idx, err, ne.RetryAfter)
 	}
 }
@@ -518,9 +506,6 @@ func (f *Fleet) RestartShard(i int) error {
 	return nil
 }
 
-// Snapshot exposes per-shard breaker state for observability.
-func (f *Fleet) Snapshot() map[string]serve.BreakerInfo { return f.breakers.Snapshot() }
-
 // TierStats exposes the shared verdict tier's counters.
 func (f *Fleet) TierStats() anacache.Stats { return f.tier.Stats() }
 
@@ -572,19 +557,14 @@ func (f *Fleet) prober() {
 		healthy := f.probeAll(shards, dead)
 		for i, h := range healthy {
 			if !h {
-				f.breakers.Fail(shardID(i))
+				f.breakers.Fail(i)
 			}
 		}
-		_, probes := f.breakers.Acquire()
-		for _, id := range probes {
-			i, ok := parseShardID(id)
-			if !ok || i >= len(healthy) {
-				continue
-			}
+		for _, i := range f.breakers.Acquire() {
 			if healthy[i] {
-				f.breakers.OK(id)
+				f.breakers.OK(i)
 			} else {
-				f.breakers.Fail(id)
+				f.breakers.Fail(i)
 			}
 		}
 		if cur != nil {

@@ -29,9 +29,9 @@ import (
 //     ErrCorrupt and the job requeues for free, exactly like a report
 //     from a killed in-process shard.
 //   - A response flagged X-Deepmc-Partial is a degraded report (the
-//     daemon hit its deadline or a breaker), not the batch answer;
-//     byte-identity forbids trusting it, so it classifies ErrServer
-//     and retries.
+//     daemon hit its deadline or recovered a rule panic), not the batch
+//     answer; byte-identity forbids trusting it, so it classifies
+//     ErrServer and retries.
 //   - Jobs travel as PIR source text (or a corpus name), so the shard
 //     daemon parses exactly the bytes the coordinator's reference
 //     analysis parsed — placement can move a job anywhere without

@@ -352,7 +352,7 @@ func TestThrottleHonorsRetryAfter(t *testing.T) {
 	if st.Throttled != 2 || st.Retries != 2 {
 		t.Fatalf("stats = %+v, want throttled=2 retries=2", st)
 	}
-	if f.breakers.Tripped(shardID(0)) {
+	if f.breakers.Tripped(0) {
 		t.Fatal("shedding fed the breaker")
 	}
 }

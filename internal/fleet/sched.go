@@ -100,7 +100,7 @@ func (r *run) next(shard int, shardCtx context.Context) (int, bool) {
 		if r.remaining == 0 || r.aborted || shardCtx.Err() != nil {
 			return 0, false
 		}
-		if !r.f.breakers.Tripped(shardID(shard)) {
+		if !r.f.breakers.Tripped(shard) {
 			// Own queue first: preserves placement locality.
 			if q := r.queues[shard]; len(q) > 0 {
 				idx := q[0]

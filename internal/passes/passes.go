@@ -196,16 +196,6 @@ func StaticByRule(r report.Rule) (Pass, bool) {
 	return Pass{}, false
 }
 
-// IDs returns every registered pass ID, sorted.
-func IDs() []string {
-	out := make([]string, 0, len(registry))
-	for _, p := range registry {
-		out = append(out, p.ID)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ResolveEnabled turns an explicit selection (only; empty = all) and a
 // disable list into the enabled-pass set.  Unknown IDs are errors, so a
 // typo in -passes/-disable-pass cannot silently run the wrong rule set.

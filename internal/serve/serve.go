@@ -12,10 +12,10 @@
 //     trace-entry budget (core.Config.MaxTraceEntries).  A pathological
 //     module degrades to a partial report with a budget-attributed skip
 //     — never a hung worker or an OOM kill.
-//   - Per-pass circuit breakers: repeated attributed panics in one
-//     analysis pass trip that pass's breaker; subsequent requests run
-//     with the pass disabled plus a skip annotation naming it, until a
-//     half-open probe succeeds (see breaker.go).
+//   - Failure isolation: a rule that panics while scanning one
+//     function costs that function a rule-scan skip on a partial report
+//     (the checker recovers it), and any other panic in an analysis is
+//     recovered into a 500 for that request alone.
 //   - Request coalescing: concurrent identical requests share a single
 //     execution over the shared warm cache (see flight.go).
 //   - Graceful drain: Shutdown stops admission (flipping /readyz),
@@ -37,7 +37,6 @@ import (
 	"net"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -86,24 +85,15 @@ type Config struct {
 	// warm tier.  Shutdown flushes the write-behind queue so every
 	// acknowledged verdict reaches the tier before the process exits.
 	TierURL string
-	// BreakerThreshold is the consecutive attributed failures that trip
-	// a pass's circuit breaker (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is the open→half-open probe delay (default 5s).
-	BreakerCooldown time.Duration
 	// Chaos arms deterministic fault injection for the soak/chaos gates.
 	// Zero value injects nothing.
 	Chaos Chaos
 }
 
-// Chaos is the daemon's failpoint surface: deliberately injected
-// failures that let the soak gate prove the breaker and shedding
-// machinery on demand (the serve-side analogue of internal/faultinj).
+// Chaos is the daemon's failpoint surface: deliberately injected stalls
+// that let the serve gate prove the shedding and drain machinery on
+// demand (the serve-side analogue of internal/faultinj).
 type Chaos struct {
-	// FailPass arms per-pass failpoints: the next FailPass[id] analyses
-	// that run with pass id enabled panic inside the analysis, with the
-	// pass ID in the panic value (so attribution is exact).
-	FailPass map[string]int
 	// StallFirst stalls the first N analyses by Stall before they run
 	// (bounded by the request deadline) — deterministic queue pressure
 	// for the shedding gate.
@@ -131,12 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 15 * time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
 	}
 	return c
 }
@@ -202,15 +186,14 @@ type result struct {
 
 // Server is the analysis daemon.
 type Server struct {
-	cfg      Config
-	cache    *anacache.Cache
-	remote   *anacache.RemoteBacking // shard mode's tier client (nil otherwise)
-	http     *http.Server
-	lis      net.Listener
-	admit    chan struct{} // admission slots: QueueDepth + MaxInFlight
-	work     chan struct{} // concurrent-analysis slots: MaxInFlight
-	flights  *flightGroup
-	breakers *BreakerSet
+	cfg     Config
+	cache   *anacache.Cache
+	remote  *anacache.RemoteBacking // shard mode's tier client (nil otherwise)
+	http    *http.Server
+	lis     net.Listener
+	admit   chan struct{} // admission slots: QueueDepth + MaxInFlight
+	work    chan struct{} // concurrent-analysis slots: MaxInFlight
+	flights *flightGroup
 
 	baseCtx    context.Context // parent of every analysis; cancelled on forced drain
 	cancelBase context.CancelFunc
@@ -218,7 +201,6 @@ type Server struct {
 	start      time.Time
 
 	chaosMu    sync.Mutex
-	chaosFail  map[string]int
 	chaosStall int
 
 	stats serverStats
@@ -231,7 +213,6 @@ type serverStats struct {
 	shed           atomic.Int64
 	coalesced      atomic.Int64
 	failures       atomic.Int64
-	breakerRetries atomic.Int64
 	timeouts       atomic.Int64
 	queueTimeouts  atomic.Int64
 	cacheFlushed   atomic.Int64
@@ -250,21 +231,19 @@ type Stats struct {
 	Shed           int64 `json:"shed"`
 	Coalesced      int64 `json:"coalesced"`
 	Failures       int64 `json:"failures"`
-	BreakerRetries int64 `json:"breaker_retries"`
 	Timeouts       int64 `json:"timeouts"`
 	QueueTimeouts  int64 `json:"queue_timeouts"`
 	CacheFlushed   int64 `json:"cache_flushed"`
 	DrainForced    int64 `json:"drain_forced"`
 	QueueHighWater int64 `json:"queue_high_water"`
 	// Gauges.
-	Queued        int                    `json:"queued"`
-	InFlight      int                    `json:"in_flight"`
-	QueueCap      int                    `json:"queue_cap"`
-	Draining      bool                   `json:"draining"`
-	UptimeSeconds float64                `json:"uptime_seconds"`
-	Breakers      map[string]BreakerInfo `json:"breakers"`
-	Cache         anacache.Stats         `json:"cache"`
-	CacheHitRate  float64                `json:"cache_hit_rate"`
+	Queued        int            `json:"queued"`
+	InFlight      int            `json:"in_flight"`
+	QueueCap      int            `json:"queue_cap"`
+	Draining      bool           `json:"draining"`
+	UptimeSeconds float64        `json:"uptime_seconds"`
+	Cache         anacache.Stats `json:"cache"`
+	CacheHitRate  float64        `json:"cache_hit_rate"`
 }
 
 // NewServer builds a daemon from cfg.  It does not listen yet; call
@@ -276,25 +255,18 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:      cfg,
-		cache:    cache,
-		admit:    make(chan struct{}, cfg.QueueDepth+cfg.MaxInFlight),
-		work:     make(chan struct{}, cfg.MaxInFlight),
-		flights:  newFlightGroup(),
-		breakers: NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		start:    time.Now(),
+		cfg:     cfg,
+		cache:   cache,
+		admit:   make(chan struct{}, cfg.QueueDepth+cfg.MaxInFlight),
+		work:    make(chan struct{}, cfg.MaxInFlight),
+		flights: newFlightGroup(),
+		start:   time.Now(),
 	}
 	if cfg.TierURL != "" {
 		s.remote = anacache.NewRemoteBacking(cfg.TierURL, anacache.RemoteOptions{})
 		cache.SetBacking(s.remote)
 	}
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
-	if len(cfg.Chaos.FailPass) > 0 {
-		s.chaosFail = make(map[string]int, len(cfg.Chaos.FailPass))
-		for id, n := range cfg.Chaos.FailPass {
-			s.chaosFail[id] = n
-		}
-	}
 	s.chaosStall = cfg.Chaos.StallFirst
 
 	mux := http.NewServeMux()
@@ -429,7 +401,6 @@ func (s *Server) Snapshot() Stats {
 		Shed:           s.stats.shed.Load(),
 		Coalesced:      s.stats.coalesced.Load(),
 		Failures:       s.stats.failures.Load(),
-		BreakerRetries: s.stats.breakerRetries.Load(),
 		Timeouts:       s.stats.timeouts.Load(),
 		QueueTimeouts:  s.stats.queueTimeouts.Load(),
 		CacheFlushed:   s.stats.cacheFlushed.Load(),
@@ -440,7 +411,6 @@ func (s *Server) Snapshot() Stats {
 		QueueCap:       s.cfg.QueueDepth,
 		Draining:       s.draining.Load(),
 		UptimeSeconds:  time.Since(s.start).Seconds(),
-		Breakers:       s.breakers.Snapshot(),
 		Cache:          cs,
 	}
 	if total := cs.VerdictHits + cs.VerdictMisses; total > 0 {
@@ -570,10 +540,10 @@ func (s *Server) acquireWork(ctx context.Context) bool {
 	}
 }
 
-// execute runs one analysis end to end: worker slot, budgets, breaker
-// gating, chaos failpoints, attribution and degradation.  It always
-// returns a result (panics are recovered into 500s).  ctx carries the
-// request deadline, established by the caller before coalescing.
+// execute runs one analysis end to end: worker slot, chaos stall,
+// budgets and rendering.  It always returns a result (panics are
+// recovered into 500s).  ctx carries the request deadline, established
+// by the caller before coalescing.
 func (s *Server) execute(ctx context.Context, req Request) *result {
 	// Wait for an analysis slot; the request deadline covers the wait.
 	if !s.acquireWork(ctx) {
@@ -596,8 +566,7 @@ func (s *Server) execute(ctx context.Context, req Request) *result {
 	if errRes != nil {
 		return errRes
 	}
-
-	cfg := core.Config{
+	rep, err := runAnalysis(ctx, m, core.Config{
 		Model:           model,
 		PModel:          req.PModel,
 		AllFunctions:    req.AllFunctions,
@@ -606,102 +575,32 @@ func (s *Server) execute(ctx context.Context, req Request) *result {
 		Passes:          req.Passes,
 		DisablePasses:   req.DisablePasses,
 		Cache:           s.cache,
-	}
-
-	degraded, probes := s.breakers.Acquire()
-	runCfg := cfg
-	runCfg.DisablePasses = unionIDs(cfg.DisablePasses, degraded)
-
-	rep, aerr := s.runAnalysis(ctx, m, runCfg)
-	attributed := attributePasses(aerr)
-	for _, id := range attributed {
-		s.breakers.Fail(id)
-	}
-	// Every granted probe must resolve, or the pass wedges half-open:
-	// a clean run closes it, anything else reopens it.
-	for _, id := range probes {
-		if aerr == nil {
-			s.breakers.OK(id)
-		} else if !containsID(attributed, id) {
-			s.breakers.Fail(id)
-		}
-	}
-	if aerr != nil && len(attributed) > 0 {
-		// Auto-degrade: retry once with the failing passes disabled, so
-		// the client gets a partial report instead of a 500 while the
-		// breaker counts toward tripping.
-		s.stats.breakerRetries.Add(1)
-		runCfg.DisablePasses = unionIDs(runCfg.DisablePasses, attributed)
-		rep, aerr = s.runAnalysis(ctx, m, runCfg)
-	}
-	if aerr != nil {
+	})
+	if err != nil {
 		s.stats.failures.Add(1)
-		return &result{status: http.StatusInternalServerError, body: errBody(aerr.Error())}
+		return &result{status: http.StatusInternalServerError, body: errBody(err.Error())}
 	}
-	// A clean full run resets failure streaks for every tracked pass
-	// that actually ran.
-	if len(attributed) == 0 {
-		s.breakers.successExcept(degraded)
-	}
-	for _, id := range degraded {
-		rep.AddSkipStage(m.Name, id,
-			"circuit breaker open: pass degraded after repeated failures (half-open probe pending)")
-	}
-	for _, id := range attributed {
-		rep.AddSkipStage(m.Name, id,
-			"pass panicked and was degraded for this request; breaker counting toward trip")
-	}
-	rep.Sort()
 	if rep.Partial() && ctx.Err() != nil {
 		s.stats.timeouts.Add(1)
 	}
-	body, jerr := rep.JSON()
-	if jerr != nil {
+	body, err := rep.JSON()
+	if err != nil {
 		s.stats.failures.Add(1)
-		return &result{status: http.StatusInternalServerError, body: errBody(jerr.Error())}
+		return &result{status: http.StatusInternalServerError, body: errBody(err.Error())}
 	}
 	return &result{status: http.StatusOK, body: body, exit: cli.ExitCode(rep), partial: rep.Partial()}
 }
 
-// runAnalysis executes the core analysis with panic isolation and the
-// chaos failpoints armed.
-func (s *Server) runAnalysis(ctx context.Context, m *ir.Module, cfg core.Config) (rep *report.Report, err error) {
+// runAnalysis executes the core analysis with panic isolation: a rule
+// panic is already a rule-scan skip inside the checker, so what reaches
+// this recover fails only the request it came from.
+func runAnalysis(ctx context.Context, m *ir.Module, cfg core.Config) (rep *report.Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rep, err = nil, fmt.Errorf("serve: analysis panicked: %v", r)
 		}
 	}()
-	s.maybeFailpoint(cfg)
 	return core.AnalyzeCtx(ctx, m, cfg)
-}
-
-// maybeFailpoint consumes one armed per-pass failpoint whose pass is
-// enabled for this run, panicking with the pass ID in the value so
-// attribution is exact.
-func (s *Server) maybeFailpoint(cfg core.Config) {
-	if s.chaosFail == nil {
-		return
-	}
-	enabled, err := passes.ResolveEnabled(cfg.Passes, cfg.DisablePasses)
-	if err != nil {
-		return // the analysis will surface the selection error itself
-	}
-	s.chaosMu.Lock()
-	armed := make([]string, 0, len(s.chaosFail))
-	for id, n := range s.chaosFail {
-		if n > 0 && enabled[id] {
-			armed = append(armed, id)
-		}
-	}
-	sort.Strings(armed)
-	if len(armed) == 0 {
-		s.chaosMu.Unlock()
-		return
-	}
-	id := armed[0]
-	s.chaosFail[id]--
-	s.chaosMu.Unlock()
-	panic(fmt.Sprintf("failpoint: pass %s panicked", id))
 }
 
 // takeStall consumes one chaos stall token.
@@ -718,18 +617,22 @@ func (s *Server) takeStall() time.Duration {
 	return s.cfg.Chaos.Stall
 }
 
-// resolveModule loads the request's module: inline PIR source or a
-// named corpus target.
+// resolveModule validates the request's analysis options and loads its
+// module: inline PIR source or a named corpus target.  A bad model,
+// contract or pass selection is the client's error (400), caught here
+// before any analysis runs.
 func (s *Server) resolveModule(req Request) (*ir.Module, string, *result) {
 	if req.Model != "" {
 		if _, err := checker.ParseModel(req.Model); err != nil {
 			return nil, "", &result{status: http.StatusBadRequest, body: errBody(err.Error())}
 		}
 	}
-	if req.PModel != "" {
-		if _, err := pmcontract.ParseContract(req.PModel); err != nil {
-			return nil, "", &result{status: http.StatusBadRequest, body: errBody(err.Error())}
-		}
+	ct, err := pmcontract.ParseContract(req.PModel)
+	if err != nil {
+		return nil, "", &result{status: http.StatusBadRequest, body: errBody(err.Error())}
+	}
+	if _, err := passes.ResolveEnabledFor(req.Passes, req.DisablePasses, ct.EffectiveID()); err != nil {
+		return nil, "", &result{status: http.StatusBadRequest, body: errBody(err.Error())}
 	}
 	if req.Corpus != "" {
 		for _, p := range corpus.All() {
@@ -778,68 +681,6 @@ func (s *Server) clampEntries(reqEntries int) int {
 		return s.cfg.MaxTraceEntries
 	}
 	return reqEntries
-}
-
-// attributePasses extracts the pass IDs named in an analysis failure
-// (nil error → nil).  Failpoints and pass-attributed panics embed the
-// stable DMC-xxx code in the message; anything else stays unattributed
-// and surfaces as a plain 500.
-func attributePasses(err error) []string {
-	if err == nil {
-		return nil
-	}
-	msg := err.Error()
-	var out []string
-	for _, id := range passes.IDs() {
-		if strings.Contains(msg, id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// successExcept resets failure streaks for every tracked pass that ran
-// (everything not in the degraded list).
-func (s *BreakerSet) successExcept(degraded []string) {
-	skip := make(map[string]bool, len(degraded))
-	for _, id := range degraded {
-		skip[id] = true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id, br := range s.b {
-		if !skip[id] && br.state == breakerClosed {
-			br.fails = 0
-		}
-	}
-}
-
-// unionIDs merges two ID lists, deduplicated and sorted.
-func unionIDs(a, b []string) []string {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
-	}
-	seen := make(map[string]bool, len(a)+len(b))
-	var out []string
-	for _, l := range [][]string{a, b} {
-		for _, id := range l {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func containsID(ids []string, id string) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }
 
 // errBody renders a JSON error payload.

@@ -16,7 +16,6 @@ import (
 
 	"deepmc/internal/core"
 	"deepmc/internal/corpus"
-	"deepmc/internal/report"
 )
 
 // startServer spins up a daemon on a loopback port and tears it down
@@ -272,97 +271,32 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
-// TestBreakerTripAndRecover drives the full circuit-breaker state
-// machine with failpoint-injected pass panics: repeated attributed
-// failures degrade the pass per-request, trip the breaker, keep it
-// degrading while open, then a half-open probe closes it again.
-func TestBreakerTripAndRecover(t *testing.T) {
-	s, base := startServer(t, Config{
-		BreakerThreshold: 3,
-		BreakerCooldown:  250 * time.Millisecond,
-		Chaos:            Chaos{FailPass: map[string]int{report.CodeUnflushedWrite: 3}},
-	})
-	src := func(i int) string {
-		return fmt.Sprintf("module b%d\ntype t struct {\n\ta: int\n}\nfunc main() {\n\t%%p = palloc t\n\tstore %%p.a, %d @4\n\tret\n}\n", i, i)
-	}
-	// Phase 1: three failing requests.  Each panic is attributed to the
-	// pass, the request auto-degrades to a 200 partial report with a
-	// pass-attributed skip, and the breaker counts toward its trip.
-	for i := 0; i < 3; i++ {
-		status, hdr, body := post(t, base, Request{Source: src(i)})
-		if status != http.StatusOK {
-			t.Fatalf("failing request %d: status %d (%s)", i, status, body)
-		}
-		if hdr.Get("X-Deepmc-Partial") != "true" {
-			t.Fatalf("failing request %d not partial: %s", i, body)
-		}
-		rep, err := report.ParseJSON(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		found := false
-		for _, sk := range rep.Skipped {
-			if sk.Stage == report.CodeUnflushedWrite {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("failing request %d lacks a pass-attributed skip: %s", i, body)
+// TestPassSelectionValidation: an unknown or contract-inapplicable pass
+// selection is the client's error, a 400 before any analysis runs, and
+// it never changes what a later valid request gets back.  Each bad
+// selection below names DMC-S03.
+func TestPassSelectionValidation(t *testing.T) {
+	s, base := startServer(t, Config{})
+	p := corpus.All()[0]
+	for _, req := range []Request{
+		{Corpus: p.Name, PModel: "cxl", Passes: []string{"DMC-S03"}},
+		{Corpus: p.Name, PModel: "cxl", DisablePasses: []string{"DMC-S03"}},
+		{Corpus: p.Name, Passes: []string{"DMC-S031"}},
+	} {
+		status, _, body := post(t, base, req)
+		if status != http.StatusBadRequest {
+			t.Fatalf("%+v: status %d (%s), want 400", req, status, body)
 		}
 	}
-	if st := s.Snapshot(); st.Breakers[report.CodeUnflushedWrite].State != "open" {
-		t.Fatalf("breaker not open after %d failures: %+v", 3, st.Breakers)
+	status, hdr, body := post(t, base, Request{Corpus: p.Name})
+	if status != http.StatusOK || hdr.Get("X-Deepmc-Partial") != "false" {
+		t.Fatalf("valid request: status %d, partial %s: %s", status, hdr.Get("X-Deepmc-Partial"), body)
 	}
-	// Phase 2: while open, requests run with the pass disabled and an
-	// attributed "circuit breaker open" skip — no panic, no 500.
-	status, _, body := post(t, base, Request{Source: src(10)})
-	if status != http.StatusOK {
-		t.Fatalf("open-state request: status %d", status)
+	if want := batchJSON(t, p); !bytes.Equal(body, want) {
+		t.Errorf("valid request after bad selections differs from batch\nserve: %s\nbatch: %s", body, want)
 	}
-	rep, err := report.ParseJSON(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	foundOpen := false
-	for _, sk := range rep.Skipped {
-		if sk.Stage == report.CodeUnflushedWrite && strings.Contains(sk.Reason, "circuit breaker open") {
-			foundOpen = true
-		}
-	}
-	if !foundOpen {
-		t.Fatalf("open-state report lacks breaker-attributed skip: %s", body)
-	}
-	for _, w := range rep.Warnings {
-		if w.Code == report.CodeUnflushedWrite {
-			t.Fatalf("degraded pass still emitted its warning: %s", body)
-		}
-	}
-	// Phase 3: after the cooldown the next request is the half-open
-	// probe; the failpoints are exhausted, so it succeeds, closes the
-	// breaker, and returns a complete report with the pass's warning.
-	time.Sleep(400 * time.Millisecond)
-	status, hdr, body := post(t, base, Request{Source: src(20)})
-	if status != http.StatusOK {
-		t.Fatalf("probe request: status %d", status)
-	}
-	if hdr.Get("X-Deepmc-Partial") != "false" {
-		t.Fatalf("probe request still partial: %s", body)
-	}
-	rep, err = report.ParseJSON(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	foundWarn := false
-	for _, w := range rep.Warnings {
-		if w.Code == report.CodeUnflushedWrite {
-			foundWarn = true
-		}
-	}
-	if !foundWarn {
-		t.Fatalf("recovered pass did not emit its warning again: %s", body)
-	}
-	if st := s.Snapshot(); st.Breakers[report.CodeUnflushedWrite].State != "closed" {
-		t.Fatalf("breaker not closed after successful probe: %+v", st.Breakers)
+	if st := s.Snapshot(); st.Failures != 0 {
+		t.Errorf("stats.Failures = %d, want 0: a bad selection is not an analysis failure", st.Failures)
 	}
 }
 

@@ -52,7 +52,7 @@ var Entries = []Entry{
 	{"crashsim", true, "legacy vs pruned vs parallel crash enumeration; results must match", crashsimBench},
 	{"figure12", true, "Figure 12: throughput overhead of the dynamic analysis", figure12},
 	{"cache-gate", false, "gate: warm == cold at workers 1/2/8 and through the disk tier", cacheGate},
-	{"serve-gate", false, "gate: serve == batch across restarts, breakers trip and recover, overload sheds", serveGate},
+	{"serve-gate", false, "gate: serve == batch across restarts, overload sheds", serveGate},
 	{"fuzz-gate", false, "gate: witnesses replay, planted bugs are re-found, fixed targets stay clean", fuzzGate},
 	{"fleet-gate", false, "gate: fleet == batch in-process and over HTTP, through kills and network faults", fleetGate},
 	{"pmodel-gate", false, "gate: persistency-contract verdict matrix, empty-domain cxl == x86", pmodelGate},

@@ -15,14 +15,12 @@ import (
 
 	"deepmc/internal/core"
 	"deepmc/internal/corpus"
-	"deepmc/internal/report"
 	"deepmc/internal/serve"
 )
 
 // serveGate is the CI gate for the analysis daemon: a chaos/soak run
 // that asserts the serve path keeps every hard promise the batch path
-// makes, under concurrency, graceful restarts, injected pass panics and
-// overload.
+// makes, under concurrency, graceful restarts and overload.
 //
 //  1. Restart soak: across several graceful restarts with concurrent
 //     clients hammering the corpus endpoints over one shared disk cache,
@@ -30,11 +28,7 @@ import (
 //     body is byte-identical to the batch pipeline's report, or a clean
 //     rejection (429 shed / 503 drain).  At least one request in flight
 //     when the drain starts must still be delivered.
-//  2. Breaker: a pass wired to panic trips its circuit breaker after the
-//     configured threshold, degrades to attributed partial reports
-//     instead of 500s, and recovers through a half-open probe after the
-//     cooldown.
-//  3. Shedding: with one analysis slot and a one-deep queue, an overload
+//  2. Shedding: with one analysis slot and a one-deep queue, an overload
 //     burst is shed with 429 + Retry-After and the queue bound holds.
 func serveGate() Result {
 	var b strings.Builder
@@ -73,16 +67,12 @@ func serveGate() Result {
 		ok = ok && roundOK
 	}
 
-	line, bOK := breakerScenario()
-	fmt.Fprintf(&b, "  breaker:   %s\n", line)
-	ok = ok && bOK
-
 	line, sOK := shedScenario()
 	fmt.Fprintf(&b, "  shedding:  %s\n", line)
 	ok = ok && sOK
 
 	if ok {
-		b.WriteString("serve gate passed: zero dropped requests across graceful restarts, serve == batch byte-for-byte, breaker trips and recovers, overload sheds cleanly\n")
+		b.WriteString("serve gate passed: zero dropped requests across graceful restarts, serve == batch byte-for-byte, overload sheds cleanly\n")
 	} else {
 		b.WriteString("serve gate FAILED\n")
 	}
@@ -225,82 +215,6 @@ func soakRound(cacheDir string, refs map[string][]byte) (string, bool) {
 		completed.Load(), rejected.Load(), afterDrain.Load()), true
 }
 
-// breakerScenario drives the circuit breaker through trip and recovery
-// with failpoint-injected pass panics.
-func breakerScenario() (string, bool) {
-	const threshold = 3
-	s, base, err := startServer(serve.Config{
-		BreakerThreshold: threshold,
-		BreakerCooldown:  100 * time.Millisecond,
-		Chaos:            serve.Chaos{FailPass: map[string]int{report.CodeUnflushedWrite: threshold}},
-	})
-	if err != nil {
-		return fmt.Sprintf("FAIL: %v", err), false
-	}
-	defer s.Close()
-
-	postSrc := func(i int) (*report.Report, error) {
-		body, _ := json.Marshal(serve.Request{Source: oneStore("g", i)})
-		resp, err := http.Post(base+"/analyze", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("status %d: %s", resp.StatusCode, raw)
-		}
-		return report.ParseJSON(raw)
-	}
-
-	// Trip: each injected panic degrades to an attributed partial
-	// report (never a 500) and counts toward the threshold.
-	for i := 0; i < threshold; i++ {
-		rep, err := postSrc(i)
-		if err != nil {
-			return fmt.Sprintf("FAIL: failing request %d: %v", i, err), false
-		}
-		if !hasSkipStage(rep, report.CodeUnflushedWrite) {
-			return fmt.Sprintf("FAIL: failing request %d lacks pass-attributed skip", i), false
-		}
-	}
-	if st := s.Snapshot().Breakers[report.CodeUnflushedWrite]; st.State != "open" {
-		return fmt.Sprintf("FAIL: breaker %s after %d failures, want open", st.State, threshold), false
-	}
-	// Open: the pass is skipped outright.
-	rep, err := postSrc(100)
-	if err != nil {
-		return fmt.Sprintf("FAIL: open-state request: %v", err), false
-	}
-	if !hasSkipStage(rep, report.CodeUnflushedWrite) {
-		return "FAIL: open-state report lacks breaker skip", false
-	}
-	// Recover: past the cooldown the half-open probe succeeds (the
-	// failpoints are spent), closing the breaker and restoring the
-	// pass's findings.
-	time.Sleep(200 * time.Millisecond)
-	rep, err = postSrc(200)
-	if err != nil {
-		return fmt.Sprintf("FAIL: probe request: %v", err), false
-	}
-	if rep.Partial() {
-		return "FAIL: post-recovery report still partial", false
-	}
-	found := false
-	for _, w := range rep.Warnings {
-		if w.EffectiveCode() == report.CodeUnflushedWrite {
-			found = true
-		}
-	}
-	if !found {
-		return "FAIL: recovered pass did not report its warning", false
-	}
-	if st := s.Snapshot().Breakers[report.CodeUnflushedWrite]; st.State != "closed" {
-		return fmt.Sprintf("FAIL: breaker %s after probe, want closed", st.State), false
-	}
-	return fmt.Sprintf("ok: tripped after %d injected panics, degraded while open, recovered via half-open probe", threshold), true
-}
-
 // shedScenario overloads a deliberately tiny daemon and checks the
 // admission bound: overflow is shed with 429 + Retry-After, everything
 // else completes, and nothing hits a 5xx.
@@ -362,14 +276,4 @@ func shedScenario() (string, bool) {
 	}
 	return fmt.Sprintf("ok: %d/%d shed with Retry-After, %d completed, queue bound held",
 		shed.Load(), n, completed.Load()), true
-}
-
-// hasSkipStage reports whether rep carries a skip attributed to stage.
-func hasSkipStage(rep *report.Report, stage string) bool {
-	for _, sk := range rep.Skipped {
-		if sk.Stage == stage {
-			return true
-		}
-	}
-	return false
 }
