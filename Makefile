@@ -15,7 +15,7 @@
 #   make crashsim    cross-validate the static checker against crash enumeration
 #   make faults      per-class fault-injection differential gate
 #   make fuzz-gate   schedule-fuzzer gate: witness replay + planted-bug re-discovery
-#   make soak-short  bounded heavy-traffic soak gate (crash+recover audits, sharded checker)
+#   make soak-short  bounded heavy-traffic soak gate (tracked overhead, crash+recover audits)
 #   make soak        full soak gate (same checks, bigger op budgets; writes BENCH_soak.json)
 #   make fleet-gate  sharded-fleet chaos gate, in-process and over HTTP (fleet == batch bytes
 #                    at shards 1/4/8 through kills and network faults)
@@ -112,11 +112,11 @@ fuzz-gate: build
 # The soak gate: drive the instrumented apps at production shape with
 # concurrent clients, crash every partition mid-workload under every
 # fault class, recover, and audit that every acknowledged write is
-# durable (fixed apps clean, planted bugs witnessed); the sharded
-# checker must beat the pre-shard global-mutex build at 8 clients.
+# durable (fixed apps clean, planted bugs witnessed); tracked-vs-untracked
+# throughput is recorded at 2 and 8 clients.
 soak-short: build
 	$(GO) run ./cmd/deepmc-bench $@
-	$(GO) test -race -count=1 ./internal/soak ./internal/workload ./internal/apps/driver
+	$(GO) test -race -count=1 ./internal/soak ./internal/workload ./internal/apps/driver ./internal/pmem
 
 soak: build
 	$(GO) run ./cmd/deepmc-bench $@

@@ -11,7 +11,7 @@
 //	deepmc fmt    prog.pir
 //	deepmc crashsim [-jobs N] [-stride N] [-prune] [-entry main] [-timeout D] [-faults CLASSES] [-pmodel x86|cxl] [prog.pir]
 //	deepmc fuzz   [-seed N] [-budget N] [-corpus-dir DIR] [-target NAME] [-timeout D] [-pmodel x86|cxl]
-//	deepmc soak   [-app memcache|redis|nstore] [-clients N] [-partitions N] [-keys N] [-ops N] [-phases N] [-mix NAME] [-faults CLASSES] [-fault-rate R] [-seed N] [-tracked] [-stripes N] [-buggy] [-pmodel x86|cxl]
+//	deepmc soak   [-app memcache|redis|nstore] [-clients N] [-partitions N] [-keys N] [-ops N] [-phases N] [-mix NAME] [-faults CLASSES] [-fault-rate R] [-seed N] [-tracked] [-buggy] [-pmodel x86|cxl]
 //	deepmc fleet  [-shards N] [-model ...] [-all] [-jobs N] [-cache-dir DIR] [-cache-cap N] [-retries N] [-hedge D] [-kill N] [-seed N] [-timeout D] [-shard-urls URLS] [-request-timeout D] [-net-faults CLASSES] [-net-fault-rate R] [-net-seed N] [prog.pir...]
 //	deepmc tier   [-addr :7500] -dir DIR [-cap N] [-flush-every D]
 //
@@ -153,14 +153,13 @@ commands:
           built-ins); -corpus-dir persists interesting genomes
   soak    [-app memcache|redis|nstore] [-clients N] [-partitions N] [-keys N]
           [-ops N] [-phases N] [-mix NAME] [-faults CLASSES] [-fault-rate R]
-          [-seed N] [-tracked] [-stripes N] [-buggy]
+          [-seed N] [-tracked] [-buggy] [-pmodel x86|cxl]
           drive the instrumented app at production shape with concurrent
           clients, crash every partition between phases, run recovery,
           and audit the recovered image against every acknowledged
           write; -buggy plants the app's crash-consistency bug (exit 1
           when the audit witnesses an inconsistency); -tracked attaches
-          the sharded dynamic checker (-stripes 1 = the pre-shard
-          global-mutex baseline)
+          the dynamic checker
   serve   [-addr :7437] [-jobs N] [-inflight N] [-queue N] [-timeout D]
           [-max-trace-entries N] [-drain D] [-cache-dir DIR]
           [-shard] [-tier URL]
@@ -894,7 +893,7 @@ func cmdFleet(args []string) error {
 					return
 				default:
 				}
-				s := rng.Intn(*shards)
+				s := rng.Intn(f.Shards())
 				f.KillShard(s)
 				time.Sleep(10 * time.Millisecond)
 				if err := f.RestartShard(s); err != nil {
@@ -925,7 +924,7 @@ func cmdFleet(args []string) error {
 	}
 	st := f.StatsSnapshot()
 	fmt.Printf("fleet: %d jobs over %d shards: completed=%d retries=%d steals=%d requeues=%d hedges=%d kills=%d restarts=%d\n",
-		len(jobs), *shards, st.Completed, st.Retries, st.Steals, st.Requeues, st.Hedges, st.Kills, st.Restarts)
+		len(jobs), f.Shards(), st.Completed, st.Retries, st.Steals, st.Requeues, st.Hedges, st.Kills, st.Restarts)
 	// Close before exiting: os.Exit skips defers, and Close is what
 	// flushes the write-behind tier to -cache-dir.
 	if cerr := f.Close(); cerr != nil {
@@ -952,8 +951,7 @@ func cmdSoak(args []string) error {
 	faults := fs.String("faults", "", "fault classes to inject: torn,dropped,reordered,delayed or all")
 	faultRate := fs.Float64("fault-rate", 0.2, "per-opportunity injection probability")
 	seed := fs.Int64("seed", 1, "workload and fault-schedule seed")
-	tracked := fs.Bool("tracked", false, "attach the sharded dynamic checker to every partition")
-	stripes := fs.Int("stripes", 0, "checker shadow-directory stripes (0 = default, 1 = global-mutex baseline)")
+	tracked := fs.Bool("tracked", false, "attach the dynamic checker to every partition")
 	buggy := fs.Bool("buggy", false, "plant the app's crash-consistency bug (memcache, nstore)")
 	pmodel := pmodelFlag(fs, "a whole-heap persistence domain heals the planted flush/fence bugs")
 	fs.Parse(args)
@@ -968,7 +966,7 @@ func cmdSoak(args []string) error {
 		App: *app, Clients: *clients, Partitions: *partitions,
 		Keys: *keys, OpsPerClient: *opsPerClient, Phases: *phases,
 		FaultRate: *faultRate, Seed: *seed,
-		Tracked: *tracked, Stripes: *stripes, Buggy: *buggy,
+		Tracked: *tracked, Buggy: *buggy,
 		PModel: *pmodel,
 	}
 	if *mixName != "" {

@@ -156,13 +156,9 @@ type Checker struct {
 
 	gepoch atomic.Uint64 // global fence counter
 
-	// stripes shards the shadow-segment directory; len is a power of
-	// two so stripe selection is a mask.  segCache enables the
-	// per-strand last-segment shortcut (off in the single-stripe
-	// configuration, which reproduces the historical global-mutex
-	// behaviour for A/B measurement).
-	stripes  []segTable
-	segCache bool
+	// stripes shards the shadow-segment directory by the segment
+	// key's low bits.
+	stripes [segStripes]segTable
 
 	clocks sync.Map // int64 -> *strandState
 
@@ -177,32 +173,13 @@ type Checker struct {
 	flushes atomic.Uint64
 }
 
-// defaultStripes is the shard count of the shadow-segment directory.
-const defaultStripes = 64
+// segStripes is the shard count of the shadow-segment directory (a
+// power of two, so stripe selection is a mask).
+const segStripes = 64
 
-// NewChecker creates an empty runtime checker with the default
-// directory sharding.
-func NewChecker() *Checker { return NewCheckerStripes(defaultStripes) }
-
-// NewCheckerStripes creates a checker whose shadow-segment directory is
-// sharded across n stripes (rounded up to a power of two).  n <= 1
-// yields the historical single-global-mutex layout with the per-strand
-// segment cache disabled — the pre-shard baseline the soak bench
-// compares against.
-func NewCheckerStripes(n int) *Checker {
-	if n < 1 {
-		n = 1
-	}
-	pow := 1
-	for pow < n {
-		pow <<= 1
-	}
-	c := &Checker{
-		stripes:  make([]segTable, pow),
-		segCache: pow > 1,
-		locks:    make(map[any]VC),
-		rep:      report.New(),
-	}
+// NewChecker creates an empty runtime checker.
+func NewChecker() *Checker {
+	c := &Checker{locks: make(map[any]VC), rep: report.New()}
 	for i := range c.stripes {
 		c.stripes[i].segments = make(map[uint64]*segment)
 	}
@@ -317,14 +294,11 @@ func (c *Checker) Release(id int64, lock any) {
 // stripe lock; misses fall through to the owning stripe.
 func (c *Checker) seg(st *strandState, addr uint64) *segment {
 	key := addr >> segmentShift
-	var slot *segRef
-	if c.segCache && st != nil {
-		slot = &st.lastSeg[key&(segCacheSlots-1)]
-		if slot.s != nil && slot.key == key {
-			return slot.s
-		}
+	slot := &st.lastSeg[key&(segCacheSlots-1)]
+	if slot.s != nil && slot.key == key {
+		return slot.s
 	}
-	t := &c.stripes[key&uint64(len(c.stripes)-1)]
+	t := &c.stripes[key&(segStripes-1)]
 	t.mu.RLock()
 	s := t.segments[key]
 	t.mu.RUnlock()
@@ -336,9 +310,7 @@ func (c *Checker) seg(st *strandState, addr uint64) *segment {
 		}
 		t.mu.Unlock()
 	}
-	if slot != nil {
-		*slot = segRef{key: key, s: s}
-	}
+	*slot = segRef{key: key, s: s}
 	return s
 }
 

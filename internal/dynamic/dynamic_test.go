@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"deepmc/internal/dsa"
 	"deepmc/internal/interp"
 	"deepmc/internal/ir"
 	"deepmc/internal/report"
@@ -249,23 +248,5 @@ func TestEndToEndOrderedClean(t *testing.T) {
 	}
 	if rep := rt.Checker.Report(); len(rep.Warnings) != 0 {
 		t.Errorf("fence-separated strands flagged:\n%s", rep)
-	}
-}
-
-func TestInstrumentPlanScopes(t *testing.T) {
-	m := ir.MustParse(strandProgSrc)
-	a := dsa.Analyze(m, dsa.DefaultOptions())
-	annotated := Instrument(m, a, true)
-	full := Instrument(m, a, false)
-	if annotated.TotalMemOps == 0 || annotated.PersistentMemOps == 0 {
-		t.Fatalf("plan counted nothing: %+v", annotated)
-	}
-	if len(annotated.Sites) > len(full.Sites) {
-		t.Errorf("annotated scope (%d sites) cannot exceed full scope (%d)",
-			len(annotated.Sites), len(full.Sites))
-	}
-	if annotated.AnnotatedMemOps != len(annotated.Sites) {
-		t.Errorf("annotated sites %d != AnnotatedMemOps %d",
-			len(annotated.Sites), annotated.AnnotatedMemOps)
 	}
 }

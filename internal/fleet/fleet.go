@@ -506,6 +506,10 @@ func (f *Fleet) RestartShard(i int) error {
 	return nil
 }
 
+// Shards returns the fleet's shard count: Config.Shards, or its default
+// when that was not positive.
+func (f *Fleet) Shards() int { return f.cfg.Shards }
+
 // TierStats exposes the shared verdict tier's counters.
 func (f *Fleet) TierStats() anacache.Stats { return f.tier.Stats() }
 

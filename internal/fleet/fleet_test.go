@@ -97,14 +97,22 @@ func TestRingDeterministicAndLiveAware(t *testing.T) {
 }
 
 // TestFleetMatchesBatch: fleet output is byte-identical to single-node
-// batch output at several shard counts, warm or cold.
+// batch output at several shard counts, warm or cold; a zero shard
+// count runs, and reports, the default of 4.
 func TestFleetMatchesBatch(t *testing.T) {
 	jobs := testJobs(t, 8)
 	ref := batchRender(t, jobs)
-	for _, shards := range []int{1, 3, 8} {
+	for _, shards := range []int{0, 1, 3, 8} {
 		f, err := New(Config{Shards: shards, CacheDir: t.TempDir(), Seed: int64(shards)})
 		if err != nil {
 			t.Fatal(err)
+		}
+		want := shards
+		if want == 0 {
+			want = 4
+		}
+		if got := f.Shards(); got != want {
+			t.Fatalf("Config.Shards=%d: fleet reports %d shards, want %d", shards, got, want)
 		}
 		for round := 0; round < 2; round++ { // cold then tier-warm
 			res := f.Run(context.Background(), jobs)

@@ -46,6 +46,22 @@ type CheckerTracker struct {
 	// no module to take sites from, and their reports have always read
 	// that way.  A lookup of a known name takes no lock.
 	sites sync.Map // string -> *ir.Site
+	// begun holds every thread whose strand is open.
+	begun sync.Map // int64 -> struct{}
+}
+
+// begin opens a thread's strand at its first event.  A thread the
+// checker has never seen a strand event from is at clock 0, which it
+// orders before everything (its reading of code outside any strand),
+// so a thread's races before its first Release would go unseen.  A
+// known thread takes no lock.
+func (t *CheckerTracker) begin(thread int64) {
+	if _, ok := t.begun.Load(thread); ok {
+		return
+	}
+	if _, loaded := t.begun.LoadOrStore(thread, struct{}{}); !loaded {
+		t.C.StrandBegin(thread)
+	}
 }
 
 // site returns the interned site of a port function name.
@@ -62,20 +78,15 @@ func NewCheckerTracker() *CheckerTracker {
 	return &CheckerTracker{C: dynamic.NewChecker()}
 }
 
-// NewCheckerTrackerStripes wraps a checker with an explicit
-// shadow-directory stripe count (1 = the pre-shard global-mutex
-// layout, used as the soak bench baseline).
-func NewCheckerTrackerStripes(n int) *CheckerTracker {
-	return &CheckerTracker{C: dynamic.NewCheckerStripes(n)}
-}
-
 // Write forwards a store to the checker.
 func (t *CheckerTracker) Write(thread int64, addr uint64, fn string) {
+	t.begin(thread)
 	t.C.Write(thread, addr, true, t.site(fn))
 }
 
 // Read forwards a load to the checker.
 func (t *CheckerTracker) Read(thread int64, addr uint64, fn string) {
+	t.begin(thread)
 	t.C.Read(thread, addr, true, t.site(fn))
 }
 
@@ -83,7 +94,13 @@ func (t *CheckerTracker) Read(thread int64, addr uint64, fn string) {
 func (t *CheckerTracker) Fence(thread int64) { t.C.GlobalFence() }
 
 // Acquire forwards a lock acquisition.
-func (t *CheckerTracker) Acquire(thread int64, lock any) { t.C.Acquire(thread, lock) }
+func (t *CheckerTracker) Acquire(thread int64, lock any) {
+	t.begin(thread)
+	t.C.Acquire(thread, lock)
+}
 
 // Release forwards a lock release.
-func (t *CheckerTracker) Release(thread int64, lock any) { t.C.Release(thread, lock) }
+func (t *CheckerTracker) Release(thread int64, lock any) {
+	t.begin(thread)
+	t.C.Release(thread, lock)
+}

@@ -57,11 +57,8 @@ type Config struct {
 	// Seed drives workload generation and fault schedules.
 	Seed int64
 	// Tracked attaches the dynamic checker to every partition (the
-	// overhead lane); Stripes overrides its shadow-directory stripe
-	// count (0 = default sharding, 1 = the pre-shard global-mutex
-	// baseline).
+	// overhead lane).
 	Tracked bool
-	Stripes int
 	// Buggy enables the app's planted crash-consistency bug
 	// (memcache: BuggyNoCommitFence, nstore: BuggyNoApplyPersist).
 	Buggy bool
@@ -227,35 +224,17 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
+	// A tracked soak shares one checker across the partitions, each
+	// behind its address-namespacing offset.
 	var checker *pmem.CheckerTracker
-	var base pmem.Tracker
 	if cfg.Tracked {
-		if cfg.Stripes > 0 {
-			checker = pmem.NewCheckerTrackerStripes(cfg.Stripes)
-		} else {
-			checker = pmem.NewCheckerTracker()
-		}
-		base = checker
+		checker = pmem.NewCheckerTracker()
 	}
-	res, err := run(cfg, base)
-	if err != nil {
-		return nil, err
-	}
-	if checker != nil {
-		res.CheckerStats = checker.C.StatsSnapshot()
-	}
-	return res, nil
-}
-
-// run executes the soak against an already-defaulted config, attaching
-// tracker (when non-nil) to every partition behind its
-// address-namespacing offset.
-func run(cfg Config, tracker pmem.Tracker) (*Result, error) {
 	targets := make([]target, cfg.Partitions)
 	for p := range targets {
 		var tr pmem.Tracker
-		if tracker != nil {
-			tr = offsetTracker{inner: tracker, off: uint64(p+1) << 44}
+		if checker != nil {
+			tr = offsetTracker{inner: checker, off: uint64(p+1) << 44}
 		}
 		t, err := openTarget(cfg, p, tr)
 		if err != nil {
@@ -377,6 +356,9 @@ func run(cfg Config, tracker pmem.Tracker) (*Result, error) {
 		}
 		res.Phases = append(res.Phases, audit)
 		res.TotalWitnesses += audit.Witnesses
+	}
+	if checker != nil {
+		res.CheckerStats = checker.C.StatsSnapshot()
 	}
 	return res, nil
 }

@@ -56,7 +56,7 @@ var Entries = []Entry{
 	{"fuzz-gate", false, "gate: witnesses replay, planted bugs are re-found, fixed targets stay clean", fuzzGate},
 	{"fleet-gate", false, "gate: fleet == batch in-process and over HTTP, through kills and network faults", fleetGate},
 	{"pmodel-gate", false, "gate: persistency-contract verdict matrix, empty-domain cxl == x86", pmodelGate},
-	{"soak", false, "gate: heavy-traffic soak, crash+recover audits, sharded checker", func() Result { return soakGate(false) }},
+	{"soak", false, "gate: heavy-traffic soak, tracked overhead, crash+recover audits", func() Result { return soakGate(false) }},
 	{"soak-short", false, "gate: the soak gate at CI-sized op budgets", func() Result { return soakGate(true) }},
 }
 

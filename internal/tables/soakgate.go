@@ -2,14 +2,9 @@ package tables
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"deepmc/internal/faultinj"
-	"deepmc/internal/pmem"
 	"deepmc/internal/soak"
 	"deepmc/internal/workload"
 )
@@ -33,16 +28,13 @@ type soakAuditRow struct {
 
 // soakBenchResult is the soak entries' bench schema.
 type soakBenchResult struct {
-	App          string          `json:"app"`
-	Mix          string          `json:"mix"`
-	Short        bool            `json:"short"`
-	Trials       int             `json:"trials"`
-	Rows         []soakClientRow `json:"throughput"`
-	Sharded8     float64         `json:"sharded_checker_events_8c"`
-	Global8      float64         `json:"global_mutex_checker_events_8c"`
-	ShardSpeedup float64         `json:"shard_speedup"` // median of paired-trial ratios
-	Audits       []soakAuditRow  `json:"audits"`
-	Passed       bool            `json:"passed"`
+	App    string          `json:"app"`
+	Mix    string          `json:"mix"`
+	Short  bool            `json:"short"`
+	Trials int             `json:"trials"`
+	Rows   []soakClientRow `json:"throughput"`
+	Audits []soakAuditRow  `json:"audits"`
+	Passed bool            `json:"passed"`
 }
 
 // soakPerfCfg builds the write-heavy overhead-lane config: every op is
@@ -73,13 +65,12 @@ func bestThroughput(cfg soak.Config, trials int) (float64, error) {
 	return best, nil
 }
 
-// soakGate drives the heavy-traffic soak engine and gates three
+// soakGate drives the heavy-traffic soak engine and gates two
 // properties: (1) tracked-vs-untracked throughput is recorded at two
-// client counts, (2) the sharded checker beats the pre-shard
-// global-mutex build at 8 clients on the same workload, and (3) the
-// mid-workload crash+recover audit is clean for the fixed apps under
-// every fault class while the planted-bug apps produce witnessed
-// inconsistencies.  The rows are the entry's bench output.
+// client counts, and (2) the mid-workload crash+recover audit is clean
+// for the fixed apps under every fault class while the planted-bug
+// apps produce witnessed inconsistencies.  The rows are the entry's
+// bench output.
 func soakGate(short bool) Result {
 	totalOps := 48000
 	trials := 5
@@ -92,8 +83,8 @@ func soakGate(short bool) Result {
 
 	res := soakBenchResult{App: "memcache", Mix: "100u", Short: short, Trials: trials, Passed: true}
 	var b strings.Builder
-	b.WriteString("Soak gate: heavy traffic, crash+recover audits, sharded checker\n")
-	b.WriteString("---------------------------------------------------------------\n")
+	b.WriteString("Soak gate: heavy traffic, tracked overhead, crash+recover audits\n")
+	b.WriteString("----------------------------------------------------------------\n")
 	failf := func(format string, args ...any) {
 		res.Passed = false
 		fmt.Fprintf(&b, "  FAIL: "+format+"\n", args...)
@@ -123,86 +114,7 @@ func soakGate(short bool) Result {
 		}
 	}
 
-	// Lane 2: sharded vs pre-shard (single global mutex) checker at 8
-	// clients.  End-to-end soak ops/s dilutes the checker to a few
-	// percent of each operation — below run-to-run noise — so this
-	// lane measures the checker itself on the soak's real load: it
-	// records the full tracker call stream of an 8-client redis soak
-	// (pmdk's 64-byte values make dense same-segment runs, the case
-	// the per-strand segment cache serves), then replays the streams
-	// (one goroutine per client thread) against a fresh checker of
-	// each build and times checker events per second.  Trials are
-	// paired (sharded, global, sharded, ...) and the gate is the
-	// median of per-pair ratios, so GC and scheduler drift hit both
-	// builds alike.
-	cfg := soakPerfCfg(8, totalOps)
-	cfg.App = "redis"
-	streams, err := soak.TraceCheckerEvents(cfg)
-	if err != nil {
-		return fail("soak gate", err)
-	}
-	events := 0
-	for _, s := range streams {
-		events += len(s.Events)
-	}
-	const replayRounds = 4 // widens each timed window past timer/scheduler jitter
-	replay := func(stripes int) float64 {
-		runtime.GC()
-		start := time.Now()
-		for r := 0; r < replayRounds; r++ {
-			ct := pmem.NewCheckerTrackerStripes(stripes)
-			if stripes == 0 {
-				ct = pmem.NewCheckerTracker()
-			}
-			var wg sync.WaitGroup
-			for _, s := range streams {
-				wg.Add(1)
-				go func(s soak.TraceStream) {
-					defer wg.Done()
-					for _, ev := range s.Events {
-						switch ev.Kind {
-						case soak.TraceWrite:
-							ct.Write(s.Thread, ev.Addr, "soak")
-						case soak.TraceRead:
-							ct.Read(s.Thread, ev.Addr, "soak")
-						case soak.TraceFence:
-							ct.Fence(s.Thread)
-						case soak.TraceAcquire:
-							ct.Acquire(s.Thread, ev.Lock)
-						case soak.TraceRelease:
-							ct.Release(s.Thread, ev.Lock)
-						}
-					}
-				}(s)
-			}
-			wg.Wait()
-		}
-		return float64(events*replayRounds) / time.Since(start).Seconds()
-	}
-	var sharded, global float64
-	var ratios []float64
-	for i := 0; i < trials+3; i++ {
-		s, g := replay(0), replay(1)
-		if s > sharded {
-			sharded = s
-		}
-		if g > global {
-			global = g
-		}
-		if g > 0 {
-			ratios = append(ratios, s/g)
-		}
-	}
-	sort.Float64s(ratios)
-	res.Sharded8, res.Global8 = sharded, global
-	res.ShardSpeedup = ratios[len(ratios)/2]
-	fmt.Fprintf(&b, "  checker on 8-client redis stream (%d events): sharded %9.0f ev/s vs global-mutex %9.0f ev/s (median ratio %.3fx)\n",
-		events, sharded, global, res.ShardSpeedup)
-	if res.ShardSpeedup <= 1 {
-		failf("sharded checker did not beat the global-mutex build (median ratio %.3fx)", res.ShardSpeedup)
-	}
-
-	// Lane 3: the crash+recover audit matrix.  Fixed apps must audit
+	// Lane 2: the crash+recover audit matrix.  Fixed apps must audit
 	// clean under every fault class; planted-bug apps must witness.
 	schedules := []string{"none"}
 	for _, cl := range faultinj.AllClasses() {
