@@ -10,6 +10,7 @@
 #   make bench-trace trace-collection benchmark (PMDK and a 335-function generated app)
 #   make bench-crash crash-path benchmark (four-class fault differential over the 15 crash harnesses)
 #   make bench-nvm   NVM pool benchmark (memcache-shaped store/flush/fence mix; x86 and cxl, clean and faulted)
+#   make bench-front front-end benchmark (parse, print, fingerprint, warm cache hit; not in ci)
 #   make cache-gate  incremental-cache byte-identity gate (cold vs warm, workers 1/2/8)
 #   make serve-gate  analysis-daemon chaos/soak gate (graceful restarts, shedding)
 #   make crashsim    cross-validate the static checker against crash enumeration
@@ -37,7 +38,7 @@ FAULTSEED ?= 42
 PAIRS ?= 10
 SEED ?= 1
 
-.PHONY: build test race vet fuzz-short bench bench-trace bench-crash bench-nvm cache-gate serve-gate crashsim faults fuzz-gate soak-short soak fleet-gate pmodel-gate stress bench-selftest ci perf-ab loc clean
+.PHONY: build test race vet fuzz-short bench bench-trace bench-crash bench-nvm bench-front cache-gate serve-gate crashsim faults fuzz-gate soak-short soak fleet-gate pmodel-gate stress bench-selftest ci perf-ab loc clean
 
 build:
 	$(GO) build ./...
@@ -79,6 +80,9 @@ bench-crash:
 
 bench-nvm:
 	$(GO) test -run '^$$' -bench BenchmarkPoolOps -benchmem .
+
+bench-front:
+	$(GO) test -run '^$$' -bench BenchmarkFrontEnd -benchmem .
 
 # The cache gate: a warm (fully memoized) corpus analysis must render
 # byte-identical reports to a cold one at workers 1, 2 and 8, and the

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"deepmc/internal/anacache"
 	"deepmc/internal/apps/driver"
 	"deepmc/internal/apps/memcache"
 	"deepmc/internal/apps/nstore"
@@ -539,4 +540,69 @@ func BenchmarkPoolOps(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkFrontEnd prices what a warm serve request pays before any
+// analysis runs: parsing PIR text (the PMDK corpus program and a
+// 335-function generated app), printing a module back, fingerprinting
+// the four corpus modules for the cache, and a whole warm hit over the
+// corpus (parse, verify, fingerprint, verdict lookups and merge).
+func BenchmarkFrontEnd(b *testing.B) {
+	app := ir.Print(core.GenerateApp(core.AppSpec{Name: "app335", Funcs: 335, CallDepth: 3, Seed: 44}))
+	for _, tc := range []struct{ name, src string }{{"PMDK", corpus.PMDK().Source}, {"app335", app}} {
+		b.Run("parse/"+tc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(tc.src)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ir.Parse(tc.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("print/app335", func(b *testing.B) {
+		m := ir.MustParse(app)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ir.Print(m)
+		}
+	})
+	progs := corpus.All()
+	b.Run("fingerprint/corpus", func(b *testing.B) {
+		mods := make([]*ir.Module, len(progs))
+		for i, p := range progs {
+			mods[i] = mustModule(b, p)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, m := range mods {
+				anacache.Fingerprint(m, []string{"allfuncs=false"}, []string{"model=strict"})
+			}
+		}
+	})
+	b.Run("hit/corpus", func(b *testing.B) {
+		cache, err := anacache.New("")
+		if err != nil {
+			b.Fatal(err)
+		}
+		hit := func() {
+			for _, p := range progs {
+				m, err := ir.Parse(p.Source)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := core.Analyze(m, core.Config{Model: p.Model.String(), Workers: 1, Cache: cache}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		hit() // the first pass fills the cache
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			hit()
+		}
+	})
 }

@@ -33,6 +33,10 @@ import (
 type Fingerprints struct {
 	Trace   map[string]Key
 	Verdict map[string]Key
+	// Roots lists the functions no function of the module calls, in
+	// declaration order: the targets of a root-only check, read off the
+	// call graph the components came from.
+	Roots []string
 }
 
 // version prefixes keep keys from colliding across incompatible schema
@@ -47,106 +51,108 @@ const (
 // lists the additional verdict-affecting facts (e.g. "model=strict",
 // "passes=<version>").  Both are hashed order-independently (sorted), so
 // callers need not maintain a canonical ordering.
+//
+// Every hash input is rendered into one reused buffer: the bytes, and
+// so the keys, are those of hashing each part as its own string.
 func Fingerprint(m *ir.Module, traceCfg, verdictCfg []string) *Fingerprints {
 	g := callgraph.New(m)
+	names := m.FuncNames()
 
 	// Union functions connected by a call edge in either direction.
-	names := m.FuncNames()
-	idx := make(map[string]int, len(names))
-	for i, n := range names {
-		idx[n] = i
-	}
 	parent := make([]int, len(names))
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(i int) int {
+	find := func(i int) int {
 		for parent[i] != i {
 			parent[i] = parent[parent[i]]
 			i = parent[i]
 		}
 		return i
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
+	fp := &Fingerprints{
+		Trace:   make(map[string]Key, len(names)),
+		Verdict: make(map[string]Key, len(names)),
 	}
 	for _, name := range names {
-		for _, out := range g.Nodes[name].Outs {
-			union(idx[name], idx[out.Func.Name])
+		n := g.Nodes[name]
+		for _, out := range n.Outs {
+			if ra, rb := find(n.Index), find(out.Index); ra != rb {
+				parent[rb] = ra
+			}
+		}
+		if len(n.Ins) == 0 {
+			fp.Roots = append(fp.Roots, name)
 		}
 	}
 
 	// Hash each component once, over its members' canonical IR renderings
 	// in declaration order (FuncNames is already the canonical order, so
-	// no extra sort is needed for determinism).
-	members := make(map[int][]string)
-	for i, name := range names {
-		r := find(i)
-		members[r] = append(members[r], name)
+	// no extra sort is needed for determinism).  next chains each
+	// component's members from its root's first member.
+	first, last, next := make([]int, len(names)), make([]int, len(names)), make([]int, len(names))
+	for i := range names {
+		first[i], next[i] = -1, -1
 	}
-	componentHash := make(map[int][]byte, len(members))
-	for r, ms := range members {
-		h := sha256.New()
-		for _, name := range ms {
-			h.Write([]byte(name))
-			h.Write([]byte{0})
-			h.Write([]byte(ir.PrintFunc(m.Funcs[name])))
-			h.Write([]byte{0})
+	for i := range names {
+		r := find(i)
+		if first[r] < 0 {
+			first[r] = i
+		} else {
+			next[last[r]] = i
 		}
-		componentHash[r] = h.Sum(nil)
+		last[r] = i
+	}
+	var buf []byte
+	h := sha256.New()
+	componentHash := make([]Key, len(names))
+	for r, head := range first {
+		if head < 0 {
+			continue
+		}
+		h.Reset()
+		for i := head; i >= 0; i = next[i] {
+			buf = append(append(buf[:0], names[i]...), 0)
+			buf = append(ir.AppendFunc(buf, m.Funcs[names[i]]), 0)
+			h.Write(buf)
+		}
+		h.Sum(componentHash[r][:0])
 	}
 
 	// Type layouts feed every key: DSA cell structure and the
 	// unmodified-field rule depend on them module-wide.
-	th := sha256.New()
+	h.Reset()
 	for _, tn := range m.TypeNames() {
-		th.Write([]byte(ir.PrintType(m.Types[tn])))
+		buf = ir.AppendTypeDecl(buf[:0], m.Types[tn])
+		h.Write(buf)
 	}
-	typesHash := th.Sum(nil)
+	var typesHash Key
+	h.Sum(typesHash[:0])
 
-	hashCfg := func(cfg []string) []byte {
+	hashCfg := func(cfg []string) Key {
 		s := append([]string(nil), cfg...)
 		sort.Strings(s)
-		h := sha256.New()
+		buf = buf[:0]
 		for _, e := range s {
-			h.Write([]byte(e))
-			h.Write([]byte{0})
+			buf = append(append(buf, e...), 0)
 		}
-		return h.Sum(nil)
+		return sha256.Sum256(buf)
 	}
 	traceCfgHash := hashCfg(traceCfg)
 	verdictCfgHash := hashCfg(verdictCfg)
 
-	fp := &Fingerprints{
-		Trace:   make(map[string]Key, len(names)),
-		Verdict: make(map[string]Key, len(names)),
-	}
 	for i, name := range names {
 		comp := componentHash[find(i)]
 
-		h := sha256.New()
-		h.Write([]byte(traceKeyVersion))
-		h.Write([]byte{0})
-		h.Write(typesHash)
-		h.Write(traceCfgHash)
-		h.Write(comp)
-		h.Write([]byte(name))
-		var tk Key
-		h.Sum(tk[:0])
+		buf = append(append(buf[:0], traceKeyVersion...), 0)
+		buf = append(append(buf, typesHash[:]...), traceCfgHash[:]...)
+		buf = append(append(buf, comp[:]...), name...)
+		tk := Key(sha256.Sum256(buf))
 		fp.Trace[name] = tk
 
-		h = sha256.New()
-		h.Write([]byte(verdictKeyVersion))
-		h.Write([]byte{0})
-		h.Write(tk[:])
-		h.Write(verdictCfgHash)
-		var vk Key
-		h.Sum(vk[:0])
-		fp.Verdict[name] = vk
+		buf = append(append(buf[:0], verdictKeyVersion...), 0)
+		buf = append(append(buf, tk[:]...), verdictCfgHash[:]...)
+		fp.Verdict[name] = sha256.Sum256(buf)
 	}
 	return fp
 }

@@ -22,6 +22,7 @@ type CallSite struct {
 // Node is one function in the call graph.
 type Node struct {
 	Func  *ir.Function
+	Index int        // position in the module's declaration order (FuncNames)
 	Calls []CallSite // outgoing call sites in program order
 	Outs  []*Node    // unique callee nodes defined in the module
 	Ins   []*Node    // unique caller nodes
@@ -43,25 +44,30 @@ type Graph struct {
 
 // New builds the call graph of m.
 func New(m *ir.Module) *Graph {
-	g := &Graph{Module: m, Nodes: make(map[string]*Node, len(m.Funcs))}
-	for _, name := range m.FuncNames() {
-		g.Nodes[name] = &Node{Func: m.Funcs[name], SCC: -1}
+	names := m.FuncNames()
+	g := &Graph{Module: m, Nodes: make(map[string]*Node, len(names))}
+	nodes := make([]Node, len(names))
+	for i, name := range names {
+		nodes[i] = Node{Func: m.Funcs[name], Index: i, SCC: -1}
+		g.Nodes[name] = &nodes[i]
 	}
+	// linked[c] is 1 + the index of the last caller that linked callee
+	// c, so each caller links each callee once.
+	linked := make([]int, len(nodes))
 	extSeen := make(map[string]bool)
-	for _, name := range m.FuncNames() {
-		n := g.Nodes[name]
+	for i := range nodes {
+		n := &nodes[i]
 		f := n.Func
-		outSeen := make(map[string]bool)
 		for _, blk := range f.Blocks {
-			for i := range blk.Instrs {
-				in := &blk.Instrs[i]
+			for j := range blk.Instrs {
+				in := &blk.Instrs[j]
 				if in.Op != ir.OpCall {
 					continue
 				}
 				n.Calls = append(n.Calls, CallSite{
 					Caller: f,
 					Callee: in.Callee,
-					Ref:    ir.InstrRef{Func: f.Name, Block: blk.Name, Index: i},
+					Ref:    ir.InstrRef{Func: f.Name, Block: blk.Name, Index: j},
 					Line:   in.Line,
 				})
 				callee, ok := g.Nodes[in.Callee]
@@ -72,8 +78,8 @@ func New(m *ir.Module) *Graph {
 					}
 					continue
 				}
-				if !outSeen[in.Callee] {
-					outSeen[in.Callee] = true
+				if linked[callee.Index] != i+1 {
+					linked[callee.Index] = i + 1
 					n.Outs = append(n.Outs, callee)
 					callee.Ins = append(callee.Ins, n)
 				}
@@ -81,43 +87,45 @@ func New(m *ir.Module) *Graph {
 		}
 	}
 	sort.Strings(g.External)
-	g.tarjan()
+	g.tarjan(nodes)
 	return g
 }
 
 // tarjan assigns SCC ids and builds sccOrder (callees before callers).
 // Tarjan's algorithm emits SCCs in reverse topological order of the
-// condensation, which is exactly the order we want.
-func (g *Graph) tarjan() {
+// condensation, which is exactly the order we want.  nodes is in
+// declaration order.
+func (g *Graph) tarjan(nodes []Node) {
 	index := 0
-	indices := make(map[*Node]int)
-	lowlink := make(map[*Node]int)
-	onStack := make(map[*Node]bool)
+	// indices[i] is 1 + node i's visit index (0: unvisited).
+	indices := make([]int, len(nodes))
+	lowlink := make([]int, len(nodes))
+	onStack := make([]bool, len(nodes))
 	var stack []*Node
 
 	var strongconnect func(v *Node)
 	strongconnect = func(v *Node) {
-		indices[v] = index
-		lowlink[v] = index
 		index++
+		indices[v.Index] = index
+		lowlink[v.Index] = index
 		stack = append(stack, v)
-		onStack[v] = true
+		onStack[v.Index] = true
 		for _, w := range v.Outs {
-			if _, seen := indices[w]; !seen {
+			if indices[w.Index] == 0 {
 				strongconnect(w)
-				if lowlink[w] < lowlink[v] {
-					lowlink[v] = lowlink[w]
+				if lowlink[w.Index] < lowlink[v.Index] {
+					lowlink[v.Index] = lowlink[w.Index]
 				}
-			} else if onStack[w] && indices[w] < lowlink[v] {
-				lowlink[v] = indices[w]
+			} else if onStack[w.Index] && indices[w.Index] < lowlink[v.Index] {
+				lowlink[v.Index] = indices[w.Index]
 			}
 		}
-		if lowlink[v] == indices[v] {
+		if lowlink[v.Index] == indices[v.Index] {
 			var scc []*Node
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				onStack[w] = false
+				onStack[w.Index] = false
 				w.SCC = g.sccCount
 				scc = append(scc, w)
 				if w == v {
@@ -129,10 +137,9 @@ func (g *Graph) tarjan() {
 		}
 	}
 	// Visit in declaration order for determinism.
-	for _, name := range g.Module.FuncNames() {
-		n := g.Nodes[name]
-		if _, seen := indices[n]; !seen {
-			strongconnect(n)
+	for i := range nodes {
+		if indices[i] == 0 {
+			strongconnect(&nodes[i])
 		}
 	}
 }

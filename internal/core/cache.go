@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"deepmc/internal/anacache"
-	"deepmc/internal/callgraph"
 	"deepmc/internal/checker"
 	"deepmc/internal/ir"
 	"deepmc/internal/passes"
@@ -68,15 +67,11 @@ func analyzeCached(ctx context.Context, m *ir.Module, cfg Config, opts checker.O
 	fp := anacache.Fingerprint(m, traceFacts, verdictFacts)
 
 	// Target selection must not pay for DSA (the all-hit path skips it):
-	// roots come from the syntactic call graph, which is exactly the
-	// graph the checker's analysis builds.
-	var targets []string
+	// roots come from the syntactic call graph the fingerprint built,
+	// which is exactly the graph the checker's analysis builds.
+	targets := fp.Roots
 	if opts.AllFunctions {
 		targets = m.FuncNames()
-	} else {
-		for _, f := range callgraph.New(m).Roots() {
-			targets = append(targets, f.Name)
-		}
 	}
 
 	hits := make(map[string][]report.Warning, len(targets))

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"deepmc/internal/corpus"
+	"deepmc/internal/ir"
 )
 
 func modelName(p *corpus.Program) string {
@@ -115,5 +117,74 @@ func TestWorkersConfigResolution(t *testing.T) {
 	}
 	if got := (Config{Workers: 7}).workers(); got != 7 {
 		t.Errorf("explicit workers resolved to %d, want 7", got)
+	}
+}
+
+// TestConcurrentAnalysesShareParsedModule runs four analyses of one
+// parsed module at once, as fleet's in-process hedging and serve's
+// corpus targets do.  The function opens with a label, so the parser
+// drops its unused implicit entry block, and it has no branch, so Verify
+// never looks a block up: the block index must come out of Parse built,
+// or the analyses' first lookups race to build it (seen by `go test
+// -race`).
+func TestConcurrentAnalysesShareParsedModule(t *testing.T) {
+	const src = `module shared
+
+type rec struct {
+	x: int
+}
+
+func g(p: *rec) {
+	store %p.x, 1 @3
+	ret
+}
+
+func f(x: *rec) {
+start:
+	call g(%x) @10
+	ret
+}
+`
+	m, err := ir.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ir.Verify(m); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Analyze(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fresh parse: the analysis above has looked blocks up in m.
+	m, err = ir.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ir.Verify(m); err != nil {
+		t.Fatal(err)
+	}
+	reps := make([]string, 4)
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rep, err := Analyze(m, Config{Workers: 1})
+			if err == nil {
+				reps[i] = rep.String()
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i := range reps {
+		if errs[i] != nil {
+			t.Fatalf("analysis %d: %v", i, errs[i])
+		}
+		if reps[i] != want.String() {
+			t.Errorf("analysis %d differs:\n%s\nwant:\n%s", i, reps[i], want.String())
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // Value is an instruction operand: either a Const or a Reg.
 type Value interface {
@@ -15,7 +12,7 @@ type Value interface {
 type Const struct{ Val int64 }
 
 func (Const) isValue()         {}
-func (c Const) String() string { return fmt.Sprintf("%d", c.Val) }
+func (c Const) String() string { return strconv.FormatInt(c.Val, 10) }
 
 // Reg names a virtual register (a local variable of the enclosing
 // function).  Registers are mutable: PIR is not SSA, which keeps the text
@@ -117,7 +114,7 @@ func (op Op) String() string {
 	if int(op) < len(opNames) {
 		return opNames[op]
 	}
-	return fmt.Sprintf("op(%d)", int(op))
+	return "op(" + strconv.Itoa(int(op)) + ")"
 }
 
 // IsTerminator reports whether the opcode ends a basic block.
@@ -141,91 +138,10 @@ type Instr struct {
 	Labels [2]string // branch targets: Labels[0] for OpBr; both for OpCondBr
 
 	Line int // source line in the original program (ground-truth anchor)
-
-	// stmtSeq groups instructions lowered from one source statement so a
-	// trailing @line annotation can stamp all of them; parser-internal.
-	stmtSeq int
 }
 
 // HasDst reports whether the instruction writes a register.
 func (in *Instr) HasDst() bool { return in.Dst != "" }
 
 // String renders the instruction in PIR text syntax (without line info).
-func (in *Instr) String() string {
-	var b strings.Builder
-	if in.HasDst() {
-		fmt.Fprintf(&b, "%%%s = ", in.Dst)
-	}
-	switch in.Op {
-	case OpConst:
-		fmt.Fprintf(&b, "const %s", in.Args[0])
-	case OpBin:
-		fmt.Fprintf(&b, "%s %s, %s", in.Bin, in.Args[0], in.Args[1])
-	case OpAlloc:
-		if in.Persistent {
-			b.WriteString("palloc ")
-		} else {
-			b.WriteString("alloc ")
-		}
-		b.WriteString(in.Type.String())
-	case OpGEP:
-		if in.Field != "" {
-			fmt.Fprintf(&b, "field %s, \"%s\"", in.Args[0], in.Field) // verbatim, as lexed
-		} else {
-			fmt.Fprintf(&b, "index %s, %s", in.Args[0], in.Args[1])
-		}
-	case OpLoad:
-		fmt.Fprintf(&b, "load %s", in.Args[0])
-	case OpStore:
-		fmt.Fprintf(&b, "store %s, %s", in.Args[0], in.Args[1])
-	case OpFlush:
-		fmt.Fprintf(&b, "flush %s", in.Args[0])
-		if len(in.Args) > 1 {
-			fmt.Fprintf(&b, ", %s", in.Args[1])
-		}
-	case OpFence:
-		b.WriteString("fence")
-	case OpTxBegin:
-		b.WriteString("txbegin")
-	case OpTxEnd:
-		b.WriteString("txend")
-	case OpTxAdd:
-		fmt.Fprintf(&b, "txadd %s", in.Args[0])
-		if len(in.Args) > 1 {
-			fmt.Fprintf(&b, ", %s", in.Args[1])
-		}
-	case OpEpochBegin:
-		b.WriteString("epochbegin")
-	case OpEpochEnd:
-		b.WriteString("epochend")
-	case OpStrandBegin:
-		fmt.Fprintf(&b, "strandbegin %s", in.Args[0])
-	case OpStrandEnd:
-		fmt.Fprintf(&b, "strandend %s", in.Args[0])
-	case OpCall:
-		fmt.Fprintf(&b, "call %s(", in.Callee)
-		for i, a := range in.Args {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(a.String())
-		}
-		b.WriteString(")")
-	case OpRet:
-		b.WriteString("ret")
-		if len(in.Args) > 0 {
-			fmt.Fprintf(&b, " %s", in.Args[0])
-		}
-	case OpBr:
-		fmt.Fprintf(&b, "br %s", in.Labels[0])
-	case OpCondBr:
-		fmt.Fprintf(&b, "condbr %s, %s, %s", in.Args[0], in.Labels[0], in.Labels[1])
-	case OpMemCopy:
-		fmt.Fprintf(&b, "memcopy %s, %s, %s", in.Args[0], in.Args[1], in.Args[2])
-	case OpMemSet:
-		fmt.Fprintf(&b, "memset %s, %s, %s", in.Args[0], in.Args[1], in.Args[2])
-	default:
-		b.WriteString(in.Op.String())
-	}
-	return b.String()
-}
+func (in *Instr) String() string { return string(appendInstr(nil, in)) }

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -186,6 +187,50 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse succeeded on invalid source %q", src)
 		}
+	}
+}
+
+// TestParseRejectsOutOfRangeLiterals pins the errors for integer
+// literals outside int64 (in a const, an @N line and an array length)
+// and for negative array lengths, which once parsed as wrapped values.
+func TestParseRejectsOutOfRangeLiterals(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"module m\nfunc f() {\n %x = const 99999999999999999999\n ret\n}\n",
+			"pir: line 3: integer literal 99999999999999999999 out of range"},
+		{"module m\nfunc f() {\n %x = const 9223372036854775808\n ret\n}\n",
+			"pir: line 3: integer literal 9223372036854775808 out of range"},
+		{"module m\nfunc f() {\n %x = const -9223372036854775809\n ret\n}\n",
+			"pir: line 3: integer literal -9223372036854775809 out of range"},
+		{"module m\nfunc f() {\n fence @18446744073709551621\n ret\n}\n",
+			"pir: line 3: integer literal 18446744073709551621 out of range"},
+		{"module m\n\ntype t struct {\n a: [-3]int\n}\n",
+			"pir: line 4: negative array length -3"},
+		{"module m\n\ntype t struct {\n a: [99999999999999999999]int\n}\n",
+			"pir: line 4: integer literal 99999999999999999999 out of range"},
+	} {
+		_, err := Parse(tc.src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%q) = %v, want %q", tc.src, err, tc.want)
+		}
+	}
+	// The extremes of int64 stay literals.
+	m, err := Parse("module m\nfunc f() {\n %a = const 9223372036854775807\n %b = const -9223372036854775808\n ret\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := m.Func("f").Blocks[0].Instrs
+	if in[0].Args[0] != C(math.MaxInt64) || in[1].Args[0] != C(math.MinInt64) {
+		t.Errorf("extremes parsed as %v and %v", in[0].Args[0], in[1].Args[0])
+	}
+}
+
+// TestLexErrorWinsOverParseError: the parser pulls tokens as it goes,
+// but a lexical error later in the source is still the one reported
+// over an earlier syntax error.
+func TestLexErrorWinsOverParseError(t *testing.T) {
+	_, err := Parse("module m\nfunc f() {\n bogus 1\n ret\n}\n$\n")
+	if want := `pir: line 6: unexpected character "$"`; err == nil || err.Error() != want {
+		t.Errorf("Parse = %v, want %q", err, want)
 	}
 }
 

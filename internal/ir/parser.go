@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 )
 
 // Parse reads a module from PIR text.  The format, by example:
@@ -29,12 +30,18 @@ import (
 // (%reg.field[index]...), which the parser lowers to explicit gep
 // instructions on fresh temporaries.
 func Parse(src string) (*Module, error) {
-	toks, err := lex(src)
+	p := &parser{lx: lexer{src: src, line: 1}}
+	p.advance()
+	m, err := p.parseModule()
 	if err != nil {
-		return nil, err
+		// A lexical error anywhere in the source wins over a parse
+		// error, whichever comes first.
+		p.lx.drain()
 	}
-	p := &parser{toks: toks}
-	return p.parseModule()
+	if p.lx.err != nil {
+		return nil, p.lx.err
+	}
+	return m, err
 }
 
 // MustParse is Parse that panics on error; for tests and embedded corpus
@@ -48,21 +55,51 @@ func MustParse(src string) *Module {
 }
 
 type parser struct {
-	toks []token
-	pos  int
+	lx       lexer
+	tok      token // the current token
+	ahead    token // the token after it, if hasAhead
+	hasAhead bool
+
 	mod  *Module
 	fn   *Function
 	blk  *Block
-	tmp  int
 	line int // current @line annotation scope (last seen)
-	// stmtSeq counts source statements; instructions lowered from the same
-	// statement share a sequence number so @N stamps all of them.
-	stmtSeq int
+
+	// instrs collects the current block's instructions; the block gets
+	// its own exactly sized copy when it ends.
+	instrs []Instr
+	// stmt indexes the current statement's first instruction in instrs,
+	// so a trailing @N stamps every instruction lowered from it.
+	stmt int
+	// temps[i] is the name of a function's temporary number i+1; ntemp
+	// counts the current function's temporaries.
+	temps []string
+	ntemp int
+	// vals is the arena operand lists are cut from; callArgs collects
+	// one call's arguments.
+	vals     []Value
+	callArgs []Value
 }
 
-func (p *parser) peek() token       { return p.toks[p.pos] }
-func (p *parser) next() token       { t := p.toks[p.pos]; p.pos++; return t }
-func (p *parser) at(k tokKind) bool { return p.toks[p.pos].kind == k }
+func (p *parser) advance() {
+	if p.hasAhead {
+		p.tok, p.hasAhead = p.ahead, false
+		return
+	}
+	p.tok = p.lx.next()
+}
+
+// peek2 returns the kind of the token after the current one.
+func (p *parser) peek2() tokKind {
+	if !p.hasAhead {
+		p.ahead, p.hasAhead = p.lx.next(), true
+	}
+	return p.ahead.kind
+}
+
+func (p *parser) peek() token       { return p.tok }
+func (p *parser) next() token       { t := p.tok; p.advance(); return t }
+func (p *parser) at(k tokKind) bool { return p.tok.kind == k }
 
 func (p *parser) errf(t token, format string, args ...any) error {
 	return fmt.Errorf("pir: line %d: %s", t.line, fmt.Sprintf(format, args...))
@@ -89,7 +126,7 @@ func (p *parser) expectKeyword(kw string) error {
 
 func (p *parser) skipNewlines() {
 	for p.at(tNewline) {
-		p.pos++
+		p.advance()
 	}
 }
 
@@ -191,6 +228,9 @@ func (p *parser) parseType() (*Type, error) {
 		if err != nil {
 			return nil, err
 		}
+		if n.ival < 0 {
+			return nil, p.errf(n, "negative array length %d", n.ival)
+		}
 		if _, err := p.expect(tRBrack); err != nil {
 			return nil, err
 		}
@@ -221,7 +261,7 @@ func (p *parser) parseFunc() error {
 		return err
 	}
 	p.fn = &Function{Name: name.text}
-	p.tmp = 0
+	p.ntemp = 0
 	if _, err := p.expect(tLParen); err != nil {
 		return err
 	}
@@ -257,6 +297,7 @@ func (p *parser) parseFunc() error {
 	}
 	p.blk = &Block{Name: "entry"}
 	p.fn.AddBlock(p.blk)
+	p.instrs = p.instrs[:0]
 	p.line = 0
 	for {
 		p.skipNewlines()
@@ -269,14 +310,26 @@ func (p *parser) parseFunc() error {
 			return err
 		}
 	}
+	p.endBlock()
 	// Drop the implicit entry block if the source immediately opened a
-	// labeled block and never used it.
+	// labeled block and never used it.  The block index stays built:
+	// concurrent analyses share a parsed module read-only.
 	if len(p.fn.Blocks) > 1 && len(p.fn.Blocks[0].Instrs) == 0 && p.fn.Blocks[0].Name == "entry" {
 		p.fn.Blocks = p.fn.Blocks[1:]
-		p.fn.blockIdx = nil
+		p.fn.reindex()
 	}
 	p.mod.AddFunc(p.fn)
 	return p.endStatement()
+}
+
+// endBlock stores the current block's instructions.
+func (p *parser) endBlock() {
+	p.blk.Instrs = nil
+	if len(p.instrs) > 0 {
+		p.blk.Instrs = make([]Instr, len(p.instrs))
+		copy(p.blk.Instrs, p.instrs)
+	}
+	p.instrs = p.instrs[:0]
 }
 
 // parseStatement handles one line: a label, a file directive, or an
@@ -284,11 +337,14 @@ func (p *parser) parseFunc() error {
 func (p *parser) parseStatement() error {
 	t := p.peek()
 	// Label: ident ':'
-	if t.kind == tIdent && p.toks[p.pos+1].kind == tColon {
+	if t.kind == tIdent && p.peek2() == tColon {
 		p.next()
 		p.next()
+		p.endBlock()
 		if blk := p.fn.Block(t.text); blk != nil {
+			// A label reopens its block: later statements append to it.
 			p.blk = blk
+			p.instrs = append(p.instrs, blk.Instrs...)
 		} else {
 			p.blk = &Block{Name: t.text}
 			p.fn.AddBlock(p.blk)
@@ -310,12 +366,30 @@ func (p *parser) parseStatement() error {
 // emit appends in to the current block, stamping the pending @line.
 func (p *parser) emit(in Instr) {
 	in.Line = p.line
-	p.blk.Instrs = append(p.blk.Instrs, in)
+	p.instrs = append(p.instrs, in)
 }
 
+// args returns vs as an operand list cut from the arena (nil if empty).
+// The list's capacity is its length, so appending to it copies.
+func (p *parser) args(vs ...Value) []Value {
+	if len(vs) == 0 {
+		return nil
+	}
+	if len(p.vals)+len(vs) > cap(p.vals) {
+		p.vals = make([]Value, 0, max(256, len(vs)))
+	}
+	start := len(p.vals)
+	p.vals = append(p.vals, vs...)
+	return p.vals[start:len(p.vals):len(p.vals)]
+}
+
+// fresh names the function's next temporary: .p1, .p2, ...
 func (p *parser) fresh() string {
-	p.tmp++
-	return fmt.Sprintf(".p%d", p.tmp)
+	if p.ntemp == len(p.temps) {
+		p.temps = append(p.temps, ".p"+strconv.Itoa(p.ntemp+1))
+	}
+	p.ntemp++
+	return p.temps[p.ntemp-1]
 }
 
 // parseValue parses %reg or integer literal.
@@ -351,7 +425,7 @@ func (p *parser) parsePlace() (Value, error) {
 				return nil, err
 			}
 			dst := p.fresh()
-			p.emit(Instr{Op: OpGEP, Dst: dst, Field: f.text, Args: []Value{cur}, stmtSeq: p.stmtSeq})
+			p.emit(Instr{Op: OpGEP, Dst: dst, Field: f.text, Args: p.args(cur)})
 			cur = R(dst)
 		case tLBrack:
 			p.next()
@@ -363,7 +437,7 @@ func (p *parser) parsePlace() (Value, error) {
 				return nil, err
 			}
 			dst := p.fresh()
-			p.emit(Instr{Op: OpGEP, Dst: dst, Args: []Value{cur, idx}, stmtSeq: p.stmtSeq})
+			p.emit(Instr{Op: OpGEP, Dst: dst, Args: p.args(cur, idx)})
 			cur = R(dst)
 		default:
 			return cur, nil
@@ -381,14 +455,10 @@ func (p *parser) parseLineSuffix() error {
 			return err
 		}
 		p.line = int(n.ival)
-		// Stamp the just-updated line onto instructions already emitted
-		// for this statement that carried the stale line (gep lowering).
-		for i := len(p.blk.Instrs) - 1; i >= 0; i-- {
-			if p.blk.Instrs[i].stmtSeq == p.stmtSeq {
-				p.blk.Instrs[i].Line = p.line
-			} else {
-				break
-			}
+		// Stamp the just-updated line onto every instruction emitted for
+		// this statement, which carried the stale line (gep lowering).
+		for i := p.stmt; i < len(p.instrs); i++ {
+			p.instrs[i].Line = p.line
 		}
 	}
 	return p.endStatement()
@@ -404,7 +474,7 @@ func isBinMnemonic(s string) bool {
 }
 
 func (p *parser) parseInstr() error {
-	p.stmtSeq++
+	p.stmt = len(p.instrs)
 	t := p.peek()
 	if t.kind == tReg {
 		return p.parseAssign()
@@ -426,47 +496,37 @@ func (p *parser) parseInstr() error {
 		if err != nil {
 			return err
 		}
-		p.emit(Instr{Op: OpStore, Args: []Value{ptr, v}, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: OpStore, Args: p.args(ptr, v)})
 	case "flush":
 		ptr, err := p.parsePlace()
 		if err != nil {
 			return err
 		}
-		args := []Value{ptr}
-		if p.at(tComma) {
-			p.next()
-			sz, err := p.parseValue()
-			if err != nil {
-				return err
-			}
-			args = append(args, sz)
+		args, err := p.optionalSize(ptr)
+		if err != nil {
+			return err
 		}
-		p.emit(Instr{Op: OpFlush, Args: args, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: OpFlush, Args: args})
 	case "fence":
-		p.emit(Instr{Op: OpFence, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: OpFence})
 	case "txbegin":
-		p.emit(Instr{Op: OpTxBegin, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: OpTxBegin})
 	case "txend":
-		p.emit(Instr{Op: OpTxEnd, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: OpTxEnd})
 	case "txadd":
 		ptr, err := p.parsePlace()
 		if err != nil {
 			return err
 		}
-		args := []Value{ptr}
-		if p.at(tComma) {
-			p.next()
-			sz, err := p.parseValue()
-			if err != nil {
-				return err
-			}
-			args = append(args, sz)
+		args, err := p.optionalSize(ptr)
+		if err != nil {
+			return err
 		}
-		p.emit(Instr{Op: OpTxAdd, Args: args, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: OpTxAdd, Args: args})
 	case "epochbegin":
-		p.emit(Instr{Op: OpEpochBegin, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: OpEpochBegin})
 	case "epochend":
-		p.emit(Instr{Op: OpEpochEnd, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: OpEpochEnd})
 	case "strandbegin", "strandend":
 		id, err := p.parseValue()
 		if err != nil {
@@ -476,7 +536,7 @@ func (p *parser) parseInstr() error {
 		if t.text == "strandend" {
 			op = OpStrandEnd
 		}
-		p.emit(Instr{Op: op, Args: []Value{id}, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: op, Args: p.args(id)})
 	case "call":
 		if err := p.parseCall(""); err != nil {
 			return err
@@ -488,15 +548,15 @@ func (p *parser) parseInstr() error {
 			if err != nil {
 				return err
 			}
-			args = []Value{v}
+			args = p.args(v)
 		}
-		p.emit(Instr{Op: OpRet, Args: args, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: OpRet, Args: args})
 	case "br":
 		l, err := p.expect(tIdent)
 		if err != nil {
 			return err
 		}
-		p.emit(Instr{Op: OpBr, Labels: [2]string{l.text}, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: OpBr, Labels: [2]string{l.text}})
 	case "condbr":
 		v, err := p.parseValue()
 		if err != nil {
@@ -516,7 +576,7 @@ func (p *parser) parseInstr() error {
 		if err != nil {
 			return err
 		}
-		p.emit(Instr{Op: OpCondBr, Args: []Value{v}, Labels: [2]string{l1.text, l2.text}, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: OpCondBr, Args: p.args(v), Labels: [2]string{l1.text, l2.text}})
 	case "memcopy", "memset":
 		a, err := p.parsePlace()
 		if err != nil {
@@ -545,7 +605,7 @@ func (p *parser) parseInstr() error {
 		if t.text == "memset" {
 			op = OpMemSet
 		}
-		p.emit(Instr{Op: op, Args: []Value{a, b, c}, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: op, Args: p.args(a, b, c)})
 	default:
 		return p.errf(t, "unknown instruction %q", t.text)
 	}
@@ -570,7 +630,7 @@ func (p *parser) parseAssign() error {
 		if err != nil {
 			return err
 		}
-		p.emit(Instr{Op: OpConst, Dst: dst.text, Args: []Value{v}, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: OpConst, Dst: dst.text, Args: p.args(v)})
 	case isBinMnemonic(t.text):
 		a, err := p.parseValue()
 		if err != nil {
@@ -583,13 +643,13 @@ func (p *parser) parseAssign() error {
 		if err != nil {
 			return err
 		}
-		p.emit(Instr{Op: OpBin, Bin: t.text, Dst: dst.text, Args: []Value{a, b}, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: OpBin, Bin: t.text, Dst: dst.text, Args: p.args(a, b)})
 	case t.text == "alloc" || t.text == "palloc":
 		ty, err := p.parseType()
 		if err != nil {
 			return err
 		}
-		p.emit(Instr{Op: OpAlloc, Dst: dst.text, Type: ty, Persistent: t.text == "palloc", stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: OpAlloc, Dst: dst.text, Type: ty, Persistent: t.text == "palloc"})
 	case t.text == "field":
 		base, err := p.parsePlace()
 		if err != nil {
@@ -602,7 +662,7 @@ func (p *parser) parseAssign() error {
 		if err != nil {
 			return err
 		}
-		p.emit(Instr{Op: OpGEP, Dst: dst.text, Field: f.text, Args: []Value{base}, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: OpGEP, Dst: dst.text, Field: f.text, Args: p.args(base)})
 	case t.text == "index":
 		base, err := p.parsePlace()
 		if err != nil {
@@ -615,13 +675,13 @@ func (p *parser) parseAssign() error {
 		if err != nil {
 			return err
 		}
-		p.emit(Instr{Op: OpGEP, Dst: dst.text, Args: []Value{base, idx}, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: OpGEP, Dst: dst.text, Args: p.args(base, idx)})
 	case t.text == "load":
 		ptr, err := p.parsePlace()
 		if err != nil {
 			return err
 		}
-		p.emit(Instr{Op: OpLoad, Dst: dst.text, Args: []Value{ptr}, stmtSeq: p.stmtSeq})
+		p.emit(Instr{Op: OpLoad, Dst: dst.text, Args: p.args(ptr)})
 	case t.text == "call":
 		if err := p.parseCall(dst.text); err != nil {
 			return err
@@ -640,18 +700,31 @@ func (p *parser) parseCall(dst string) error {
 	if _, err := p.expect(tLParen); err != nil {
 		return err
 	}
-	var args []Value
+	p.callArgs = p.callArgs[:0]
 	for !p.at(tRParen) {
 		v, err := p.parsePlace()
 		if err != nil {
 			return err
 		}
-		args = append(args, v)
+		p.callArgs = append(p.callArgs, v)
 		if p.at(tComma) {
 			p.next()
 		}
 	}
 	p.next() // ')'
-	p.emit(Instr{Op: OpCall, Dst: dst, Callee: name.text, Args: args, stmtSeq: p.stmtSeq})
+	p.emit(Instr{Op: OpCall, Dst: dst, Callee: name.text, Args: p.args(p.callArgs...)})
 	return nil
+}
+
+// optionalSize parses the optional ", size" operand of flush and txadd.
+func (p *parser) optionalSize(ptr Value) ([]Value, error) {
+	if !p.at(tComma) {
+		return p.args(ptr), nil
+	}
+	p.next()
+	sz, err := p.parseValue()
+	if err != nil {
+		return nil, err
+	}
+	return p.args(ptr, sz), nil
 }

@@ -14,11 +14,6 @@
 // Print), and a builder API (see Builder) used by the bug corpus.
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
-
 // TypeKind enumerates the kinds of PIR types.
 type TypeKind uint8
 
@@ -127,34 +122,7 @@ func (t *Type) FieldOffset(name string) int {
 }
 
 // String renders the type in PIR syntax.
-func (t *Type) String() string {
-	if t == nil {
-		return "<nil>"
-	}
-	switch t.Kind {
-	case KInt:
-		return "int"
-	case KPtr:
-		return "*" + t.Elem.String()
-	case KArray:
-		return fmt.Sprintf("[%d]%s", t.Len, t.Elem.String())
-	case KStruct:
-		if t.Name != "" {
-			return t.Name
-		}
-		var b strings.Builder
-		b.WriteString("struct {")
-		for i, f := range t.Fields {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "%s: %s", f.Name, f.Type.String())
-		}
-		b.WriteString("}")
-		return b.String()
-	}
-	return "?"
-}
+func (t *Type) String() string { return string(appendType(nil, t)) }
 
 // Equal reports structural type equality.  Struct types compare by name.
 func (t *Type) Equal(o *Type) bool {

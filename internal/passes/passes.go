@@ -16,11 +16,13 @@
 package passes
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"deepmc/internal/pmcontract"
 	"deepmc/internal/report"
@@ -259,10 +261,7 @@ func ResolveEnabledFor(only, disable []string, contract pmcontract.ID) (map[stri
 // verdicts that could differ.
 func Version(enabled map[string]bool) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\n", schemaVersion)
-	for _, p := range All() {
-		fmt.Fprintf(h, "%s|%s|%s|%s|%s|%s\n", p.ID, p.Rule, p.Kind, p.Models, p.Contracts, p.Severity)
-	}
+	h.Write(registryText())
 	on := make([]string, 0, len(enabled))
 	for id, ok := range enabled {
 		if ok {
@@ -273,6 +272,17 @@ func Version(enabled map[string]bool) string {
 	fmt.Fprintf(h, "enabled:%s\n", strings.Join(on, ","))
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// registryText is Version's rendering of the schema version and every
+// registered pass, made once per process: the registry is constant.
+var registryText = sync.OnceValue(func() []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%s\n", schemaVersion)
+	for _, p := range All() {
+		fmt.Fprintf(&b, "%s|%s|%s|%s|%s|%s\n", p.ID, p.Rule, p.Kind, p.Models, p.Contracts, p.Severity)
+	}
+	return b.Bytes()
+})
 
 // DisabledStaticRules maps an enabled set to the static rules the
 // scanner must not emit.  Nil input (no pass selection) disables

@@ -32,6 +32,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -426,7 +427,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
 	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": "body too large"})
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": "body too large"})
+		} else {
+			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "reading request body: " + err.Error()})
+		}
 		return
 	}
 	var req Request
@@ -635,21 +641,19 @@ func (s *Server) resolveModule(req Request) (*ir.Module, string, *result) {
 		return nil, "", &result{status: http.StatusBadRequest, body: errBody(err.Error())}
 	}
 	if req.Corpus != "" {
-		for _, p := range corpus.All() {
-			if p.Name == req.Corpus {
-				m, err := p.Module()
-				if err != nil {
-					return nil, "", &result{status: http.StatusInternalServerError, body: errBody(err.Error())}
-				}
-				model := req.Model
-				if model == "" {
-					model = p.Model.String()
-				}
-				return m, model, nil
-			}
+		c, ok := corpusModules()[req.Corpus]
+		if !ok {
+			return nil, "", &result{status: http.StatusNotFound,
+				body: errBody(fmt.Sprintf("unknown corpus target %q", req.Corpus))}
 		}
-		return nil, "", &result{status: http.StatusNotFound,
-			body: errBody(fmt.Sprintf("unknown corpus target %q", req.Corpus))}
+		if c.err != nil {
+			return nil, "", &result{status: http.StatusInternalServerError, body: errBody(c.err.Error())}
+		}
+		model := req.Model
+		if model == "" {
+			model = c.model
+		}
+		return c.m, model, nil
 	}
 	m, err := ir.Parse(req.Source)
 	if err != nil {
@@ -660,6 +664,25 @@ func (s *Server) resolveModule(req Request) (*ir.Module, string, *result) {
 	}
 	return m, req.Model, nil
 }
+
+// corpusModule is one built-in corpus target, parsed and verified.
+type corpusModule struct {
+	m     *ir.Module
+	model string
+	err   error
+}
+
+// corpusModules parses and verifies every built-in corpus program once
+// per process.  Requests share the modules read-only: analyses never
+// write to the module they are given.
+var corpusModules = sync.OnceValue(func() map[string]corpusModule {
+	out := make(map[string]corpusModule)
+	for _, p := range corpus.All() {
+		m, err := p.Module()
+		out[p.Name] = corpusModule{m: m, model: p.Model.String(), err: err}
+	}
+	return out
+})
 
 // clampWorkers resolves the per-request worker count against the server
 // cap.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -121,6 +122,103 @@ func TestCorpusEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown corpus status = %d, want 404", resp2.StatusCode)
+	}
+}
+
+// TestConcurrentCorpusRequests: every corpus target requested at once,
+// several times over and through both routes, while the server shares
+// one parsed module per target across the analyses.  Distinct timeouts
+// keep the requests from coalescing, so analyses of one module run
+// concurrently on a cold cache; every body must equal the batch report.
+// `make race` runs it under the race detector.
+func TestConcurrentCorpusRequests(t *testing.T) {
+	_, base := startServer(t, Config{MaxInFlight: 8})
+	progs := corpus.All()
+	want := make(map[string][]byte, len(progs))
+	for _, p := range progs {
+		want[p.Name] = batchJSON(t, p)
+	}
+	const copies = 3
+	var wg sync.WaitGroup
+	errs := make(chan error, len(progs)*(copies+1))
+	for _, p := range progs {
+		for i := 0; i <= copies; i++ {
+			wg.Add(1)
+			go func(name string, i int) {
+				defer wg.Done()
+				var resp *http.Response
+				var err error
+				if i == copies {
+					resp, err = http.Get(base + "/corpus/" + name)
+				} else {
+					b, _ := json.Marshal(Request{Corpus: name, TimeoutMs: 60000 + i})
+					resp, err = http.Post(base+"/analyze", "application/json", bytes.NewReader(b))
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want[name]) {
+					errs <- fmt.Errorf("%s request %d: status %d, body differs from batch:\n%s", name, i, resp.StatusCode, body)
+				}
+			}(p.Name, i)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// failingBody is a request body whose reads fail like a dropped
+// connection.
+type failingBody struct{}
+
+func (failingBody) Read([]byte) (int, error) { return 0, errors.New("connection reset by peer") }
+
+// endlessBody is a request body that never ends.
+type endlessBody struct{}
+
+func (endlessBody) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestAnalyzeBodyReadErrors: only a body over the size limit is 413; a
+// body that fails to read is the client's 400 and names the error.
+func TestAnalyzeBodyReadErrors(t *testing.T) {
+	s, err := NewServer(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, tc := range []struct {
+		name   string
+		body   io.Reader
+		status int
+		want   string
+	}{
+		{"too large", endlessBody{}, http.StatusRequestEntityTooLarge, "body too large"},
+		{"read error", failingBody{}, http.StatusBadRequest, "reading request body: connection reset by peer"},
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/analyze", tc.body))
+		var got map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatalf("%s: body %q: %v", tc.name, rec.Body, err)
+		}
+		if rec.Code != tc.status || got["error"] != tc.want {
+			t.Errorf("%s: %d %q, want %d %q", tc.name, rec.Code, got["error"], tc.status, tc.want)
+		}
 	}
 }
 
