@@ -468,7 +468,6 @@ func BenchmarkTraceCollection(b *testing.B) {
 // fixed (pruned, one worker) — the work of `deepmc crashsim -faults all`
 // and of one perfbench crash-faults op, without parsing the harnesses.
 func BenchmarkCrashFaults(b *testing.B) {
-	ctx := context.Background()
 	cases, err := corpus.CrashCases()
 	if err != nil {
 		b.Fatal(err)
@@ -477,26 +476,34 @@ func BenchmarkCrashFaults(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points = 0
-		for _, cl := range faultinj.AllClasses() {
-			o := crashsim.Options{Workers: 1, Prune: true,
-				Faults: &faultinj.Config{Classes: []faultinj.Class{cl}, Rate: 1, Seed: 42}}
-			for j := range cases {
-				c := &cases[j]
-				for _, m := range []*ir.Module{c.Buggy, c.Buggy, c.Fixed} {
-					res, err := crashsim.EnumerateCtx(ctx, m, c.Entry, c.Invariant, o)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Clean() != (m == c.Fixed) {
-						b.Fatalf("%s %s:%d under %s: unexpected verdict:\n%s", c.Program, c.File, c.Line, cl, res.Detail())
-					}
-					points += res.CrashesRun
+		points = crashFaultsOp(b, cases)
+	}
+	b.ReportMetric(float64(points), "crash-points/op")
+}
+
+// crashFaultsOp runs one BenchmarkCrashFaults op and returns the number
+// of crash points it checked.
+func crashFaultsOp(tb testing.TB, cases []crashsim.CrossCase) int {
+	ctx := context.Background()
+	points := 0
+	for _, cl := range faultinj.AllClasses() {
+		o := crashsim.Options{Workers: 1, Prune: true,
+			Faults: &faultinj.Config{Classes: []faultinj.Class{cl}, Rate: 1, Seed: 42}}
+		for j := range cases {
+			c := &cases[j]
+			for _, m := range []*ir.Module{c.Buggy, c.Buggy, c.Fixed} {
+				res, err := crashsim.EnumerateCtx(ctx, m, c.Entry, c.Invariant, o)
+				if err != nil {
+					tb.Fatal(err)
 				}
+				if res.Clean() != (m == c.Fixed) {
+					tb.Fatalf("%s %s:%d under %s: unexpected verdict:\n%s", c.Program, c.File, c.Line, cl, res.Detail())
+				}
+				points += res.CrashesRun
 			}
 		}
 	}
-	b.ReportMetric(float64(points), "crash-points/op")
+	return points
 }
 
 // BenchmarkPoolOps prices the NVM pool alone under a memcache-shaped op

@@ -23,10 +23,10 @@
 package crashsim
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"deepmc/internal/interp"
@@ -40,23 +40,48 @@ type Word struct {
 	Off int
 }
 
-// Image is the durable view of persistent memory at a crash point.
+// compareWords orders words by (object, offset).
+func compareWords(a, b Word) int {
+	if c := cmp.Compare(a.Obj, b.Obj); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Off, b.Off)
+}
+
+// Image is the durable view of persistent memory at a crash point.  An
+// image handed to an Invariant is valid only during that call: the
+// enumerator reuses it for the crash point's next persist outcome.
 type Image struct {
-	durable map[Word]int64
-	objects map[int]*interp.Object
+	// words is sorted by (object, offset).  A word it lacks reads as
+	// zero, like a word recorded with the value zero.
+	words   []imageWord
+	objects []*interp.Object // sorted by id; shared, never modified
+}
+
+// imageWord is one word of an Image and its durable value.
+type imageWord struct {
+	Word
+	v int64
 }
 
 // Load returns the durable value of a word (zero if never persisted).
-func (im *Image) Load(obj, off int) int64 { return im.durable[Word{Obj: obj, Off: off}] }
+func (im *Image) Load(obj, off int) int64 {
+	i, ok := slices.BinarySearchFunc(im.words, Word{Obj: obj, Off: off},
+		func(e imageWord, w Word) int { return compareWords(e.Word, w) })
+	if !ok {
+		return 0
+	}
+	return im.words[i].v
+}
 
 // LoadField returns the durable value of obj.field using the object's
 // type layout; ok is false if the object or field is unknown.
 func (im *Image) LoadField(objID int, field string) (int64, bool) {
-	o := im.objects[objID]
-	if o == nil || o.Type == nil {
+	i, ok := findObject(im.objects, objID)
+	if !ok || im.objects[i].Type == nil {
 		return 0, false
 	}
-	off := o.Type.FieldOffset(field)
+	off := im.objects[i].Type.FieldOffset(field)
 	if off < 0 {
 		return 0, false
 	}
@@ -69,13 +94,12 @@ func (im *Image) LoadField(objID int, field string) (int64, bool) {
 // write or undo-log registration are recorded — so the listing iterates
 // the recorded set rather than probing ids from 1 until the first gap
 // (which silently truncated the list).
-func (im *Image) Objects() []*interp.Object {
-	out := make([]*interp.Object, 0, len(im.objects))
-	for _, o := range im.objects {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+func (im *Image) Objects() []*interp.Object { return slices.Clone(im.objects) }
+
+// findObject returns the index of the object with the given id in objs,
+// sorted by id, or where it would be inserted.
+func findObject(objs []*interp.Object, id int) (int, bool) {
+	return slices.BinarySearchFunc(objs, id, func(o *interp.Object, id int) int { return cmp.Compare(o.ID, id) })
 }
 
 // wordFlag records what holds for one persistent word.
@@ -125,6 +149,29 @@ func (e *word) persist() {
 	e.flags = e.flags&^(dirty|staged) | durable
 }
 
+// recovered is the word's value after a crash and recovery: its durable
+// value, an open transaction's undo pre-image, or — after a device
+// failure — its barrier-committed value; zero if it has none.
+func (e word) recovered(device bool) int64 {
+	v, ok := e.dur, e.has(durable)
+	if e.has(logged) {
+		v, ok = e.undo, true
+	}
+	if device && e.has(pending) {
+		v, ok = e.commit, e.has(committed)
+	}
+	if !ok {
+		return 0
+	}
+	return v
+}
+
+// entry is one row of the word table: a word and its state.
+type entry struct {
+	Word
+	word
+}
+
 // nvmState tracks volatile vs durable word state under clwb/sfence
 // semantics (word-granular persistence domain), plus undo-log
 // transaction semantics: TX_ADD snapshots pre-images, commit persists
@@ -133,13 +180,14 @@ func (e *word) persist() {
 // the program touched lives in one table.
 type nvmState struct {
 	interp.NopHooks
-	words map[Word]word
+	// words is the word table, sorted by (object, offset), so keys,
+	// images and drain lists come out in that order without a sort.
+	words []entry
 
 	// objects holds the persistent objects a write or undo-log
-	// registration reached.  It only grows, so a snapshot shares it and
-	// the next addition copies it (objectsShared).
-	objects       map[int]*interp.Object
-	objectsShared bool
+	// registration reached, sorted by id.  It only grows, and each
+	// addition builds a new slice, so snapshots and images share it.
+	objects []*interp.Object
 
 	txDepth int
 
@@ -157,11 +205,7 @@ type nvmState struct {
 }
 
 func newNVMState(c pmcontract.Contract) *nvmState {
-	return &nvmState{
-		words:    make(map[Word]word),
-		objects:  make(map[int]*interp.Object),
-		contract: c,
-	}
+	return &nvmState{contract: c}
 }
 
 // inDomain reports whether persistent words live in a device
@@ -174,16 +218,28 @@ func (s *nvmState) inDomain() bool { return s.contract.HasDomain() }
 // decorators (faultinj.Wrap) keep injections legal under the contract.
 func (s *nvmState) PersistencyContract() pmcontract.Contract { return s.contract }
 
-// touch records obj among the objects a crash image can name.
+// touch records obj among the objects a crash image can name.  The
+// clipped slice makes the insertion copy, leaving sharers unchanged.
 func (s *nvmState) touch(obj *interp.Object) {
-	if s.objects[obj.ID] != nil {
-		return
+	if i, ok := findObject(s.objects, obj.ID); !ok {
+		s.objects = slices.Insert(slices.Clip(s.objects), i, obj)
 	}
-	if s.objectsShared {
-		s.objects = maps.Clone(s.objects)
-		s.objectsShared = false
+}
+
+// find returns the index of w in the word table, or where it would be
+// inserted.
+func (s *nvmState) find(w Word) (int, bool) {
+	return slices.BinarySearchFunc(s.words, w, func(e entry, w Word) int { return compareWords(e.Word, w) })
+}
+
+// at returns w's state in the table, adding a zero state for it first
+// if the table has none.
+func (s *nvmState) at(w Word) *word {
+	i, ok := s.find(w)
+	if !ok {
+		s.words = slices.Insert(s.words, i, entry{Word: w})
 	}
-	s.objects[obj.ID] = obj
+	return &s.words[i].word
 }
 
 // OnTxBegin opens a transaction level.
@@ -201,12 +257,9 @@ func (s *nvmState) OnTxAdd(obj *interp.Object, off, size int, _ *ir.Site) {
 	}
 	s.touch(obj)
 	for g := 0; g < size; g += 8 {
-		w := Word{Obj: obj.ID, Off: off + g}
-		e := s.words[w]
-		if !e.has(logged) {
+		if e := s.at(Word{Obj: obj.ID, Off: off + g}); !e.has(logged) {
 			e.undo = e.cur
 			e.flags |= logged
-			s.words[w] = e
 		}
 	}
 }
@@ -235,10 +288,8 @@ func (s *nvmState) OnFence(*ir.Site) {
 // words marked sel persist and lose that mark, and every pending domain
 // word's durable value becomes its barrier-committed value.
 func (s *nvmState) persistAndCommit(sel wordFlag) {
-	for w, e := range s.words {
-		if !e.has(sel | pending) {
-			continue
-		}
+	for i := range s.words {
+		e := &s.words[i].word
 		if e.has(sel) {
 			e.persist()
 			e.flags &^= sel
@@ -247,7 +298,6 @@ func (s *nvmState) persistAndCommit(sel wordFlag) {
 			e.commit = e.dur
 			e.flags = e.flags&^pending | committed
 		}
-		s.words[w] = e
 	}
 }
 
@@ -263,8 +313,7 @@ func (s *nvmState) OnWrite(obj *interp.Object, off, size int, _ *ir.Site) {
 	s.touch(obj)
 	inDom := s.inDomain()
 	for g := 0; g < size; g += 8 {
-		w := Word{Obj: obj.ID, Off: off + g}
-		e := s.words[w]
+		e := s.at(Word{Obj: obj.ID, Off: off + g})
 		if slot := (off + g) / 8; slot < len(obj.Slots) {
 			e.cur = obj.Slots[slot].I
 		}
@@ -274,7 +323,6 @@ func (s *nvmState) OnWrite(obj *interp.Object, off, size int, _ *ir.Site) {
 		} else {
 			e.flags |= dirty
 		}
-		s.words[w] = e
 	}
 }
 
@@ -290,13 +338,11 @@ func (s *nvmState) OnEvict(obj *interp.Object, off, size int, _ *ir.Site) {
 	s.relevant = true
 	s.touch(obj)
 	for g := 0; g < size; g += 8 {
-		w := Word{Obj: obj.ID, Off: off + g}
-		e := s.words[w]
+		e := s.at(Word{Obj: obj.ID, Off: off + g})
 		if slot := (off + g) / 8; slot < len(obj.Slots) {
 			e.cur = obj.Slots[slot].I
 		}
 		e.persist()
-		s.words[w] = e
 	}
 }
 
@@ -311,47 +357,30 @@ func (s *nvmState) OnFlush(obj *interp.Object, off, size int, _ *ir.Site) {
 		return
 	}
 	for g := 0; g < size; g += 8 {
-		w := Word{Obj: obj.ID, Off: off + g}
-		if e := s.words[w]; e.has(dirty | staged) {
-			e.flags |= staged
-			s.words[w] = e
+		if i, ok := s.find(Word{Obj: obj.ID, Off: off + g}); ok && s.words[i].has(dirty|staged) {
+			s.words[i].flags |= staged
 		}
 	}
 }
 
-// image snapshots the durable state a crash leaves, after recovery: an
+// image returns the durable state a crash leaves, after recovery: an
 // open transaction's logged words roll back to their undo pre-images.
 // With device set it is the image after a DEVICE failure: every domain
 // word written since the last global persist barrier also rolls back to
 // its barrier-committed value, or vanishes if it was never committed.
+// The image's words parallel the table's, and it shares the object set.
 func (s *nvmState) image(device bool) *Image {
-	d := make(map[Word]int64, len(s.words))
-	for w, e := range s.words {
-		v, ok := e.dur, e.has(durable)
-		if e.has(logged) {
-			v, ok = e.undo, true
-		}
-		if device && e.has(pending) {
-			v, ok = e.commit, e.has(committed)
-		}
-		if ok {
-			d[w] = v
-		}
-	}
-	return &Image{durable: d, objects: maps.Clone(s.objects)}
+	im := &Image{words: make([]imageWord, len(s.words)), objects: s.objects}
+	s.fill(im, device)
+	return im
 }
 
-// sorted lists the words whose state satisfies keep, in (object,
-// offset) order.
-func (s *nvmState) sorted(keep func(word) bool) []Word {
-	out := make([]Word, 0, len(s.words))
-	for w, e := range s.words {
-		if keep(e) {
-			out = append(out, w)
-		}
+// fill rewrites every word of im, an image of this state, as image
+// (device) would build it.
+func (s *nvmState) fill(im *Image, device bool) {
+	for i, e := range s.words {
+		im.words[i] = imageWord{Word: e.Word, v: e.recovered(device)}
 	}
-	sortWords(out)
-	return out
 }
 
 // Violation describes an invariant failure at one crash point.
@@ -439,7 +468,9 @@ func (r *Result) Detail() string {
 }
 
 // Invariant inspects a durable image; returning an error marks the
-// crash point inconsistent.
+// crash point inconsistent.  The image is valid only during the call:
+// the enumerator rewrites it for the next persist outcome, so an
+// invariant must neither keep it nor modify it.
 type Invariant func(im *Image) error
 
 // maxExactOutcomes bounds exhaustive subset enumeration of in-flight
@@ -454,28 +485,43 @@ const sampledOutcomes = 256
 // in-flight words (exhaustive for small sets, sampled otherwise), and —
 // when the contract has a device persistence domain — to the
 // device-failure image at this point as well (uncommitted domain words
-// rolled back).
+// rolled back).  It builds one image for the crash point: each outcome
+// sets its persisted in-flight words around the invariant call and then
+// restores them.
 func (s *nvmState) checkOutcomes(inv Invariant, seed int64) error {
+	im := s.image(s.inDomain())
 	if s.inDomain() {
-		if err := inv(s.image(true)); err != nil {
-			uncommitted := len(s.sorted(func(e word) bool { return e.has(pending) }))
+		if err := inv(im); err != nil {
+			uncommitted := 0
+			for _, e := range s.words {
+				if e.has(pending) {
+					uncommitted++
+				}
+			}
 			return fmt.Errorf("device-failure image (%d domain words uncommitted by any barrier): %w",
 				uncommitted, err)
 		}
+		s.fill(im, false)
 	}
-	flight := s.sorted(word.inFlight)
-	base := s.image(false)
-	apply := func(mask uint64) error {
-		im := &Image{durable: make(map[Word]int64, len(base.durable)+len(flight)), objects: base.objects}
-		for w, v := range base.durable {
-			im.durable[w] = v
+	var flight []int
+	for i, e := range s.words {
+		if e.inFlight() {
+			flight = append(flight, i)
 		}
-		for bit, w := range flight {
+	}
+	apply := func(mask uint64) error {
+		for bit, i := range flight {
 			if mask&(1<<uint(bit)) != 0 {
-				im.durable[w] = s.words[w].cur
+				im.words[i].v = s.words[i].cur
 			}
 		}
-		return inv(im)
+		err := inv(im)
+		for bit, i := range flight {
+			if mask&(1<<uint(bit)) != 0 {
+				im.words[i].v = s.words[i].recovered(false)
+			}
+		}
+		return err
 	}
 	if len(flight) <= maxExactOutcomes {
 		for mask := uint64(0); mask < 1<<uint(len(flight)); mask++ {

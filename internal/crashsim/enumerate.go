@@ -126,13 +126,7 @@ func EnumerateCtx(ctx context.Context, m *ir.Module, entry string, inv Invariant
 		}
 		var points []planPoint
 		windowed := 0
-		seen := make(map[string]bool, len(p.points))
 		for _, pt := range p.points {
-			if seen[pt.key] {
-				res.Deduped++
-				continue
-			}
-			seen[pt.key] = true
 			if o.MaxStep > 0 && (pt.step < o.MinStep || pt.step > o.MaxStep) {
 				windowed++
 				continue
@@ -141,7 +135,8 @@ func EnumerateCtx(ctx context.Context, m *ir.Module, entry string, inv Invariant
 		}
 		// Mid-drain fault states are extra candidates beyond the step
 		// count; nothing was pruned then.
-		res.Pruned = max(res.TotalSteps-len(p.points), 0) + windowed
+		res.Deduped = p.deduped
+		res.Pruned = max(res.TotalSteps-len(p.points)-p.deduped, 0) + windowed
 		var sel []planPoint
 		for i := 0; i < len(points); i += stride {
 			sel = append(sel, points[i])

@@ -3,6 +3,7 @@ package crashsim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"deepmc/internal/ir"
@@ -30,13 +31,15 @@ func FinalImage(ctx context.Context, m *ir.Module, entry string, o Options) (*Im
 
 // NewImage builds a durable image directly from a word map — the soak
 // engine renders its expected-vs-recovered audits through Image.Diff
-// without an interpreter run behind either side.  The map is adopted,
-// not copied; nil yields an empty image.
+// without an interpreter run behind either side.  The map is not kept;
+// nil yields an empty image.
 func NewImage(words map[Word]int64) *Image {
-	if words == nil {
-		words = map[Word]int64{}
+	im := &Image{words: make([]imageWord, 0, len(words))}
+	for w, v := range words {
+		im.words = append(im.words, imageWord{Word: w, v: v})
 	}
-	return &Image{durable: words}
+	slices.SortFunc(im.words, func(a, b imageWord) int { return compareWords(a.Word, b.Word) })
+	return im
 }
 
 // Diff renders a deterministic word-level comparison of two durable
@@ -45,22 +48,16 @@ func NewImage(words map[Word]int64) *Image {
 // either side recorded.  Witness logs embed this output, so replays can
 // assert byte-identity.
 func (im *Image) Diff(other *Image) string {
-	words := make(map[Word]bool, len(im.durable)+len(other.durable))
-	for w := range im.durable {
-		words[w] = true
+	words := make([]Word, 0, len(im.words)+len(other.words))
+	for _, side := range [][]imageWord{im.words, other.words} {
+		for _, e := range side {
+			words = append(words, e.Word)
+		}
 	}
-	for w := range other.durable {
-		words[w] = true
-	}
-	all := make([]Word, 0, len(words))
-	for w := range words {
-		all = append(all, w)
-	}
-	sortWords(all)
+	slices.SortFunc(words, compareWords)
 	var b strings.Builder
-	for _, w := range all {
-		a, bv := im.durable[w], other.durable[w]
-		if a != bv {
+	for _, w := range slices.Compact(words) {
+		if a, bv := im.Load(w.Obj, w.Off), other.Load(w.Obj, w.Off); a != bv {
 			fmt.Fprintf(&b, "%d.%d: a=%d b=%d\n", w.Obj, w.Off, a, bv)
 		}
 	}

@@ -1,8 +1,6 @@
 package crashsim
 
 import (
-	"cmp"
-	"maps"
 	"slices"
 	"strconv"
 
@@ -11,14 +9,12 @@ import (
 )
 
 // planPoint is one surviving crash candidate from the planning run: the
-// step to crash after, the canonical key of the state an invariant
-// would observe there, and a snapshot of that state.  The snapshot is
-// what makes pruned enumeration O(n) instead of O(points x steps): the
-// invariant is checked directly against it, with no per-point
-// re-execution.
+// step to crash after and a snapshot of the state an invariant would
+// observe there.  The snapshot is what makes pruned enumeration O(n)
+// instead of O(points x steps): the invariant is checked directly
+// against it, with no per-point re-execution.
 type planPoint struct {
 	step int
-	key  string
 	snap *nvmState
 	// mid marks a synthetic mid-drain state injected by the
 	// reordered-persist / delayed-drain fault classes: a crash imagined
@@ -33,13 +29,21 @@ type planPoint struct {
 // state with an identical key — nothing that feeds checkOutcomes
 // (durable words, in-flight words, undo log, touched objects) can
 // change without one of these hooks firing — so those steps are pruned
-// without running them.
+// without running them.  A candidate whose state key an earlier one
+// already had is counted in deduped and never snapshotted.
 type planner struct {
 	*nvmState
-	points []planPoint
+	points  []planPoint
+	deduped int
+	// seen holds the state key of every candidate so far; key is the
+	// buffer the next candidate's key is built in.
+	seen map[string]struct{}
+	key  []byte
 	// pendingMid holds mid-drain fault states awaiting attribution to
 	// the fence instruction's step index (known only at its OnStep).
 	pendingMid []*nvmState
+	// drain is OnPartialFence's reused list of staged words.
+	drain []int
 }
 
 // newPlanner pre-records the empty pre-event image as the step-1 crash
@@ -55,34 +59,56 @@ type planner struct {
 // with the true post-step state.
 func newPlanner(c pmcontract.Contract) *planner {
 	p := &planner{nvmState: newNVMState(c)}
-	p.points = append(p.points, planPoint{step: 1, key: p.stateKey(), snap: p.nvmState.snapshot()})
+	p.fresh()
+	p.points = append(p.points, planPoint{step: 1, snap: p.nvmState.snapshot()})
 	return p
+}
+
+// fresh reports whether the current state's key is new, recording it if
+// so and counting a duplicate otherwise.  Only a new key allocates.
+func (p *planner) fresh() bool {
+	if p.seen == nil {
+		p.seen = make(map[string]struct{})
+	}
+	p.key = p.appendKey(p.key[:0])
+	if _, dup := p.seen[string(p.key)]; dup {
+		p.deduped++
+		return false
+	}
+	p.seen[string(p.key)] = struct{}{}
+	return true
 }
 
 // OnPartialFence (interp.PartialFencer) records the mid-drain state of
 // an injected reordered/delayed persist as an extra crash candidate:
 // the picked staged words (canonical order) are already durable, the
-// rest are still staged.  The snapshot is queued until the fence's
-// OnStep supplies the step index.
+// rest are still staged.  The picked words are drained in place, and
+// the state is keyed (and, if the key is new, snapshotted) as it
+// stands: the fence that follows completes in full, draining the rest,
+// so nothing needs putting back.  The snapshot is queued until the
+// fence's OnStep supplies the step index.
 func (p *planner) OnPartialFence(pick func(n int) []int, _ *ir.Site) {
-	drain := p.sorted(func(e word) bool { return e.has(staged) })
-	if len(drain) == 0 {
+	p.drain = p.drain[:0]
+	for i, e := range p.words {
+		if e.has(staged) {
+			p.drain = append(p.drain, i)
+		}
+	}
+	if len(p.drain) == 0 {
 		return
 	}
-	sel := pick(len(drain))
+	sel := pick(len(p.drain))
 	if len(sel) == 0 {
 		return
 	}
-	snap := p.nvmState.snapshot()
 	for _, i := range sel {
-		if i < 0 || i >= len(drain) {
-			continue
+		if i >= 0 && i < len(p.drain) {
+			p.words[p.drain[i]].persist()
 		}
-		e := snap.words[drain[i]]
-		e.persist()
-		snap.words[drain[i]] = e
 	}
-	p.pendingMid = append(p.pendingMid, snap)
+	if p.fresh() {
+		p.pendingMid = append(p.pendingMid, p.nvmState.snapshot())
+	}
 }
 
 // OnStep implements interp.StepObserver: the interpreter calls it after
@@ -91,45 +117,48 @@ func (p *planner) OnPartialFence(pick func(n int) []int, _ *ir.Site) {
 // step observes.
 func (p *planner) OnStep(step int, _ ir.Op) {
 	for _, snap := range p.pendingMid {
-		p.points = append(p.points, planPoint{step: step, key: snap.stateKey(), snap: snap, mid: true})
+		p.points = append(p.points, planPoint{step: step, snap: snap, mid: true})
 	}
 	p.pendingMid = p.pendingMid[:0]
 	if !p.relevant {
 		return
 	}
 	p.relevant = false
-	p.points = append(p.points, planPoint{step: step, key: p.stateKey(), snap: p.nvmState.snapshot()})
+	if p.fresh() {
+		p.points = append(p.points, planPoint{step: step, snap: p.nvmState.snapshot()})
+	}
 }
 
 // snapshot copies the mutable tracking state: the word table, and the
-// touched-object set by reference (the next addition copies it; see
-// touch).  Object pointers are shared: the interpreter mutates only
-// their volatile Slots, which the crash model never reads — the durable
-// image is reconstructed from the word table, and objects contribute
-// only their immutable ID/Type/Persistent metadata.
+// touched-object set by reference (additions copy it; see touch).
+// Object pointers are shared: the interpreter mutates only their
+// volatile Slots, which the crash model never reads — the durable image
+// is reconstructed from the word table, and objects contribute only
+// their immutable ID/Type/Persistent metadata.
 func (s *nvmState) snapshot() *nvmState {
-	s.objectsShared = true
 	c := *s
-	c.words = maps.Clone(s.words)
+	c.words = slices.Clone(s.words)
 	return &c
 }
 
-// stateKey canonically encodes everything checkOutcomes consumes, in one
-// pass over the words in (object, offset) order.  Each word that carries
-// any of these is written as "obj.off" followed, in this order, by
-// d<durable value>, f<value it persists if in flight>, u<undo pre-image
-// an open transaction's recovery restores> and, for a domain word no
-// barrier has committed since its last store, p<value a device failure
-// rolls it back to> or p! when it has none; then ';'.  The touched
-// objects follow after '|'.  Two crash points with equal keys produce
+// appendKey appends to b the canonical encoding of everything
+// checkOutcomes consumes, in one pass over the word table, which is in
+// (object, offset) order.  Each word that carries any of these is
+// written as "obj.off" followed, in this order, by d<durable value>,
+// f<value it persists if in flight>, u<undo pre-image an open
+// transaction's recovery restores> and, for a domain word no barrier
+// has committed since its last store, p<value a device failure rolls it
+// back to> or p! when it has none; then ';'.  The touched objects
+// follow after '|', by id.  Two crash points with equal keys produce
 // identical invariant verdicts, so the second is safely deduped.
-func (s *nvmState) stateKey() string {
-	b := make([]byte, 0, 24*len(s.words)+4*len(s.objects))
-	for _, w := range s.sorted(func(e word) bool { return e.has(durable|logged|pending) || e.inFlight() }) {
-		e := s.words[w]
-		b = strconv.AppendInt(b, int64(w.Obj), 10)
+func (s *nvmState) appendKey(b []byte) []byte {
+	for _, e := range s.words {
+		if !e.has(durable|logged|pending) && !e.inFlight() {
+			continue
+		}
+		b = strconv.AppendInt(b, int64(e.Obj), 10)
 		b = append(b, '.')
-		b = strconv.AppendInt(b, int64(w.Off), 10)
+		b = strconv.AppendInt(b, int64(e.Off), 10)
 		if e.has(durable) {
 			b = strconv.AppendInt(append(b, 'd'), e.dur, 10)
 		}
@@ -150,22 +179,8 @@ func (s *nvmState) stateKey() string {
 		b = append(b, ';')
 	}
 	b = append(b, '|')
-	ids := make([]int, 0, len(s.objects))
-	for id := range s.objects {
-		ids = append(ids, id)
+	for _, o := range s.objects {
+		b = append(strconv.AppendInt(b, int64(o.ID), 10), ';')
 	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		b = append(strconv.AppendInt(b, int64(id), 10), ';')
-	}
-	return string(b)
-}
-
-func sortWords(ws []Word) {
-	slices.SortFunc(ws, func(a, b Word) int {
-		if a.Obj != b.Obj {
-			return cmp.Compare(a.Obj, b.Obj)
-		}
-		return cmp.Compare(a.Off, b.Off)
-	})
+	return b
 }

@@ -38,6 +38,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Class identifies one fault class.
@@ -154,10 +155,87 @@ type Schedule struct {
 }
 
 // New builds a Schedule from cfg, drawing decisions from a fresh RNG
-// seeded with cfg.Seed.
+// seeded with cfg.Seed.  The RNG replays the seed's memoized stream
+// (see streamOf), so its decisions are exactly those of
+// rand.New(rand.NewSource(cfg.Seed)) without the cost of seeding it.
 func New(cfg Config) *Schedule {
-	return NewWithSource(cfg, rand.New(rand.NewSource(cfg.Seed)))
+	return NewWithSource(cfg, rand.New(newMemoSource(cfg.Seed)))
 }
+
+// The memo of seeded streams holds the first memoPrefix values of at
+// most memoSeeds seeds.  The crash simulator builds one schedule per
+// execution, all from the same seed, and each execution draws far fewer
+// than memoPrefix values; seeding a math/rand generator costs more than
+// such a whole execution draws.
+const (
+	memoSeeds  = 4
+	memoPrefix = 256
+)
+
+// streams memoizes, per seed, the first memoPrefix raw values of
+// math/rand's generator.  A prefix is filled once and then only read,
+// so schedules on any goroutine share it.  A new seed that finds the
+// memo full empties it first.
+var streams struct {
+	sync.Mutex
+	prefix map[int64][]uint64
+}
+
+// streamOf returns seed's memoized stream prefix, filling it on first
+// use.
+func streamOf(seed int64) []uint64 {
+	streams.Lock()
+	defer streams.Unlock()
+	if p, ok := streams.prefix[seed]; ok {
+		return p
+	}
+	if streams.prefix == nil || len(streams.prefix) == memoSeeds {
+		streams.prefix = make(map[int64][]uint64, memoSeeds)
+	}
+	src := rand.NewSource(seed).(rand.Source64)
+	p := make([]uint64, memoPrefix)
+	for i := range p {
+		p[i] = src.Uint64()
+	}
+	streams.prefix[seed] = p
+	return p
+}
+
+// memoSource is a rand.Source64 that yields the same values as
+// rand.NewSource(seed): first from seed's shared memoized prefix, then,
+// past it, from a private generator advanced to the same position.
+type memoSource struct {
+	seed   int64
+	prefix []uint64
+	pos    int
+	tail   rand.Source64 // nil until the prefix is used up
+}
+
+func newMemoSource(seed int64) *memoSource {
+	return &memoSource{seed: seed, prefix: streamOf(seed)}
+}
+
+// Uint64 returns the next raw value of the seed's stream.
+func (m *memoSource) Uint64() uint64 {
+	if m.pos < len(m.prefix) {
+		v := m.prefix[m.pos]
+		m.pos++
+		return v
+	}
+	if m.tail == nil {
+		m.tail = rand.NewSource(m.seed).(rand.Source64)
+		for range m.prefix {
+			m.tail.Uint64()
+		}
+	}
+	return m.tail.Uint64()
+}
+
+// Int63 masks the next raw value, as math/rand's own source does.
+func (m *memoSource) Int63() int64 { return int64(m.Uint64() &^ (1 << 63)) }
+
+// Seed restarts the stream at seed's first value.
+func (m *memoSource) Seed(seed int64) { *m = *newMemoSource(seed) }
 
 // NewWithSource builds a Schedule whose decisions come from src instead
 // of cfg.Seed's RNG (cfg.Seed is ignored then).  Replays are

@@ -109,24 +109,28 @@ func classifyStatus(status int, retryAfter string, body []byte) *NetError {
 	}
 	switch {
 	case status == http.StatusTooManyRequests:
-		return &NetError{Class: ErrThrottle, Status: status, RetryAfter: parseRetryAfter(retryAfter), Msg: msg}
+		return &NetError{Class: ErrThrottle, Status: status, RetryAfter: parseRetryAfter(retryAfter, time.Now()), Msg: msg}
 	case status >= 400 && status < 500:
 		return &NetError{Class: ErrTerminal, Status: status, Msg: msg}
 	default:
-		return &NetError{Class: ErrServer, Status: status, RetryAfter: parseRetryAfter(retryAfter), Msg: msg}
+		return &NetError{Class: ErrServer, Status: status, RetryAfter: parseRetryAfter(retryAfter, time.Now()), Msg: msg}
 	}
 }
 
-// parseRetryAfter reads a Retry-After header's delay-seconds form
-// (the only form this fleet's servers emit); absent or unparseable
-// yields 0, which falls back to the scheduler's jittered backoff.
-func parseRetryAfter(h string) time.Duration {
+// parseRetryAfter reads a Retry-After header in either form: a delay in
+// seconds (what this fleet's servers emit) or an HTTP-date, read
+// relative to now.  Absent, unparseable, negative or past yields 0,
+// which falls back to the scheduler's jittered backoff.
+func parseRetryAfter(h string, now time.Time) time.Duration {
 	if h == "" {
 		return 0
 	}
-	secs, err := strconv.Atoi(h)
-	if err != nil || secs < 0 {
+	if secs, err := strconv.Atoi(h); err == nil {
+		return time.Duration(max(secs, 0)) * time.Second
+	}
+	at, err := http.ParseTime(h)
+	if err != nil {
 		return 0
 	}
-	return time.Duration(secs) * time.Second
+	return max(at.Sub(now), 0)
 }

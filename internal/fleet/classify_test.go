@@ -91,6 +91,7 @@ func TestClassifyStatus(t *testing.T) {
 }
 
 func TestParseRetryAfter(t *testing.T) {
+	now := time.Date(2015, time.October, 21, 7, 28, 0, 0, time.UTC)
 	cases := []struct {
 		in   string
 		want time.Duration
@@ -100,10 +101,15 @@ func TestParseRetryAfter(t *testing.T) {
 		{"3", 3 * time.Second},
 		{"-1", 0},
 		{"garbage", 0},
-		{"Wed, 21 Oct 2015 07:28:00 GMT", 0}, // http-date form: ignored, backoff applies
+		{"Wed, 21 Oct 2015 07:28:00 GMT", 0}, // http-date at now
+		{"Wed, 21 Oct 2015 07:29:30 GMT", 90 * time.Second},    // future http-date
+		{"Wednesday, 21-Oct-15 07:28:05 GMT", 5 * time.Second}, // RFC 850 form
+		{"Wed, 21 Oct 2015 07:27:00 GMT", 0},                   // past http-date: retry now
+		{"Wed, 21 Oct 2015 25:61:00 GMT", 0},                   // malformed http-date
+		{"Wed, 21 Oct 2015", 0},                                // truncated http-date
 	}
 	for _, tc := range cases {
-		if got := parseRetryAfter(tc.in); got != tc.want {
+		if got := parseRetryAfter(tc.in, now); got != tc.want {
 			t.Fatalf("parseRetryAfter(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 	}

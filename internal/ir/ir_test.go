@@ -224,6 +224,38 @@ func TestParseRejectsOutOfRangeLiterals(t *testing.T) {
 	}
 }
 
+// TestParseRejectsOversizedTypes pins the error for a type whose byte
+// size overflows int although every literal in it is in range: a
+// declared struct, an allocated array, and an allocated array of a
+// struct declared after its use.  Such sizes once wrapped (to 0 for the
+// first), so the checker and the interpreter disagreed on the layout.
+func TestParseRejectsOversizedTypes(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"module m\n\ntype big struct { a: [4611686018427387904][4]int }\n\nfunc main() {\n %p = palloc big\n store %p.a[1][2], 5\n ret\n}\n",
+			"pir: line 3: size of type big overflows int"},
+		{"module m\n\ntype t struct {\n a: [1152921504606846975]int\n b: [1]int\n c: int\n}\n",
+			"pir: line 3: size of type t overflows int"},
+		{"module m\nfunc main() {\n %p = palloc [2305843009213693952][2]int\n ret\n}\n",
+			"pir: line 3: size of type [2305843009213693952][2]int overflows int"},
+		{"module m\nfunc main() {\n %p = alloc [1152921504606846976]later\n ret\n}\n\ntype later struct {\n a: int\n}\n",
+			"pir: line 3: size of type [1152921504606846976]later overflows int"},
+	} {
+		_, err := Parse(tc.src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%q) = %v, want %q", tc.src, err, tc.want)
+		}
+	}
+	// The largest sizes that fit still parse.
+	for _, src := range []string{
+		"module m\n\ntype t struct {\n a: [1152921504606846974]int\n b: int\n c: [0][4]int\n}\n",
+		"module m\nfunc main() {\n %p = palloc [1152921504606846975]int\n ret\n}\n",
+	} {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
+		}
+	}
+}
+
 // TestLexErrorWinsOverParseError: the parser pulls tokens as it goes,
 // but a lexical error later in the source is still the one reported
 // over an earlier syntax error.

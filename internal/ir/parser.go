@@ -79,6 +79,16 @@ type parser struct {
 	// one call's arguments.
 	vals     []Value
 	callArgs []Value
+	// arrayAllocs holds each alloc of an array type, whose size is
+	// checked once the module is parsed: the interpreter sizes it with
+	// named structs resolved, and one may be declared after its use.
+	arrayAllocs []arrayAlloc
+}
+
+// arrayAlloc is an alloc of an array type and the token that named it.
+type arrayAlloc struct {
+	at token
+	ty *Type
 }
 
 func (p *parser) advance() {
@@ -156,6 +166,11 @@ func (p *parser) parseModule() (*Module, error) {
 		t := p.peek()
 		switch {
 		case t.kind == tEOF:
+			for _, a := range p.arrayAllocs {
+				if _, ok := checkedSize(p.mod.ResolveType(a.ty)); !ok {
+					return nil, p.errf(a.at, "size of type %s overflows int", a.ty)
+				}
+			}
 			return p.mod, nil
 		case t.kind == tIdent && t.text == "type":
 			if err := p.parseTypeDecl(); err != nil {
@@ -206,6 +221,9 @@ func (p *parser) parseTypeDecl() error {
 		if p.at(tComma) {
 			p.next()
 		}
+	}
+	if _, ok := checkedSize(st); !ok {
+		return p.errf(name, "size of type %s overflows int", name.text)
 	}
 	p.mod.AddType(st)
 	return p.endStatement()
@@ -648,6 +666,9 @@ func (p *parser) parseAssign() error {
 		ty, err := p.parseType()
 		if err != nil {
 			return err
+		}
+		if ty.Kind == KArray {
+			p.arrayAllocs = append(p.arrayAllocs, arrayAlloc{t, ty})
 		}
 		p.emit(Instr{Op: OpAlloc, Dst: dst.text, Type: ty, Persistent: t.text == "palloc"})
 	case t.text == "field":

@@ -14,6 +14,8 @@
 // Print), and a builder API (see Builder) used by the bug corpus.
 package ir
 
+import "math"
+
 // TypeKind enumerates the kinds of PIR types.
 type TypeKind uint8
 
@@ -103,6 +105,35 @@ func (t *Type) Size() int {
 		return n
 	}
 	return 8
+}
+
+// checkedSize is Size with every product and sum checked: ok is false
+// if computing t's size overflows int.  Size itself does not check: the
+// parser calls checkedSize once for each struct a module declares and
+// each array it allocates, so the sizes of a parsed module never wrap.
+func checkedSize(t *Type) (size int, ok bool) {
+	if t == nil {
+		return 8, true
+	}
+	switch t.Kind {
+	case KArray:
+		n, ok := checkedSize(t.Elem)
+		if !ok || (t.Len > 0 && n > math.MaxInt/t.Len) {
+			return 0, false
+		}
+		return t.Len * n, true
+	case KStruct:
+		sum := 0
+		for _, f := range t.Fields {
+			n, ok := checkedSize(f.Type)
+			if !ok || n > math.MaxInt-sum {
+				return 0, false
+			}
+			sum += n
+		}
+		return sum, true
+	}
+	return t.Size(), true
 }
 
 // FieldOffset returns the byte offset of the named field within a struct,
