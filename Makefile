@@ -5,7 +5,8 @@
 #   make race        test suite under the race detector
 #   make vet         go vet, and fail if gofmt would change any tracked Go file
 #   make fuzz-short  30s per fuzz target (FuzzParse, FuzzAnalyze, FuzzEnumerate, FuzzGenome,
-#                    FuzzDecodeWitness, FuzzParseJSON, FuzzDecodeWireEntry, FuzzAnalyzeRequest)
+#                    FuzzDecodeWitness, FuzzParseJSON, FuzzDecodeWireEntry, FuzzAnalyzeRequest,
+#                    FuzzSharedScan)
 #   make bench       speedup benchmark for the parallel checker
 #   make bench-trace trace-collection benchmark (PMDK and a 335-function generated app)
 #   make bench-crash crash-path benchmark (four-class fault differential over the 15 crash harnesses)
@@ -54,11 +55,11 @@ vet:
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt would change:"; echo "$$unformatted"; exit 1; fi
 
-# FuzzAnalyzeRequest's minimization is bounded: its new inputs are often
-# hundreds of bytes long, the minimizer's subset pass runs about n*n/2
-# execs on an n-byte input, and at ~4k execs/s per worker that stalls
-# all fuzzing for most of the budget.  A crasher is still written out,
-# unminimized, and replays with `go test -run`.
+# FuzzAnalyzeRequest's and FuzzSharedScan's minimization is bounded:
+# their new inputs are often hundreds (FuzzSharedScan: thousands) of
+# bytes long, the minimizer's subset pass runs about n*n/2 execs on an
+# n-byte input, and that stalls all fuzzing for most of the budget.  A
+# crasher is still written out, unminimized, and replays with `go test -run`.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/ir
 	$(GO) test -run '^$$' -fuzz FuzzAnalyze -fuzztime $(FUZZTIME) ./internal/core
@@ -68,6 +69,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzParseJSON -fuzztime $(FUZZTIME) ./internal/report
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWireEntry -fuzztime $(FUZZTIME) ./internal/anacache
 	$(GO) test -run '^$$' -fuzz FuzzAnalyzeRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzSharedScan -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/checker
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkAnalyzeParallel -benchtime 200x .

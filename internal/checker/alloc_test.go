@@ -15,7 +15,9 @@ import (
 // traces: a cold module check must allocate less than one copy of every
 // function's trace entries.  Filling each finished trace's Entries during
 // collection, as a check that copied every trace would, allocates exactly
-// that much before the scan starts.  It measures the process-wide
+// that much before the scan starts.  It must also allocate less than the
+// 8,011,248 bytes the same check took when every call site held a flat
+// translated copy of each callee variant.  It measures the process-wide
 // allocation counter, so it must not run in parallel.
 func TestCheckAllocationBound(t *testing.T) {
 	m := core.GenerateApp(core.AppSpec{Name: "alloc", Funcs: 194, CallDepth: 3, Seed: 21})
@@ -42,5 +44,9 @@ func TestCheckAllocationBound(t *testing.T) {
 	t.Logf("check allocated %d bytes; its traces hold %d entries (%d bytes): %.2fx", alloc, entries, traceBytes, ratio)
 	if alloc >= traceBytes {
 		t.Errorf("check allocated %.2fx the bytes of its traces' entries, want less than 1x", ratio)
+	}
+	const flatCopies = 8_011_248
+	if alloc >= flatCopies {
+		t.Errorf("check allocated %d bytes, want less than the %d the flat callee copies took", alloc, flatCopies)
 	}
 }

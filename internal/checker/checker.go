@@ -11,6 +11,7 @@ package checker
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
@@ -147,20 +148,23 @@ func (c *Checker) targetFunctions() []*ir.Function {
 
 // checkFunction applies all enabled rules to each trace of fn, in
 // collection order, adding findings to rep.  One scanner serves every
-// trace of the function.
+// trace of the function, and trace.Walk feeds it each chain node the
+// traces share once.
 func (c *Checker) checkFunction(fn string, rep *report.Report) {
 	ts := c.Collector.Collect(fn)
 	if len(ts) == 0 {
 		return
 	}
-	s := &scanner{
+	trace.Walk(ts, c.newScanner(rep))
+}
+
+// newScanner returns a scanner that adds c's findings to rep.
+func (c *Checker) newScanner(rep *report.Report) *scanner {
+	return &scanner{
 		checker:    c,
 		rep:        rep,
 		model:      c.Opts.Model,
 		autoDomain: c.Opts.Contract.HasDomain(),
-	}
-	for _, t := range ts {
-		s.run(t)
 	}
 }
 
@@ -189,6 +193,7 @@ type txFrame struct {
 // so far on the trace, keeping every per-entry check O(1)-ish: long
 // interprocedurally-merged traces stay linear to scan.
 type objState struct {
+	node *dsa.Node
 	// written lists the distinct field paths written ("" = whole
 	// object), in first-write order.
 	written []string
@@ -205,16 +210,31 @@ type flushRec struct {
 	e     *trace.Entry
 }
 
-// scanner runs the rules over the traces of one function, one trace at
-// a time.  Its records point into the traces' runs, which are immutable,
-// rather than copying entries, and run resets its state between traces
-// while keeping the maps and slices it has grown.
+// scanner runs the rules over the traces of one function as a
+// trace.Consumer.  Its records point into the traces' runs, which are
+// immutable, rather than copying entries.  Everything a rule reads
+// between entries lives in its scanState, which depends only on the
+// entries consumed since the trace began: that is what lets trace.Walk
+// restart a trace from a state saved at a shared node.  Reset and
+// Restore keep the maps and slices the state has grown.
 type scanner struct {
 	checker    *Checker
 	rep        *report.Report
 	model      Model
 	autoDomain bool
 
+	scanState
+	// saved holds the states trace.Walk saves, by slot.
+	saved []*scanState
+	// Scratch space reused across barriers and region ends.
+	epochs     map[int]bool
+	cells      []dsa.Cell
+	regionObjs []*dsa.Node
+	strandIDs  []int64
+}
+
+// scanState is the rule state machine's state at one point of a trace.
+type scanState struct {
 	pending []wrec
 	txStack []*txFrame
 	// frames holds every transaction frame allocated so far; the frame
@@ -244,52 +264,56 @@ type scanner struct {
 	// a device failure discards them (DMC-X02).
 	unbarriered []*trace.Entry
 	// objs summarizes each object's writes and flushes, keyed by
-	// representative.  reset empties the summaries but keeps them: the
-	// traces of one function mostly touch the same objects.
-	objs map[*dsa.Node]*objState
-	// Scratch space reused across barriers and region ends.
-	epochs     map[int]bool
-	cells      []dsa.Cell
-	regionObjs []*dsa.Node
-	strandIDs  []int64
+	// representative.  Reset empties the summaries but keeps them: the
+	// traces of one function mostly touch the same objects.  touched
+	// lists the summaries that are not empty, so Reset and copyFrom
+	// visit only those.
+	objs    map[*dsa.Node]*objState
+	touched []*objState
 }
 
-// run scans one trace.
-func (s *scanner) run(t *trace.Trace) {
-	s.reset()
-	t.Runs(func(run []trace.Entry) bool {
-		for i := range run {
-			e := &run[i]
-			switch e.Kind {
-			case trace.KWrite:
-				s.onWrite(e)
-			case trace.KFlush:
-				s.onFlush(e)
-			case trace.KFence:
-				s.onFence(e)
-			case trace.KTxBegin:
-				s.onTxBegin(e)
-			case trace.KTxEnd:
-				s.onTxEnd(e)
-			case trace.KTxAdd:
-				s.onTxAdd(e)
-			case trace.KEpochBegin:
-				s.onEpochBegin(e)
-			case trace.KEpochEnd:
-				s.onEpochEnd(e)
-			case trace.KStrandBegin:
-				s.curStrand = e.Strand
-			case trace.KStrandEnd:
-				s.curStrand = -1
-			}
+// Restore begins a trace from the state saved in slot.
+func (s *scanner) Restore(slot int) { s.copyFrom(s.saved[slot]) }
+
+// Save records the current state in slot.
+func (s *scanner) Save(slot int) {
+	for len(s.saved) <= slot {
+		s.saved = append(s.saved, new(scanState))
+	}
+	s.saved[slot].copyFrom(&s.scanState)
+}
+
+// Consume scans the next run of the current trace.
+func (s *scanner) Consume(run []trace.Entry) {
+	for i := range run {
+		e := &run[i]
+		switch e.Kind {
+		case trace.KWrite:
+			s.onWrite(e)
+		case trace.KFlush:
+			s.onFlush(e)
+		case trace.KFence:
+			s.onFence(e)
+		case trace.KTxBegin:
+			s.onTxBegin(e)
+		case trace.KTxEnd:
+			s.onTxEnd(e)
+		case trace.KTxAdd:
+			s.onTxAdd(e)
+		case trace.KEpochBegin:
+			s.onEpochBegin(e)
+		case trace.KEpochEnd:
+			s.onEpochEnd(e)
+		case trace.KStrandBegin:
+			s.curStrand = e.Strand
+		case trace.KStrandEnd:
+			s.curStrand = -1
 		}
-		return true
-	})
-	s.atTraceEnd()
+	}
 }
 
-// reset returns the scanner to the start-of-trace state.
-func (s *scanner) reset() {
+// Reset returns the state to the start of a trace.
+func (s *scanState) Reset() {
 	s.pending = s.pending[:0]
 	s.txStack = s.txStack[:0]
 	s.epochSeq = -1
@@ -308,17 +332,72 @@ func (s *scanner) reset() {
 	if s.objs == nil {
 		s.objs = make(map[*dsa.Node]*objState)
 	}
-	for _, st := range s.objs {
+	for _, st := range s.touched {
 		st.written, st.flushes = st.written[:0], st.flushes[:0]
+	}
+	s.touched = s.touched[:0]
+}
+
+// copyFrom makes s equal to o, reusing s's maps, slices and frames.
+func (s *scanState) copyFrom(o *scanState) {
+	s.Reset()
+	s.pending = append(s.pending, o.pending...)
+	for depth, f := range o.txStack {
+		g := s.frame(depth)
+		g.beginEntry, g.writes, g.fenceLast = f.beginEntry, f.writes, f.fenceLast
+		g.logged = append(g.logged[:0], f.logged...)
+		clear(g.flushesPerObj)
+		maps.Copy(g.flushesPerObj, f.flushesPerObj)
+		s.txStack = append(s.txStack, g)
+	}
+	s.epochSeq, s.inEpoch = o.epochSeq, o.inEpoch
+	s.lastUnfenced = o.lastUnfenced
+	s.prevRegion = copyRegion(s.prevRegion, o.prevRegion)
+	if s.inRegion = o.inRegion; s.inRegion {
+		s.curRegion = copyRegion(s.curRegion, o.curRegion)
+	}
+	s.lastEpochEnd, s.fenceSinceEpochEnd = o.lastEpochEnd, o.fenceSinceEpochEnd
+	for id, ws := range o.strandWrites {
+		s.strandWrites[id] = append(s.strandWrites[id], ws...)
+	}
+	s.curStrand = o.curStrand
+	s.unbarriered = append(s.unbarriered, o.unbarriered...)
+	for _, st := range o.touched {
+		dst := s.obj(st.node)
+		dst.written = append(dst.written, st.written...)
+		dst.flushes = append(dst.flushes, st.flushes...)
 	}
 }
 
+// copyRegion makes dst a copy of src, reusing dst.
+func copyRegion(dst, src map[*dsa.Node]*trace.Entry) map[*dsa.Node]*trace.Entry {
+	if dst == nil {
+		dst = make(map[*dsa.Node]*trace.Entry, len(src))
+	}
+	clear(dst)
+	maps.Copy(dst, src)
+	return dst
+}
+
+// frame returns the transaction frame for nesting depth d, allocating
+// it on first use.
+func (s *scanState) frame(d int) *txFrame {
+	if d == len(s.frames) {
+		s.frames = append(s.frames, &txFrame{flushesPerObj: make(map[*dsa.Node]int)})
+	}
+	return s.frames[d]
+}
+
 // obj returns the summary of a representative object, creating it.
-func (s *scanner) obj(n *dsa.Node) *objState {
+func (s *scanState) obj(n *dsa.Node) *objState {
 	st := s.objs[n]
 	if st == nil {
-		st = new(objState)
+		st = &objState{node: n}
 		s.objs[n] = st
+	}
+	if len(st.written) == 0 && len(st.flushes) == 0 {
+		// Every caller fills the summary it asks for.
+		s.touched = append(s.touched, st)
 	}
 	return st
 }
@@ -618,11 +697,7 @@ func (s *scanner) onTxBegin(e *trace.Entry) {
 			"flush of %s has no persist barrier before the next transaction begins", cellDesc(fl.Cell))
 		s.lastUnfenced = nil
 	}
-	depth := len(s.txStack)
-	if depth == len(s.frames) {
-		s.frames = append(s.frames, &txFrame{flushesPerObj: make(map[*dsa.Node]int)})
-	}
-	f := s.frames[depth]
+	f := s.frame(len(s.txStack))
 	f.beginEntry, f.logged, f.writes, f.fenceLast = e, f.logged[:0], 0, false
 	clear(f.flushesPerObj)
 	s.txStack = append(s.txStack, f)
@@ -798,7 +873,8 @@ func (s *scanner) endRegion() {
 	s.inRegion = false
 }
 
-func (s *scanner) atTraceEnd() {
+// End judges what the trace leaves open at its end.
+func (s *scanner) End() {
 	// Unflushed writes pending at the end of the program path.
 	for _, w := range s.pending {
 		if !w.covered && !s.loggedCovers(w.e.Cell) {

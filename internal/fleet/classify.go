@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -120,13 +121,15 @@ func classifyStatus(status int, retryAfter string, body []byte) *NetError {
 // parseRetryAfter reads a Retry-After header in either form: a delay in
 // seconds (what this fleet's servers emit) or an HTTP-date, read
 // relative to now.  Absent, unparseable, negative or past yields 0,
-// which falls back to the scheduler's jittered backoff.
+// which falls back to the scheduler's jittered backoff.  The scheduler
+// caps the delay at its RetryMax.
 func parseRetryAfter(h string, now time.Time) time.Duration {
 	if h == "" {
 		return 0
 	}
-	if secs, err := strconv.Atoi(h); err == nil {
-		return time.Duration(max(secs, 0)) * time.Second
+	if secs, err := strconv.ParseInt(h, 10, 64); err == nil {
+		// Clamp before multiplying, so a huge delay cannot overflow.
+		return time.Duration(min(max(secs, 0), int64(math.MaxInt64/time.Second))) * time.Second
 	}
 	at, err := http.ParseTime(h)
 	if err != nil {

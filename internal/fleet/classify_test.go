@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"syscall"
 	"testing"
@@ -102,11 +103,13 @@ func TestParseRetryAfter(t *testing.T) {
 		{"-1", 0},
 		{"garbage", 0},
 		{"Wed, 21 Oct 2015 07:28:00 GMT", 0}, // http-date at now
-		{"Wed, 21 Oct 2015 07:29:30 GMT", 90 * time.Second},    // future http-date
-		{"Wednesday, 21-Oct-15 07:28:05 GMT", 5 * time.Second}, // RFC 850 form
-		{"Wed, 21 Oct 2015 07:27:00 GMT", 0},                   // past http-date: retry now
-		{"Wed, 21 Oct 2015 25:61:00 GMT", 0},                   // malformed http-date
-		{"Wed, 21 Oct 2015", 0},                                // truncated http-date
+		{"Wed, 21 Oct 2015 07:29:30 GMT", 90 * time.Second},       // future http-date
+		{"Wednesday, 21-Oct-15 07:28:05 GMT", 5 * time.Second},    // RFC 850 form
+		{"Wed, 21 Oct 2015 07:27:00 GMT", 0},                      // past http-date: retry now
+		{"Wed, 21 Oct 2015 25:61:00 GMT", 0},                      // malformed http-date
+		{"Wed, 21 Oct 2015", 0},                                   // truncated http-date
+		{"9223372037", math.MaxInt64 / time.Second * time.Second}, // seconds beyond time.Duration
+		{"9223372036854775807", math.MaxInt64 / time.Second * time.Second},
 	}
 	for _, tc := range cases {
 		if got := parseRetryAfter(tc.in, now); got != tc.want {

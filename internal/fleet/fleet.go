@@ -75,7 +75,7 @@ type Config struct {
 	// negative disables retries).  Shard-death requeues are free.
 	MaxRetries int
 	// RetryBase/RetryMax bound the jittered exponential backoff
-	// (defaults 5ms/250ms).
+	// (defaults 5ms/250ms); RetryMax also caps a server's Retry-After.
 	RetryBase time.Duration
 	RetryMax  time.Duration
 	// HedgeAfter re-dispatches a task still running after this long to

@@ -302,8 +302,8 @@ func TestTierWireCorruptionDegradesToRecompute(t *testing.T) {
 }
 
 // TestThrottleHonorsRetryAfter: 429s delay by the server's Retry-After
-// (not the default backoff), consume retry budget, and never feed the
-// breaker.
+// (not the default backoff) up to RetryMax, consume retry budget, and
+// never feed the breaker.
 func TestThrottleHonorsRetryAfter(t *testing.T) {
 	jobs := testJobs(t, 0)[:1]
 	ref := batchRender(t, jobs)
@@ -313,7 +313,7 @@ func TestThrottleHonorsRetryAfter(t *testing.T) {
 	f, err := New(Config{
 		Shards: 1, Seed: 3,
 		MaxRetries: 3,
-		RetryBase:  time.Millisecond, RetryMax: 2 * time.Millisecond, // default backoff would be ~instant
+		RetryBase:  time.Millisecond, RetryMax: time.Second, // default backoff would be ~instant
 		HedgeAfter: -1,
 		NewTransport: func(shard int, tier *anacache.Cache) (Transport, error) {
 			real, err := newLocalTransport(tier)
@@ -354,6 +354,60 @@ func TestThrottleHonorsRetryAfter(t *testing.T) {
 	}
 	if f.breakers.Tripped(0) {
 		t.Fatal("shedding fed the breaker")
+	}
+}
+
+// TestRetryAfterCappedAtRetryMax: a job throttled with a one-hour
+// Retry-After is requeued within RetryMax, not an hour later.
+func TestRetryAfterCappedAtRetryMax(t *testing.T) {
+	jobs := testJobs(t, 0)[:1]
+	ref := batchRender(t, jobs)
+	const retryMax = 100 * time.Millisecond
+	var calls []time.Time
+	var mu sync.Mutex
+	f, err := New(Config{
+		Shards: 1, Seed: 3,
+		MaxRetries: 3,
+		RetryBase:  time.Millisecond, RetryMax: retryMax,
+		HedgeAfter: -1,
+		NewTransport: func(shard int, tier *anacache.Cache) (Transport, error) {
+			real, err := newLocalTransport(tier)
+			if err != nil {
+				return nil, err
+			}
+			return transportFunc(func(ctx context.Context, job Job) (*report.Report, error) {
+				mu.Lock()
+				calls = append(calls, time.Now())
+				n := len(calls)
+				mu.Unlock()
+				if n == 1 {
+					return nil, &NetError{Class: ErrThrottle, Status: 429, RetryAfter: time.Hour, Msg: "queue full"}
+				}
+				return real.Analyze(ctx, job)
+			}), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res := f.Run(ctx, jobs)
+	if err := res.Err(); err != nil {
+		t.Fatalf("throttled job should run again within RetryMax: %v", err)
+	}
+	if res.Render() != ref {
+		t.Fatal("throttled run diverges from batch")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(calls) != 2 {
+		t.Fatalf("%d transport calls, want 2", len(calls))
+	}
+	// The requeue waits RetryMax; allow scheduling slack, not an hour.
+	if gap := calls[1].Sub(calls[0]); gap > retryMax+2*time.Second {
+		t.Fatalf("requeued after %v, want about RetryMax (%v)", gap, retryMax)
 	}
 }
 

@@ -189,7 +189,8 @@ func (r *run) fail(idx int, err error) { r.failAfter(idx, err, 0) }
 
 // failAfter is fail with an optional server-directed delay: a 429/503
 // Retry-After overrides the jittered backoff (after > 0), because the
-// server knows its own queue better than our jitter does.
+// server knows its own queue better than our jitter does.  The delay is
+// capped at RetryMax, so a hint of hours cannot park the job.
 func (r *run) failAfter(idx int, err error, after time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -210,7 +211,7 @@ func (r *run) failAfter(idx int, err error, after time.Duration) {
 	}
 	t.retries++
 	r.f.stats.Retries.Add(1)
-	d := after
+	d := min(after, r.f.cfg.RetryMax)
 	if d <= 0 {
 		d = r.backoffLocked(t.retries)
 	}

@@ -313,6 +313,11 @@ func (fr *frame) val(v ir.Value) Val {
 	return Val{}
 }
 
+// maxSlots bounds one object's 8-byte slots (8 MiB of modeled memory).
+// A type may parse with a size far beyond what the host can hold, and
+// the interpreter would otherwise try to make the slice.
+const maxSlots = 1 << 20
+
 // slotCount returns how many 8-byte slots a type occupies.
 func slotCount(t *ir.Type) int {
 	n := t.Size() / 8
@@ -348,12 +353,16 @@ func (ip *Interp) step(f *ir.Function, fr *frame, in *ir.Instr) error {
 		fr.regs[in.Dst] = Val{I: r}
 	case ir.OpAlloc:
 		t := ip.Module.ResolveType(in.Type)
+		n := slotCount(t)
+		if n > maxSlots {
+			return fmt.Errorf("alloc of %s: %d bytes exceeds the %d-byte object limit", t, t.Size(), maxSlots*8)
+		}
 		ip.nextObj++
 		obj := &Object{
 			ID:         ip.nextObj,
 			Type:       t,
 			Persistent: in.Persistent,
-			Slots:      make([]Val, slotCount(t)),
+			Slots:      make([]Val, n),
 		}
 		fr.regs[in.Dst] = Val{R: &Ref{Obj: obj, T: t}}
 	case ir.OpGEP:

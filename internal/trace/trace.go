@@ -88,9 +88,10 @@ func (e Entry) String() string {
 // A collected trace keeps the shared-prefix chain the explorer built it
 // from, and Entries stays nil until the trace leaves the collector
 // through FunctionTraces, which fills it from the chain once.  The
-// pipeline itself never fills: callee splicing and the rule scan read
-// the chain with Runs, and the analysis cache stores traces unfilled.
-// A trace constructed with Entries and no chain reads as a single run.
+// pipeline itself never fills: callee splicing links translated chains,
+// the rule scan reads a function's traces through Walk, and the analysis
+// cache stores traces unfilled.  A trace constructed with Entries and no
+// chain reads as a single run.
 type Trace struct {
 	Func    string
 	Entries []Entry
@@ -386,15 +387,19 @@ func sortTraces(ts []*Trace) {
 }
 
 // path is a trace under construction: an immutable chain of read-only
-// entry runs, newest last.  Paths that fork share their common prefix,
-// so extending one never copies entries, and a finished trace keeps its
+// nodes, newest last.  A node holds a run of entries or, in place of a
+// run, a whole spliced chain: a callee trace translated into the
+// caller's DSG context.  Paths that fork share their common prefix and
+// every continuation of a call site links the same translated chain, so
+// extending a path never copies entries, and a finished trace keeps its
 // path; only FunctionTraces copies it, by entries.  The nil path is the
 // empty prefix.
 type path struct {
 	prev *path
 	run  []Entry
-	n    int // total entries along the chain
-	ops  int // write/flush entries along the chain (PersistentOps)
+	sub  *path // the spliced chain, when the node holds no run
+	n    int   // total entries along the chain
+	ops  int   // write/flush entries along the chain (PersistentOps)
 }
 
 // len returns the number of entries on the path.
@@ -418,26 +423,61 @@ func (p *path) extend(run []Entry) *path {
 	return &path{prev: p, run: run, n: p.len() + len(run), ops: ops}
 }
 
+// splice links the whole chain sub onto p as one node.
+func (p *path) splice(sub *path) *path {
+	if sub.len() == 0 {
+		return p
+	}
+	ops := sub.ops
+	if p != nil {
+		ops += p.ops
+	}
+	return &path{prev: p, sub: sub, n: p.len() + sub.n, ops: ops}
+}
+
 // each yields the chain's runs oldest first; it reports whether the
 // consumer wants more.
 func (p *path) each(yield func([]Entry) bool) bool {
 	if p == nil {
 		return true
 	}
-	return p.prev.each(yield) && yield(p.run)
+	return p.prev.each(yield) && p.own(yield)
 }
 
-// entries materializes the path in one exact-size allocation, filled
-// back to front.  The empty path yields nil.
+// own yields the node's own entries: its run, or the runs of its
+// spliced chain.
+func (p *path) own(yield func([]Entry) bool) bool {
+	if p.sub != nil {
+		return p.sub.each(yield)
+	}
+	return yield(p.run)
+}
+
+// entries materializes the path in one exact-size allocation.  The
+// empty path yields nil.
 func (p *path) entries() []Entry {
 	if p.len() == 0 {
 		return nil
 	}
 	out := make([]Entry, p.n)
-	for q := p; q != nil; q = q.prev {
-		copy(out[q.n-len(q.run):q.n], q.run)
-	}
+	p.fill(out)
 	return out
+}
+
+// fill copies the path's first len(out) entries into out, back to
+// front, descending into spliced chains.
+func (p *path) fill(out []Entry) {
+	for q := p; q != nil; q = q.prev {
+		lo := q.prev.len()
+		if lo >= len(out) {
+			continue
+		}
+		if q.sub != nil {
+			q.sub.fill(out[lo:min(q.n, len(out))])
+		} else {
+			copy(out[lo:], q.run)
+		}
+	}
 }
 
 // step is one stage of a block's expansion: a run of consecutive
@@ -448,8 +488,8 @@ type step struct {
 	ref  ir.InstrRef
 	// variants memoizes calleeVariants for the call site once resolved:
 	// a loop body is revisited up to LoopIterations times, and the
-	// translated callee traces are the same on every visit.
-	variants [][]Entry
+	// translated callee chains are the same on every visit.
+	variants []*path
 	resolved bool
 }
 
@@ -623,13 +663,16 @@ func (e *explorer) expandBlock(b *ir.Block, prefix *path) []*path {
 					break
 				}
 				room := cap - cont.len()
-				if room >= len(v) {
-					room = len(v)
+				if room >= v.len() {
+					next = append(next, cont.splice(v))
 				} else {
-					// Only a prefix of the callee trace fits.
+					// Only a prefix of the callee trace fits: flatten
+					// that prefix into a run of its own.
 					e.truncated = true
+					prefix := make([]Entry, room)
+					v.fill(prefix)
+					next = append(next, cont.extend(prefix))
 				}
-				next = append(next, cont.extend(v[:room]))
 				if len(next) >= e.c.Opts.MaxPaths {
 					break
 				}
@@ -678,10 +721,12 @@ func (e *explorer) blockSteps(b *ir.Block) []step {
 	return steps
 }
 
-// calleeVariants returns the call site's callee merged trace entry lists
-// translated into this function's DSG context, capped at
-// MaxCalleeVariants.  The result is memoized on the step.
-func (e *explorer) calleeVariants(st *step) [][]Entry {
+// calleeVariants returns the call site's first MaxCalleeVariants callee
+// traces as chains translated into this function's DSG context.  The
+// result is memoized on the step, and one translator serves all of the
+// site's variants, so a prefix or spliced chain they share is
+// translated once.
+func (e *explorer) calleeVariants(st *step) []*path {
 	if st.resolved {
 		return st.variants
 	}
@@ -699,24 +744,58 @@ func (e *explorer) calleeVariants(st *step) [][]Entry {
 	if len(calleeTraces) == 0 {
 		return nil
 	}
-	mapping := e.dsg.CallMaps[st.ref]
 	limit := e.c.Opts.MaxCalleeVariants
 	if limit > len(calleeTraces) {
 		limit = len(calleeTraces)
 	}
-	st.variants = make([][]Entry, 0, limit)
+	x := translator{mapping: e.dsg.CallMaps[st.ref], memo: make(map[*path]*path)}
+	st.variants = make([]*path, 0, limit)
 	for _, t := range calleeTraces[:limit] {
-		entries := make([]Entry, 0, t.len())
-		t.Runs(func(run []Entry) bool {
-			entries = append(entries, run...)
-			return true
-		})
-		for i := range entries {
-			entries[i].Cell = translateCell(entries[i].Cell, mapping)
+		if t.path == nil {
+			// A trace built with Entries and no chain is one run.
+			st.variants = append(st.variants, (*path)(nil).extend(x.run(t.Entries)))
+			continue
 		}
-		st.variants = append(st.variants, entries)
+		st.variants = append(st.variants, x.chain(t.path))
 	}
 	return st.variants
+}
+
+// translator maps callee chain nodes into one call site's DSG context.
+// Each node is translated once (memo), so the variants of the site that
+// share a prefix, or splice the same deeper chain, share its
+// translation.
+type translator struct {
+	mapping map[*dsa.Node]*dsa.Node
+	memo    map[*path]*path
+}
+
+// chain returns the translation of the chain ending at p.
+func (x *translator) chain(p *path) *path {
+	if p == nil {
+		return nil
+	}
+	if t, ok := x.memo[p]; ok {
+		return t
+	}
+	t := &path{prev: x.chain(p.prev), n: p.n, ops: p.ops}
+	if p.sub != nil {
+		t.sub = x.chain(p.sub)
+	} else {
+		t.run = x.run(p.run)
+	}
+	x.memo[p] = t
+	return t
+}
+
+// run returns a translated copy of run.
+func (x *translator) run(run []Entry) []Entry {
+	out := make([]Entry, len(run))
+	for i, e := range run {
+		e.Cell = translateCell(e.Cell, x.mapping)
+		out[i] = e
+	}
+	return out
 }
 
 // translateCell maps a callee-context cell into the caller's context via
