@@ -12,6 +12,7 @@
 #   make bench-crash crash-path benchmark (four-class fault differential over the 15 crash harnesses)
 #   make bench-nvm   NVM pool benchmark (memcache-shaped store/flush/fence mix; x86 and cxl, clean and faulted)
 #   make bench-front front-end benchmark (parse, print, fingerprint, warm cache hit; not in ci)
+#   make bench-dynamic  dynamic-checker benchmark (soak-shaped tracker events, ns and allocations per event; not in ci)
 #   make cache-gate  incremental-cache byte-identity gate (cold vs warm, workers 1/2/8)
 #   make serve-gate  analysis-daemon chaos/soak gate (graceful restarts, shedding)
 #   make crashsim    cross-validate the static checker against crash enumeration
@@ -39,7 +40,7 @@ FAULTSEED ?= 42
 PAIRS ?= 10
 SEED ?= 1
 
-.PHONY: build test race vet fuzz-short bench bench-trace bench-crash bench-nvm bench-front cache-gate serve-gate crashsim faults fuzz-gate soak-short soak fleet-gate pmodel-gate stress bench-selftest ci perf-ab loc clean
+.PHONY: build test race vet fuzz-short bench bench-trace bench-crash bench-nvm bench-front bench-dynamic cache-gate serve-gate crashsim faults fuzz-gate soak-short soak fleet-gate pmodel-gate stress bench-selftest ci perf-ab loc clean
 
 build:
 	$(GO) build ./...
@@ -85,6 +86,9 @@ bench-nvm:
 
 bench-front:
 	$(GO) test -run '^$$' -bench BenchmarkFrontEnd -benchmem .
+
+bench-dynamic:
+	$(GO) test -run '^$$' -bench BenchmarkTrackerEvents -benchmem .
 
 # The cache gate: a warm (fully memoized) corpus analysis must render
 # byte-identical reports to a cold one at workers 1, 2 and 8, and the

@@ -7,6 +7,8 @@ package deepmc_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"deepmc/internal/anacache"
@@ -547,6 +549,88 @@ func BenchmarkPoolOps(b *testing.B) {
 			})
 		}
 	}
+	// load walks chains of memcache-shaped entries (key, used, next;
+	// cacheline-aligned 88-byte entries, so 128 bytes apart) the way a
+	// lookup does: two word loads per hop, eight hops per op.
+	b.Run("load", func(b *testing.B) {
+		const chains, hops, stride = 1024, 8, 128
+		p := nvm.NewPool(nvm.Config{Size: size})
+		heads := make([]int, chains)
+		for c := range heads {
+			next := 0 // the chain's end
+			for h := 0; h < hops; h++ {
+				ea := stride * (1 + h*chains + c)
+				if err := p.Store64(ea, uint64(c)); err != nil {
+					b.Fatal(err)
+				}
+				if err := p.Store64(ea+16, uint64(next)); err != nil {
+					b.Fatal(err)
+				}
+				next = ea
+			}
+			heads[c] = next
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for ea := heads[i%chains]; ea != 0; {
+				if _, err := p.Load64(ea); err != nil {
+					b.Fatal(err)
+				}
+				next, err := p.Load64(ea + 16)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ea = int(next)
+			}
+		}
+	})
+}
+
+// BenchmarkTrackerEvents prices the dynamic checker per event on the
+// soak's stream: two client threads at once, each committing
+// transactions of memcache.ValueWords m_txstore writes over the value
+// of one of its own keys (so nothing races) and one fence per commit.
+// The heap has memcache's layout, 11-word entries 128 bytes apart
+// (cacheline-aligned), and every entry's words were written once, as
+// an insert writes them, before timing starts.  An op is one tracker
+// event.
+func BenchmarkTrackerEvents(b *testing.B) {
+	const threads, keys, stride = 2, 16384, 128
+	entryWords := 3 + memcache.ValueWords
+	wordAddr := func(key uint64, w int) uint64 { return 1<<20 + key*stride + 8*uint64(w) }
+	tr := pmem.NewCheckerTracker()
+	for k := uint64(0); k < keys; k++ {
+		for w := 0; w < entryWords; w++ {
+			tr.Write(0, wordAddr(k, w), "m_txstore")
+		}
+		tr.Fence(0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for th := int64(1); th <= threads; th++ {
+		wg.Add(1)
+		go func(thread int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(thread))
+			for ev := 0; ev < b.N/threads; {
+				key := uint64(rng.Intn(keys/threads))*threads + uint64(thread-1)
+				for w := 0; w < memcache.ValueWords && ev < b.N/threads; w++ {
+					tr.Write(thread, wordAddr(key, 3+w), "m_txstore")
+					ev++
+				}
+				tr.Fence(thread)
+				ev++
+			}
+		}(th)
+	}
+	wg.Wait()
+	b.StopTimer()
+	if st := tr.C.StatsSnapshot(); st.RacesFound != 0 {
+		b.Fatalf("owned keys raced: %+v", st)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 }
 
 // BenchmarkFrontEnd prices what a warm serve request pays before any

@@ -17,8 +17,12 @@
 //     epoch counter consulted on the fast path.  Strand begin/end and
 //     lock acquire/release edges use per-strand vector clocks, compared
 //     only when the epoch test is inconclusive.
-//   - Shadow cells are FastTrack-style: one write epoch plus a read
-//     vector bounded at one entry per strand.
+//   - Shadow cells are FastTrack-style: one write epoch, plus a read
+//     set bounded at one entry per strand that a cell gains only at its
+//     first tracked read.  Cells live by value in each segment's flat,
+//     open-addressed table, so recording a write touches the strand's
+//     state, the segment's lock and one table slot, and allocates
+//     nothing once the slot exists.
 //
 // Conflicting accesses from unordered strands produce WARNING reports
 // with both access sites, exactly the elaborate error reports §4.4
@@ -69,24 +73,101 @@ type access struct {
 	at     *ir.Site
 }
 
-// shadowCell is the FastTrack state of one address.
+// shadowCell is the FastTrack state of one address, stored by value in
+// its segment's table.  It keeps only the address's offset in the
+// segment, which, with the flags, packs the cell into 48 bytes.
 type shadowCell struct {
+	write access
+	// reads is nil until the cell's first tracked read: only the
+	// interpreter's Runtime records reads, so most cells never need it.
+	reads    *readSet
+	off      uint16 // the address's byte offset in its segment
+	used     bool   // the slot holds a cell
 	hasWrite bool
-	write    access
 	// flushed reports whether a flush covered this address since the
 	// last write.  A racing read of an unflushed write is the deep
 	// variant of RAW (DMC-D03): the value consumed never even reached
 	// the write-back stage, so a durable side effect built on it is
 	// guaranteed inconsistent after a crash.
 	flushed bool
-	// reads holds at most one entry per strand since the last write.
-	reads []access
 }
 
-// segment shadows one aligned address range with its own lock.
+// readSet holds a cell's reads since its last write, at most one entry
+// per strand, in first-read order.  A write racing several of them
+// reports them in that order, and Report.Add keeps the first message
+// per site, so the order decides which read a warning names.
+type readSet struct{ r []access }
+
+// minSlots is the size of a segment's first table.
+const minSlots = 8
+
+// segment shadows one aligned address range with its own lock.  Its
+// cells form an open-addressed table (linear probing from the slot the
+// address's word bits select) that doubles at 3/4 load.
 type segment struct {
 	mu    sync.Mutex
-	cells map[uint64]*shadowCell
+	cells []shadowCell
+	n     int // slots in use
+	// The events recorded here, counted under mu and summed by
+	// StatsSnapshot, so the event path shares no counter.
+	writes, reads, flushes uint64
+}
+
+// offset is addr's byte offset in its segment.
+func offset(addr uint64) uint16 { return uint16(addr & (1<<segmentShift - 1)) }
+
+// find returns addr's cell, or nil.  Caller holds mu.
+func (s *segment) find(addr uint64) *shadowCell {
+	if len(s.cells) == 0 {
+		return nil
+	}
+	off, mask := offset(addr), len(s.cells)-1
+	for i := int(off>>3) & mask; s.cells[i].used; i = (i + 1) & mask {
+		if s.cells[i].off == off {
+			return &s.cells[i]
+		}
+	}
+	return nil
+}
+
+// cell returns addr's cell, adding an empty one if the segment has
+// none.  Caller holds mu.
+func (s *segment) cell(addr uint64) *shadowCell {
+	if sc := s.find(addr); sc != nil {
+		return sc
+	}
+	if size := len(s.cells); size == 0 {
+		s.cells = make([]shadowCell, minSlots)
+	} else if 4*(s.n+1) > 3*size {
+		s.rehash(2 * size)
+	}
+	s.n++
+	return s.place(offset(addr))
+}
+
+// place claims the first free slot on off's probe sequence.  Caller
+// holds mu.
+func (s *segment) place(off uint16) *shadowCell {
+	mask := len(s.cells) - 1
+	i := int(off>>3) & mask
+	for s.cells[i].used {
+		i = (i + 1) & mask
+	}
+	sc := &s.cells[i]
+	sc.used, sc.off = true, off
+	return sc
+}
+
+// rehash moves every cell into a fresh table of size slots.  Caller
+// holds mu.
+func (s *segment) rehash(size int) {
+	old := s.cells
+	s.cells = make([]shadowCell, size)
+	for i := range old {
+		if old[i].used {
+			*s.place(old[i].off) = old[i]
+		}
+	}
 }
 
 // segTable is one stripe of the segment directory.  The padding keeps
@@ -129,6 +210,12 @@ type strandState struct {
 	// (direct-mapped by the segment key's low bits; owned by the
 	// strand's issuing thread, see segRef).
 	lastSeg [segCacheSlots]segRef
+	// begun is set once StrandBeginOnce has opened the strand.
+	begun atomic.Bool
+	// fn and fnSite memoize the strand's last FuncSite lookup (owned
+	// by the strand's issuing thread, like lastSeg).
+	fn     string
+	fnSite *ir.Site
 }
 
 // Stats surfaces the checker's footprint for the scalability evaluation.
@@ -154,28 +241,39 @@ type Checker struct {
 	// detector's verdicts are unchanged.
 	Disabled map[string]bool
 
-	gepoch atomic.Uint64 // global fence counter
+	// gepoch is the global fence counter.  Every event reads it and
+	// every fence writes it, so it has a cache line of its own.
+	_      [64]byte
+	gepoch atomic.Uint64
+	_      [56]byte
 
 	// stripes shards the shadow-segment directory by the segment
 	// key's low bits.
 	stripes [segStripes]segTable
 
+	// dense holds the strands with ids in [0, denseStrands), created on
+	// first use; clocks holds every other id.
+	dense  [denseStrands]atomic.Pointer[strandState]
 	clocks sync.Map // int64 -> *strandState
+
+	funcSites sync.Map // string -> *ir.Site, see FuncSite
 
 	lockMu sync.Mutex // guards locks (off the report path)
 	locks  map[any]VC
 
-	mu      sync.Mutex // guards rep and races
-	rep     *report.Report
-	races   int
-	writes  atomic.Uint64
-	reads   atomic.Uint64
-	flushes atomic.Uint64
+	mu    sync.Mutex // guards rep and races
+	rep   *report.Report
+	races int
 }
 
 // segStripes is the shard count of the shadow-segment directory (a
 // power of two, so stripe selection is a mask).
 const segStripes = 64
+
+// denseStrands bounds the strand ids found by indexing an array rather
+// than through a sync.Map: client threads and interpreter strands are
+// small non-negative ids.
+const denseStrands = 256
 
 // NewChecker creates an empty runtime checker.
 func NewChecker() *Checker {
@@ -196,37 +294,46 @@ func (c *Checker) Report() *report.Report {
 
 // StatsSnapshot returns current footprint counters.
 func (c *Checker) StatsSnapshot() Stats {
-	segs, cells := 0, 0
+	var st Stats
 	for i := range c.stripes {
 		t := &c.stripes[i]
 		t.mu.RLock()
-		segs += len(t.segments)
+		st.Segments += len(t.segments)
 		for _, s := range t.segments {
 			s.mu.Lock()
-			cells += len(s.cells)
+			st.Cells += s.n
+			st.Writes += s.writes
+			st.Reads += s.reads
+			st.Flushes += s.flushes
 			s.mu.Unlock()
 		}
 		t.mu.RUnlock()
 	}
 	c.mu.Lock()
-	races := c.races
+	st.RacesFound = c.races
 	c.mu.Unlock()
-	return Stats{
-		Segments: segs, Cells: cells,
-		Writes: c.writes.Load(), Reads: c.reads.Load(),
-		Flushes:    c.flushes.Load(),
-		RacesFound: races,
-	}
+	return st
 }
 
 // strand returns (creating) the strand state, lock-free on the hot path.
 func (c *Checker) strand(id int64) *strandState {
+	if uint64(id) < denseStrands {
+		p := &c.dense[id]
+		if st := p.Load(); st != nil {
+			return st
+		}
+		p.CompareAndSwap(nil, newStrandState(id))
+		return p.Load()
+	}
 	if v, ok := c.clocks.Load(id); ok {
 		return v.(*strandState)
 	}
-	st := &strandState{id: id, vc: VC{id: 0}, next: 1}
-	actual, _ := c.clocks.LoadOrStore(id, st)
+	actual, _ := c.clocks.LoadOrStore(id, newStrandState(id))
 	return actual.(*strandState)
+}
+
+func newStrandState(id int64) *strandState {
+	return &strandState{id: id, vc: VC{id: 0}, next: 1}
 }
 
 // bump advances a strand's own clock component.
@@ -242,6 +349,34 @@ func (st *strandState) bump() {
 // live strands; ordering against pre-fence history comes from the global
 // epoch.
 func (c *Checker) StrandBegin(id int64) { c.strand(id).bump() }
+
+// StrandBeginOnce opens id's strand at its first call for id and does
+// nothing at later ones.  A caller that treats each thread as a strand
+// from its first event calls it at every event.
+func (c *Checker) StrandBeginOnce(id int64) {
+	if st := c.strand(id); !st.begun.Load() && st.begun.CompareAndSwap(false, true) {
+		st.bump()
+	}
+}
+
+// FuncSite returns the site of an event whose issuer knows only the
+// function it runs in: the function's name in place of a file, at line
+// 0, interned once per name.  Each strand memoizes its last name, so a
+// thread that keeps naming one function finds its site without a map
+// lookup; like the rest of the strand's per-event state, the memo
+// belongs to the thread that issues the strand's events.
+func (c *Checker) FuncSite(id int64, fn string) *ir.Site {
+	st := c.strand(id)
+	if st.fnSite != nil && st.fn == fn {
+		return st.fnSite
+	}
+	v, ok := c.funcSites.Load(fn)
+	if !ok {
+		v, _ = c.funcSites.LoadOrStore(fn, &ir.Site{Func: fn, File: fn})
+	}
+	st.fn, st.fnSite = fn, v.(*ir.Site)
+	return st.fnSite
+}
 
 // StrandEnd closes a strand region.  The strand's writes remain visible
 // in the shadow state (they may still race with later strands until a
@@ -305,7 +440,7 @@ func (c *Checker) seg(st *strandState, addr uint64) *segment {
 	if s == nil {
 		t.mu.Lock()
 		if s = t.segments[key]; s == nil {
-			s = &segment{cells: make(map[uint64]*shadowCell)}
+			s = &segment{}
 			t.segments[key] = s
 		}
 		t.mu.Unlock()
@@ -336,16 +471,12 @@ func (c *Checker) Write(id int64, addr uint64, persistent bool, at *ir.Site) {
 	if !persistent && !c.TrackAll {
 		return
 	}
-	c.writes.Add(1)
 	st := c.strand(id)
 	now := c.gepoch.Load()
 	s := c.seg(st, addr)
 	s.mu.Lock()
-	sc := s.cells[addr]
-	if sc == nil {
-		sc = &shadowCell{}
-		s.cells[addr] = sc
-	}
+	s.writes++
+	sc := s.cell(addr)
 	type conflict struct {
 		prev access
 		kind string
@@ -354,16 +485,18 @@ func (c *Checker) Write(id int64, addr uint64, persistent bool, at *ir.Site) {
 	if sc.hasWrite && !c.ordered(st, now, &sc.write) {
 		raceWith = append(raceWith, conflict{prev: sc.write, kind: "WAW"})
 	}
-	for i := range sc.reads {
-		r := &sc.reads[i]
-		if !c.ordered(st, now, r) {
-			raceWith = append(raceWith, conflict{prev: *r, kind: "RAW"})
+	if sc.reads != nil {
+		for i := range sc.reads.r {
+			r := &sc.reads.r[i]
+			if !c.ordered(st, now, r) {
+				raceWith = append(raceWith, conflict{prev: *r, kind: "RAW"})
+			}
 		}
+		sc.reads.r = sc.reads.r[:0]
 	}
 	sc.hasWrite = true
 	sc.write = access{strand: id, clock: st.own.Load(), gepoch: now, at: at}
 	sc.flushed = false
-	sc.reads = sc.reads[:0]
 	s.mu.Unlock()
 	for _, cf := range raceWith {
 		c.race(cf.kind, cf.prev, access{strand: id, at: at}, addr, false)
@@ -379,10 +512,10 @@ func (c *Checker) Flush(id int64, addr uint64, persistent bool, at *ir.Site) {
 	if !persistent && !c.TrackAll {
 		return
 	}
-	c.flushes.Add(1)
 	s := c.seg(c.strand(id), addr)
 	s.mu.Lock()
-	if sc := s.cells[addr]; sc != nil && sc.hasWrite {
+	s.flushes++
+	if sc := s.find(addr); sc != nil && sc.hasWrite {
 		sc.flushed = true
 	}
 	s.mu.Unlock()
@@ -394,16 +527,12 @@ func (c *Checker) Read(id int64, addr uint64, persistent bool, at *ir.Site) {
 	if !persistent && !c.TrackAll {
 		return
 	}
-	c.reads.Add(1)
 	st := c.strand(id)
 	now := c.gepoch.Load()
 	s := c.seg(st, addr)
 	s.mu.Lock()
-	sc := s.cells[addr]
-	if sc == nil {
-		sc = &shadowCell{}
-		s.cells[addr] = sc
-	}
+	s.reads++
+	sc := s.cell(addr)
 	var raced *access
 	racedUnflushed := false
 	if sc.hasWrite && !c.ordered(st, now, &sc.write) {
@@ -411,17 +540,20 @@ func (c *Checker) Read(id int64, addr uint64, persistent bool, at *ir.Site) {
 		raced = &cp
 		racedUnflushed = !sc.flushed
 	}
+	if sc.reads == nil {
+		sc.reads = &readSet{}
+	}
 	rec := access{strand: id, clock: st.own.Load(), gepoch: now, at: at}
 	updated := false
-	for i := range sc.reads {
-		if sc.reads[i].strand == id {
-			sc.reads[i] = rec
+	for i := range sc.reads.r {
+		if sc.reads.r[i].strand == id {
+			sc.reads.r[i] = rec
 			updated = true
 			break
 		}
 	}
 	if !updated {
-		sc.reads = append(sc.reads, rec)
+		sc.reads.r = append(sc.reads.r, rec)
 	}
 	s.mu.Unlock()
 	if raced != nil {

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -248,5 +249,42 @@ func TestEndToEndOrderedClean(t *testing.T) {
 	}
 	if rep := rt.Checker.Report(); len(rep.Warnings) != 0 {
 		t.Errorf("fence-separated strands flagged:\n%s", rep)
+	}
+}
+
+// TestShadowFootprint bounds what the shadow state retains per cell on
+// the layout the soak serves: memcache entries of 11 words (key, in-use
+// flag, next pointer, 8 value words) allocated cacheline-aligned, so
+// 128 bytes apart, each word written once by one of two strands with a
+// fence every ten writes.  A 4 KiB segment then holds 32 entries, 352
+// cells, in a 512-slot table of 48-byte cells: 512*48/352, about 70
+// bytes per cell.  The bound is 80 bytes and 0.05 heap objects per
+// cell; a heap-allocated cell behind a map entry per address retains
+// about 107 bytes and one object.
+func TestShadowFootprint(t *testing.T) {
+	const cells, entryWords, stride = 200_000, 11, 128
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := NewChecker()
+	at := &ir.Site{Func: "f", File: "f.c", Line: 1}
+	for i := 0; i < cells; i++ {
+		addr := 0x100000 + stride*uint64(i/entryWords) + 8*uint64(i%entryWords)
+		c.Write(int64(1+i%2), addr, true, at)
+		if i%10 == 9 {
+			c.GlobalFence()
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if st := c.StatsSnapshot(); st.Cells != cells || st.RacesFound != 0 {
+		t.Fatalf("stats = %+v, want %d cells and no races", st, cells)
+	}
+	runtime.KeepAlive(c)
+	perCell := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / cells
+	objects := float64(int64(after.HeapObjects)-int64(before.HeapObjects)) / cells
+	t.Logf("retained %.1f B and %.3f heap objects per cell", perCell, objects)
+	if perCell > 80 || objects > 0.05 {
+		t.Errorf("retained %.1f B and %.3f objects per cell, want at most 80 B and 0.05", perCell, objects)
 	}
 }

@@ -199,58 +199,84 @@ func (o *oracle) flush(addr uint64) {
 // histories through the production checker and the pure-VC oracle at
 // widths 1, 2, and 8 strands, with fixed seeds, and requires identical
 // warning sets (code + site).  Any divergence means the epoch shortcut
-// and the slow path disagree on some happens-before verdict.
+// and the slow path disagree on some happens-before verdict.  Each
+// history draws its addresses in one of three shapes: eight hot words;
+// those words half the time and any word of a whole segment otherwise,
+// so the segment's shadow table passes through every size; and byte
+// addresses straddling a segment edge, several to a word.
 func TestEpochFastPathAgreesWithVectorClocks(t *testing.T) {
 	const (
-		opsPerHistory = 300
 		seedsPerWidth = 40
-		addrs         = 8
 		lockCount     = 2
 	)
-	for _, strands := range []int{1, 2, 8} {
-		for seed := int64(1); seed <= seedsPerWidth; seed++ {
-			rng := rand.New(rand.NewSource(seed*1000 + int64(strands)))
-			c := NewChecker()
-			o := newOracle()
-			for op := 1; op <= opsPerHistory; op++ {
-				id := int64(rng.Intn(strands + 1)) // 0 = outside strand regions
-				addr := uint64(0x1000 + 8*rng.Intn(addrs))
-				lock := rng.Intn(lockCount)
-				switch k := rng.Intn(100); {
-				case k < 30:
-					c.Write(id, addr, true, &ir.Site{Func: "h", File: "h.c", Line: op})
-					o.write(id, addr, op)
-				case k < 60:
-					c.Read(id, addr, true, &ir.Site{Func: "h", File: "h.c", Line: op})
-					o.read(id, addr, op)
-				case k < 75:
-					c.Flush(id, addr, true, &ir.Site{Func: "h", File: "h.c", Line: op})
-					o.flush(addr)
-				case k < 82:
-					c.GlobalFence()
-					o.fence()
-				case k < 88:
-					c.Acquire(id, lock)
-					o.acquire(id, lock)
-				case k < 94:
-					c.Release(id, lock)
-					o.release(id, lock)
-				default:
-					c.StrandBegin(id) // a bump, like StrandEnd
-					o.bump(id)
-				}
+	hot := func(rng *rand.Rand) uint64 { return uint64(0x1000 + 8*rng.Intn(8)) }
+	shapes := []struct {
+		name string
+		ops  int
+		addr func(*rand.Rand) uint64
+	}{
+		{"hot", 300, hot},
+		{"dense", 2000, func(rng *rand.Rand) uint64 {
+			if rng.Intn(2) == 0 {
+				return hot(rng)
 			}
-			var got []string
-			for _, w := range c.Report().Warnings {
-				got = append(got, fmt.Sprintf("%s|%d", w.EffectiveCode(), w.Line))
-			}
-			sort.Strings(got)
-			want := append([]string(nil), o.warns...)
-			sort.Strings(want)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("strands=%d seed=%d: checker and pure-VC oracle disagree\nchecker: %v\noracle:  %v",
-					strands, seed, got, want)
+			return uint64(0x2000 + 8*rng.Intn(512))
+		}},
+		{"unaligned", 300, func(rng *rand.Rand) uint64 { return uint64(0x3ff0 + rng.Intn(40)) }},
+	}
+	for _, shape := range shapes {
+		for _, strands := range []int{1, 2, 8} {
+			for seed := int64(1); seed <= seedsPerWidth; seed++ {
+				agreeWithVectorClocks(t, shape.name, strands, seed, shape.ops, lockCount, shape.addr)
 			}
 		}
+	}
+}
+
+// agreeWithVectorClocks runs one random history through the checker and
+// the oracle and fails the test if their warning sets differ.
+func agreeWithVectorClocks(t *testing.T, shape string, strands int, seed int64, ops, lockCount int, addrOf func(*rand.Rand) uint64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed*1000 + int64(strands)))
+	c := NewChecker()
+	o := newOracle()
+	for op := 1; op <= ops; op++ {
+		id := int64(rng.Intn(strands + 1)) // 0 = outside strand regions
+		addr := addrOf(rng)
+		lock := rng.Intn(lockCount)
+		switch k := rng.Intn(100); {
+		case k < 30:
+			c.Write(id, addr, true, &ir.Site{Func: "h", File: "h.c", Line: op})
+			o.write(id, addr, op)
+		case k < 60:
+			c.Read(id, addr, true, &ir.Site{Func: "h", File: "h.c", Line: op})
+			o.read(id, addr, op)
+		case k < 75:
+			c.Flush(id, addr, true, &ir.Site{Func: "h", File: "h.c", Line: op})
+			o.flush(addr)
+		case k < 82:
+			c.GlobalFence()
+			o.fence()
+		case k < 88:
+			c.Acquire(id, lock)
+			o.acquire(id, lock)
+		case k < 94:
+			c.Release(id, lock)
+			o.release(id, lock)
+		default:
+			c.StrandBegin(id) // a bump, like StrandEnd
+			o.bump(id)
+		}
+	}
+	var got []string
+	for _, w := range c.Report().Warnings {
+		got = append(got, fmt.Sprintf("%s|%d", w.EffectiveCode(), w.Line))
+	}
+	sort.Strings(got)
+	want := append([]string(nil), o.warns...)
+	sort.Strings(want)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s strands=%d seed=%d: checker and pure-VC oracle disagree\nchecker: %v\noracle:  %v",
+			shape, strands, seed, got, want)
 	}
 }

@@ -313,13 +313,19 @@ func (p *Pool) Load(addr, size int) ([]byte, error) {
 	return out, nil
 }
 
-// Load64 reads one little-endian 64-bit word.
+// Load64 reads one little-endian 64-bit word.  It reads in place,
+// without Load's copy: the apps walk their chains with it on every op.
 func (p *Pool) Load64(addr int) (uint64, error) {
-	b, err := p.Load(addr, 8)
-	if err != nil {
+	p.mu.Lock()
+	if err := p.check(addr, 8); err != nil {
+		p.mu.Unlock()
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	v := binary.LittleEndian.Uint64(p.current[addr:])
+	p.stats.Loads++
+	p.stats.SimulatedNs += loadNs
+	p.mu.Unlock()
+	return v, nil
 }
 
 // Flush stages the cachelines covering [addr, addr+size) for write-back
@@ -496,13 +502,16 @@ func (p *Pool) DurableLoad(addr, size int) ([]byte, error) {
 	return out, nil
 }
 
-// DurableLoad64 reads one durable 64-bit word.
+// DurableLoad64 reads one durable 64-bit word in place.
 func (p *Pool) DurableLoad64(addr int) (uint64, error) {
-	b, err := p.DurableLoad(addr, 8)
-	if err != nil {
+	p.mu.Lock()
+	if err := p.check(addr, 8); err != nil {
+		p.mu.Unlock()
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	v := binary.LittleEndian.Uint64(p.durable[addr:])
+	p.mu.Unlock()
+	return v, nil
 }
 
 // PersistAll flushes and fences every dirty line and commits the domain

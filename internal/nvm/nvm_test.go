@@ -203,3 +203,19 @@ func mustAlloc(p *Pool, size int) int {
 	}
 	return a
 }
+
+// TestPoolWordAccessAllocs requires the word accessors to run without a
+// heap allocation: the apps walk their chains with Load64 on every op.
+func TestPoolWordAccessAllocs(t *testing.T) {
+	p := newTestPool()
+	a := mustAlloc(p, 64)
+	for name, f := range map[string]func(){
+		"Load64":        func() { p.Load64(a) },
+		"DurableLoad64": func() { p.DurableLoad64(a) },
+		"Store64":       func() { p.Store64(a, 7) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, n)
+		}
+	}
+}

@@ -15,12 +15,7 @@
 //     can compare buggy vs. fixed builds.
 package pmem
 
-import (
-	"sync"
-
-	"deepmc/internal/dynamic"
-	"deepmc/internal/ir"
-)
+import "deepmc/internal/dynamic"
 
 // Tracker observes persistent-memory accesses at runtime.  A nil Tracker
 // means uninstrumented execution (the Figure 12 baseline).
@@ -37,17 +32,12 @@ type Tracker interface {
 }
 
 // CheckerTracker adapts the dynamic runtime checker to the Tracker
-// interface, treating each client thread as a strand.
+// interface, treating each client thread as a strand.  An access's
+// site names its port function in place of a file, at line 0
+// (Checker.FuncSite): the ports have no module to take sites from, and
+// their reports have always read that way.
 type CheckerTracker struct {
 	C *dynamic.Checker
-
-	// sites interns each port function name once, as a site that
-	// names the function in place of a file, at line 0: the ports have
-	// no module to take sites from, and their reports have always read
-	// that way.  A lookup of a known name takes no lock.
-	sites sync.Map // string -> *ir.Site
-	// begun holds every thread whose strand is open.
-	begun sync.Map // int64 -> struct{}
 }
 
 // begin opens a thread's strand at its first event.  A thread the
@@ -55,23 +45,7 @@ type CheckerTracker struct {
 // orders before everything (its reading of code outside any strand),
 // so a thread's races before its first Release would go unseen.  A
 // known thread takes no lock.
-func (t *CheckerTracker) begin(thread int64) {
-	if _, ok := t.begun.Load(thread); ok {
-		return
-	}
-	if _, loaded := t.begun.LoadOrStore(thread, struct{}{}); !loaded {
-		t.C.StrandBegin(thread)
-	}
-}
-
-// site returns the interned site of a port function name.
-func (t *CheckerTracker) site(fn string) *ir.Site {
-	if s, ok := t.sites.Load(fn); ok {
-		return s.(*ir.Site)
-	}
-	s, _ := t.sites.LoadOrStore(fn, &ir.Site{Func: fn, File: fn})
-	return s.(*ir.Site)
-}
+func (t *CheckerTracker) begin(thread int64) { t.C.StrandBeginOnce(thread) }
 
 // NewCheckerTracker wraps a fresh dynamic checker.
 func NewCheckerTracker() *CheckerTracker {
@@ -81,13 +55,13 @@ func NewCheckerTracker() *CheckerTracker {
 // Write forwards a store to the checker.
 func (t *CheckerTracker) Write(thread int64, addr uint64, fn string) {
 	t.begin(thread)
-	t.C.Write(thread, addr, true, t.site(fn))
+	t.C.Write(thread, addr, true, t.C.FuncSite(thread, fn))
 }
 
 // Read forwards a load to the checker.
 func (t *CheckerTracker) Read(thread int64, addr uint64, fn string) {
 	t.begin(thread)
-	t.C.Read(thread, addr, true, t.site(fn))
+	t.C.Read(thread, addr, true, t.C.FuncSite(thread, fn))
 }
 
 // Fence forwards a persist barrier.

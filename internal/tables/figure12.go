@@ -2,6 +2,7 @@ package tables
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"deepmc/internal/apps/driver"
@@ -20,8 +21,11 @@ import (
 type Fig12Row struct {
 	App      string
 	Workload string
-	BaseTput float64 // ops/sec uninstrumented
-	InstTput float64 // ops/sec with DeepMC's runtime tracking
+	BaseTput float64 // median ops/sec uninstrumented
+	InstTput float64 // median ops/sec with DeepMC's runtime tracking
+	// MinPct and MaxPct bound the throughput loss of the single rounds,
+	// each an untracked run and the tracked run after it.
+	MinPct, MaxPct float64
 }
 
 // OverheadPct returns the throughput loss in percent.
@@ -76,26 +80,37 @@ func Figure12Measure(cfg Fig12Config) ([]Fig12Row, error) {
 	return rows, nil
 }
 
-// fig12Row measures one bar: two uninstrumented runs, then two under
-// the runtime tracker, keeping each side's best throughput to damp
-// scheduler and allocator noise as benchmark harnesses do.
+// fig12Rounds is the number of rounds behind each bar.  Host noise
+// drifts over seconds, so each tracked run is paired with the untracked
+// run just before it, and each side keeps its median over the rounds.
+const fig12Rounds = 5
+
+// fig12Row measures one bar over fig12Rounds rounds, each an
+// uninstrumented run followed by one under the runtime tracker.
 func fig12Row(app, wl string, run func(pmem.Tracker) (driver.Result, error)) (Fig12Row, error) {
 	row := Fig12Row{App: app, Workload: wl}
-	for _, tracked := range []bool{false, true} {
-		for trial := 0; trial < 2; trial++ {
-			var tr pmem.Tracker
-			tput := &row.BaseTput
-			if tracked {
-				tr, tput = pmem.NewCheckerTracker(), &row.InstTput
-			}
-			r, err := run(tr)
-			if err != nil {
-				return row, err
-			}
-			*tput = max(*tput, r.Throughput())
+	var base, inst, pct []float64
+	for round := 0; round < fig12Rounds; round++ {
+		b, err := run(nil)
+		if err != nil {
+			return row, err
 		}
+		t, err := run(pmem.NewCheckerTracker())
+		if err != nil {
+			return row, err
+		}
+		r := Fig12Row{BaseTput: b.Throughput(), InstTput: t.Throughput()}
+		base, inst, pct = append(base, r.BaseTput), append(inst, r.InstTput), append(pct, r.OverheadPct())
 	}
+	row.BaseTput, row.InstTput = median(base), median(inst)
+	row.MinPct, row.MaxPct = slices.Min(pct), slices.Max(pct)
 	return row, nil
+}
+
+// median returns the middle value of an odd-length sample.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 func runMemcache(cfg Fig12Config, mix workload.Mix, tr pmem.Tracker) (driver.Result, error) {
@@ -148,7 +163,8 @@ func figure12() Result {
 	}
 	var b strings.Builder
 	b.WriteString("Figure 12: throughput impact of DeepMC's dynamic analysis\n\n")
-	fmt.Fprintf(&b, "%-10s %-12s %14s %14s %10s\n", "App", "Workload", "Base ops/s", "DeepMC ops/s", "Overhead")
+	fmt.Fprintf(&b, "Each row: medians of %d alternated untracked and tracked runs; overhead of the medians, [lowest, highest] round.\n\n", fig12Rounds)
+	fmt.Fprintf(&b, "%-10s %-12s %14s %14s %10s  %s\n", "App", "Workload", "Base ops/s", "DeepMC ops/s", "Overhead", "Rounds")
 	cur := ""
 	for _, r := range rows {
 		if r.App != cur {
@@ -157,8 +173,8 @@ func figure12() Result {
 			}
 			cur = r.App
 		}
-		fmt.Fprintf(&b, "%-10s %-12s %14.0f %14.0f %9.1f%%\n",
-			r.App, r.Workload, r.BaseTput, r.InstTput, r.OverheadPct())
+		fmt.Fprintf(&b, "%-10s %-12s %14.0f %14.0f %9.1f%%  [%.1f, %.1f]\n",
+			r.App, r.Workload, r.BaseTput, r.InstTput, r.OverheadPct(), r.MinPct, r.MaxPct)
 	}
 	b.WriteString("\nPaper shape: 1.7-14.2% (Memcached), 2.5-16.1% (Redis), 3.12-15.7% (NStore); overhead grows with persistent write ratio.\n")
 	return Result{Text: b.String(), OK: true}
