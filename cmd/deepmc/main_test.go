@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"deepmc/internal/cli"
 )
@@ -24,12 +25,30 @@ func main() {
 }
 `
 
-// TestOversizedObjectIsAnError builds the CLI and runs the two commands
-// that interpret a module over a program allocating an oversized
-// object: each must fail with one line naming the type and exit 2,
-// never with a panic.  The static check never allocates it and still
-// reports the program clean.
-func TestOversizedObjectIsAnError(t *testing.T) {
+// txaddPastObjectPIR registers a range five million times the size of
+// its 16-byte object for undo logging.
+const txaddPastObjectPIR = `module wide
+
+type pair struct {
+	a: int
+	b: int
+}
+
+func main() {
+	%p = palloc pair
+	txbegin @3
+	txadd %p, 80000000 @4
+	store %p.a, 1 @5
+	txend @6
+	fence @7
+	ret
+}
+`
+
+// buildCLI builds the deepmc binary into a test directory and returns
+// the directory and a runner for it.
+func buildCLI(t *testing.T) (string, func(args ...string) (stdout, stderr string, code int)) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds the deepmc binary")
 	}
@@ -38,11 +57,7 @@ func TestOversizedObjectIsAnError(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	src := filepath.Join(dir, "huge.pir")
-	if err := os.WriteFile(src, []byte(hugePIR), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	run := func(args ...string) (stdout, stderr string, code int) {
+	return dir, func(args ...string) (stdout, stderr string, code int) {
 		var o, e bytes.Buffer
 		cmd := exec.Command(bin, args...)
 		cmd.Stdout, cmd.Stderr = &o, &e
@@ -55,7 +70,26 @@ func TestOversizedObjectIsAnError(t *testing.T) {
 		}
 		return o.String(), e.String(), code
 	}
+}
 
+// writePIR writes src into dir under name and returns its path.
+func writePIR(t *testing.T, dir, name, src string) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestOversizedObjectIsAnError builds the CLI and runs the two commands
+// that interpret a module over a program allocating an oversized
+// object: each must fail with one line naming the type and exit 2,
+// never with a panic.  The static check never allocates it and still
+// reports the program clean.
+func TestOversizedObjectIsAnError(t *testing.T) {
+	dir, run := buildCLI(t)
+	src := writePIR(t, dir, "huge.pir", hugePIR)
 	for _, args := range [][]string{{"crashsim", src}, {"run", "-entry", "main", src}} {
 		_, stderr, code := run(args...)
 		if code != cli.ExitFailed {
@@ -69,5 +103,25 @@ func TestOversizedObjectIsAnError(t *testing.T) {
 	stdout, _, code := run("check", src)
 	if code != 0 || !strings.Contains(stdout, "0 warnings") {
 		t.Errorf("check: exit %d, stdout:\n%s", code, stdout)
+	}
+}
+
+// TestTxAddPastObjectIsAnError: crashsim over a txadd of 80,000,000
+// bytes on a 16-byte object fails at once with the interpreter's
+// bounds error, instead of logging ten million words of a range the
+// object does not have.
+func TestTxAddPastObjectIsAnError(t *testing.T) {
+	dir, run := buildCLI(t)
+	src := writePIR(t, dir, "wide.pir", txaddPastObjectPIR)
+	start := time.Now()
+	_, stderr, code := run("crashsim", src)
+	if code != cli.ExitFailed {
+		t.Errorf("crashsim: exit %d, want %d", code, cli.ExitFailed)
+	}
+	if !strings.Contains(stderr, "txadd out of bounds: obj1+0") {
+		t.Errorf("crashsim: stderr does not carry the bounds error:\n%s", stderr)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("crashsim took %v to refuse the range", d)
 	}
 }

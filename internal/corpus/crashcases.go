@@ -103,7 +103,7 @@ func buildCases(specs []crashCaseSpec, mods map[string]*ir.Module) ([]crashsim.C
 		if err != nil {
 			return nil, err
 		}
-		fm, err := fixedHarness(s, bm)
+		fm, err := fixedHarness(s, bm, []report.Warning{{Rule: s.rule, File: s.file, Line: s.line}})
 		if err != nil {
 			return nil, err
 		}
@@ -141,12 +141,11 @@ func harnessSource(s crashCaseSpec, corpus *ir.Module) (string, error) {
 
 // fixedHarness builds s's fixed variant: the buggy module bm with each
 // of s's fix functions in place of its namesake, or, without fixes, the
-// fixer's repair of the bug.
-func fixedHarness(s crashCaseSpec, bm *ir.Module) (*ir.Module, error) {
+// fixer's repair of every warning in ws.
+func fixedHarness(s crashCaseSpec, bm *ir.Module, ws []report.Warning) (*ir.Module, error) {
 	if s.fix == "" {
-		w := report.Warning{Rule: s.rule, File: s.file, Line: s.line}
-		fm, res := fixer.Fix(bm, []report.Warning{w})
-		if res.FixedCount() != 1 {
+		fm, res := fixer.Fix(bm, ws)
+		if res.FixedCount() != len(ws) {
 			return nil, fmt.Errorf("crashcases %s %s:%d: fixer did not repair the bug:\n%s",
 				s.program, s.file, s.line, res)
 		}

@@ -29,16 +29,44 @@ func TestHarnessGolden(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, c := range append(crash, inter...) {
-		for _, v := range []struct {
-			name string
-			m    *ir.Module
-		}{{"buggy", c.Buggy}, {"fixed", c.Fixed}} {
-			_, body, _ := strings.Cut(ir.Print(v.m), "\n")
-			fmt.Fprintf(&b, "== %s %s:%d %s %s\n%s", c.Program, c.File, c.Line, c.Rule, v.name, body)
-		}
+		writePair(&b, fmt.Sprintf("%s %s:%d %s", c.Program, c.File, c.Line, c.Rule), c.Buggy, c.Fixed)
 	}
-	got := b.String()
-	path := filepath.Join("testdata", "harnesses.golden")
+	checkGolden(t, "harnesses.golden", b.String())
+}
+
+// TestPerfCaseGolden pins the program every §5.1 row runs, buggy and
+// fixed, in row order, the way TestHarnessGolden pins the crash
+// harnesses.
+// Regenerate with: go test ./internal/corpus -run TestPerfCaseGolden -update
+func TestPerfCaseGolden(t *testing.T) {
+	cases, err := PerfCases()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, c := range cases {
+		writePair(&b, fmt.Sprintf("%s %s %s", c.Program, c.Site(), c.Rule), c.Buggy, c.Fixed)
+	}
+	checkGolden(t, "perfcases.golden", b.String())
+}
+
+// writePair writes ir.Print of a buggy and a fixed module, each under a
+// "== head variant" line and without its module line.
+func writePair(b *strings.Builder, head string, buggy, fixed *ir.Module) {
+	for _, v := range []struct {
+		name string
+		m    *ir.Module
+	}{{"buggy", buggy}, {"fixed", fixed}} {
+		_, body, _ := strings.Cut(ir.Print(v.m), "\n")
+		fmt.Fprintf(b, "== %s %s\n%s", head, v.name, body)
+	}
+}
+
+// checkGolden compares got with testdata/name, rewriting it under
+// -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -52,7 +80,7 @@ func TestHarnessGolden(t *testing.T) {
 		t.Fatalf("%v (run with -update to create)", err)
 	}
 	if got != string(want) {
-		t.Errorf("harness modules differ from %s:\n%s", path, firstDiff(got, string(want)))
+		t.Errorf("modules differ from %s:\n%s", path, firstDiff(got, string(want)))
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // and the rendered result must be byte-identical across worker counts
 // and invariant under pruning (a pruned run reaches the same verdict).
 // Seeds are the real corpus programs plus small protocols that exercise
-// transactions, epochs and volatile allocations.
+// transactions, epochs, volatile allocations and out-of-object sizes.
 func FuzzEnumerate(f *testing.F) {
 	for _, p := range corpus.All() {
 		f.Add(p.Source)
@@ -52,6 +52,39 @@ func main() {
 	fence
 	store %v.y, 9
 	txend
+	ret
+}
+`)
+	// Size operands outside their object: a txadd range 4096 bytes past
+	// a 16-byte object, and a negative flush.  The interpreter refuses
+	// both; the fuzzer mutates from these shapes.
+	f.Add(`
+module seed3
+type pair struct {
+	x: int
+	y: int
+}
+func main() {
+	%p = palloc pair
+	txbegin
+	txadd %p, 4112
+	store %p.x, 1
+	txend
+	fence
+	ret
+}
+`)
+	f.Add(`
+module seed4
+type pair struct {
+	x: int
+	y: int
+}
+func main() {
+	%p = palloc pair
+	store %p.y, 2
+	flush %p.y, -64
+	fence
 	ret
 }
 `)

@@ -56,8 +56,10 @@ func (v Val) String() string {
 // every load/store/flush regardless of the object's persistence — the
 // Object carries its Persistent flag, and the runtime library decides
 // what to track (persistent-only by default, everything under the
-// TrackAll ablation).  All offsets and sizes are in bytes, and at is the
-// executing instruction's site (ir.Function.Site).
+// TrackAll ablation).  All offsets and sizes are in bytes, every range
+// lies inside its object (the interpreter refuses a negative size or a
+// range past the object first), and at is the executing instruction's
+// site (ir.Function.Site).
 type Hooks interface {
 	OnWrite(obj *Object, off, size int, at *ir.Site)
 	OnRead(obj *Object, off, size int, at *ir.Site)
@@ -406,13 +408,9 @@ func (ip *Interp) step(f *ir.Function, fr *frame, in *ir.Instr) error {
 		if !p.IsPtr() {
 			return fmt.Errorf("flush of non-pointer %s", p)
 		}
-		size := 8
-		if len(in.Args) > 1 {
-			size = int(fr.val(in.Args[1]).I)
-		} else if p.R.T != nil {
-			size = p.R.T.Size()
-		} else if p.R.Off == 0 && p.R.Obj.Type != nil {
-			size = p.R.Obj.Type.Size()
+		size := rangeSize(fr, in, p.R)
+		if err := checkRange("flush", p.R, size); err != nil {
+			return err
 		}
 		ip.Hooks.OnFlush(p.R.Obj, p.R.Off, size, at())
 	case ir.OpFence:
@@ -426,13 +424,9 @@ func (ip *Interp) step(f *ir.Function, fr *frame, in *ir.Instr) error {
 		if !p.IsPtr() {
 			return fmt.Errorf("txadd of non-pointer %s", p)
 		}
-		size := 8
-		if len(in.Args) > 1 {
-			size = int(fr.val(in.Args[1]).I)
-		} else if p.R.T != nil {
-			size = p.R.T.Size()
-		} else if p.R.Off == 0 && p.R.Obj.Type != nil {
-			size = p.R.Obj.Type.Size()
+		size := rangeSize(fr, in, p.R)
+		if err := checkRange("txadd", p.R, size); err != nil {
+			return err
 		}
 		ip.Hooks.OnTxAdd(p.R.Obj, p.R.Off, size, at())
 	case ir.OpEpochBegin:
@@ -461,13 +455,14 @@ func (ip *Interp) step(f *ir.Function, fr *frame, in *ir.Instr) error {
 		if !dst.IsPtr() || !src.IsPtr() {
 			return fmt.Errorf("memcopy with non-pointer operands")
 		}
-		slots := (n + 7) / 8
-		for i := 0; i < slots; i++ {
-			ds, ss := dst.R.Off/8+i, src.R.Off/8+i
-			if ds >= len(dst.R.Obj.Slots) || ss >= len(src.R.Obj.Slots) {
-				return fmt.Errorf("memcopy out of bounds")
-			}
-			dst.R.Obj.Slots[ds] = src.R.Obj.Slots[ss]
+		if err := checkRange("memcopy", dst.R, n); err != nil {
+			return err
+		}
+		if err := checkRange("memcopy", src.R, n); err != nil {
+			return err
+		}
+		for i := 0; i < (n+7)/8; i++ {
+			dst.R.Obj.Slots[dst.R.Off/8+i] = src.R.Obj.Slots[src.R.Off/8+i]
 		}
 		site := at()
 		ip.Hooks.OnRead(src.R.Obj, src.R.Off, n, site)
@@ -479,17 +474,38 @@ func (ip *Interp) step(f *ir.Function, fr *frame, in *ir.Instr) error {
 		if !dst.IsPtr() {
 			return fmt.Errorf("memset of non-pointer")
 		}
-		slots := (n + 7) / 8
-		for i := 0; i < slots; i++ {
-			ds := dst.R.Off/8 + i
-			if ds >= len(dst.R.Obj.Slots) {
-				return fmt.Errorf("memset out of bounds")
-			}
-			dst.R.Obj.Slots[ds] = Val{I: v.I}
+		if err := checkRange("memset", dst.R, n); err != nil {
+			return err
+		}
+		for i := 0; i < (n+7)/8; i++ {
+			dst.R.Obj.Slots[dst.R.Off/8+i] = Val{I: v.I}
 		}
 		ip.Hooks.OnWrite(dst.R.Obj, dst.R.Off, n, at())
 	default:
 		return fmt.Errorf("unhandled opcode %s", in.Op)
+	}
+	return nil
+}
+
+// rangeSize returns the byte size a flush or txadd covers at r: its
+// size operand, else the pointee's size, else 8.
+func rangeSize(fr *frame, in *ir.Instr, r *Ref) int {
+	switch {
+	case len(in.Args) > 1:
+		return int(fr.val(in.Args[1]).I)
+	case r.T != nil:
+		return r.T.Size()
+	case r.Off == 0 && r.Obj.Type != nil:
+		return r.Obj.Type.Size()
+	}
+	return 8
+}
+
+// checkRange refuses a range of size bytes at r that is negative or runs
+// past r's object, with the error load and store give.
+func checkRange(op string, r *Ref, size int) error {
+	if size < 0 || r.Off < 0 || size > len(r.Obj.Slots)*8-r.Off {
+		return fmt.Errorf("%s out of bounds: obj%d+%d", op, r.Obj.ID, r.Off)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"deepmc/internal/ir"
@@ -209,6 +211,57 @@ func f() {
 				t.Error("expected error")
 			}
 		})
+	}
+}
+
+// rangeHooks records every range a hook is handed.
+type rangeHooks struct {
+	NopHooks
+	ranges []int
+}
+
+func (h *rangeHooks) OnWrite(_ *Object, _, size int, _ *ir.Site) { h.ranges = append(h.ranges, size) }
+func (h *rangeHooks) OnRead(_ *Object, _, size int, _ *ir.Site)  { h.ranges = append(h.ranges, size) }
+func (h *rangeHooks) OnFlush(_ *Object, _, size int, _ *ir.Site) { h.ranges = append(h.ranges, size) }
+func (h *rangeHooks) OnTxAdd(_ *Object, _, size int, _ *ir.Site) { h.ranges = append(h.ranges, size) }
+
+// TestSizeOperandOutOfBounds: a negative size, or a flush or txadd
+// range running past its 16-byte object, is refused with the error load
+// and store give, before any hook sees the range.
+func TestSizeOperandOutOfBounds(t *testing.T) {
+	for _, tc := range []struct{ name, op, want string }{
+		{"flush past object", "flush %p, 4096000000", "flush out of bounds: obj1+0"},
+		{"flush field past object", "flush %p.b, 16", "flush out of bounds: obj1+8"},
+		{"flush negative", "flush %p, -64", "flush out of bounds: obj1+0"},
+		{"txadd past object", "txadd %p, 80000000", "txadd out of bounds: obj1+0"},
+		{"txadd negative", "txadd %p.b, -8", "txadd out of bounds: obj1+8"},
+		{"memset negative", "memset %p, 1, -64", "memset out of bounds: obj1+0"},
+		{"memset past object", "memset %p.b, 1, 16", "memset out of bounds: obj1+8"},
+		{"memcopy negative", "memcopy %p.b, %p, -8", "memcopy out of bounds: obj1+8"},
+		{"memcopy past source", "memcopy %p, %p.b, 16", "memcopy out of bounds: obj1+8"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := "module m\ntype pair struct {\n\ta: int\n\tb: int\n}\nfunc f() {\n\t%p = palloc pair\n\t" +
+				tc.op + "\n\tret\n}\n"
+			h := &rangeHooks{}
+			_, err := New(ir.MustParse(src), h).Run("f")
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: err = %v, want %q", tc.op, err, tc.want)
+			}
+			if len(h.ranges) != 0 {
+				t.Errorf("%s: hooks saw ranges %v", tc.op, h.ranges)
+			}
+		})
+	}
+	// The whole object, and an empty range at its end, stay legal.
+	ok := "module m\ntype pair struct {\n\ta: int\n\tb: int\n}\nfunc f() {\n\t%p = palloc pair\n\t" +
+		"txadd %p, 16\n\tmemset %p, 1, 16\n\tflush %p.b, 8\n\tflush %p.b, 0\n\tret\n}\n"
+	h := &rangeHooks{}
+	if _, err := New(ir.MustParse(ok), h).Run("f"); err != nil {
+		t.Fatalf("in-bounds ranges refused: %v", err)
+	}
+	if want := []int{16, 16, 8, 0}; !slices.Equal(h.ranges, want) {
+		t.Errorf("hook ranges = %v, want %v", h.ranges, want)
 	}
 }
 

@@ -15,19 +15,12 @@ import (
 	"deepmc/internal/pmem"
 )
 
-// Config configures a region, including Buggy* knobs reproducing the
-// Mnemosyne performance bugs of Table 8.
+// Config configures a region.
 type Config struct {
 	NVM     nvm.Config
 	Tracker pmem.Tracker
 	// LogCapacity is the phlog size in entries (default 1<<16).
 	LogCapacity int
-	// BuggyDoubleFlushLog flushes every log entry twice (the CHash.c:150
-	// "multiple flushes to a persistent object" bug).
-	BuggyDoubleFlushLog bool
-	// BuggyRewriteSameWord re-stores unchanged words in a transaction
-	// (the chhash.c "multiple writes to the same object" bug).
-	BuggyRewriteSameWord bool
 	// BuggyNoCommitFence drops both commit-path fences (the epoch
 	// boundary after the redo log and the post-truncate barrier), so
 	// flushed lines only ever stage and nothing reaches durable media
@@ -110,15 +103,7 @@ func (r *Region) logAppend(kind int, addr int, v, txid uint64) error {
 	if err := r.nv.Store64(ea+24, seq); err != nil {
 		return err
 	}
-	if err := r.nv.Flush(ea, logEntrySize); err != nil {
-		return err
-	}
-	if r.cfg.BuggyDoubleFlushLog {
-		if err := r.nv.Flush(ea, logEntrySize); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.nv.Flush(ea, logEntrySize)
 }
 
 // wset is one pending transactional write.
@@ -141,23 +126,16 @@ func (r *Region) Begin(thread int64) *Tx {
 }
 
 // Store64 buffers a transactional word write (redo logging: the home
-// location is untouched until commit).
+// location is untouched until commit).  A word that already holds v
+// logs nothing.
 func (tx *Tx) Store64(addr int, v uint64) error {
 	if tx.closed {
 		return fmt.Errorf("mnemosyne: tx closed")
 	}
-	if tx.r.cfg.BuggyRewriteSameWord {
-		// The buggy implementation appends a redo record even when the
-		// word already holds the value, doubling log traffic.
-		tx.writes = append(tx.writes, wset{addr: addr, val: v})
-	} else {
-		if cur, err := tx.r.nv.Load64(addr); err == nil && cur == v {
-			return nil
-		}
+	if cur, err := tx.r.nv.Load64(addr); err == nil && cur == v {
+		return nil
 	}
-	if !tx.r.cfg.BuggyRewriteSameWord {
-		tx.writes = append(tx.writes, wset{addr: addr, val: v})
-	}
+	tx.writes = append(tx.writes, wset{addr: addr, val: v})
 	if t := tx.r.cfg.Tracker; t != nil {
 		t.Write(tx.thread, uint64(addr), "m_txstore")
 	}

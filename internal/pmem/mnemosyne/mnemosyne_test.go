@@ -58,44 +58,22 @@ func TestEmptyCommitFree(t *testing.T) {
 	}
 }
 
+// TestSameValueWriteElidedWhenFixed: storing the value a word already
+// holds logs nothing, so the transaction flushes no line.
 func TestSameValueWriteElidedWhenFixed(t *testing.T) {
-	count := func(buggy bool) uint64 {
-		r := region(Config{BuggyRewriteSameWord: buggy})
-		a, _ := r.Alloc(8)
+	r := region(Config{})
+	a, _ := r.Alloc(8)
+	tx := r.Begin(1)
+	tx.Store64(a, 7)
+	tx.Commit()
+	r.NVM().ResetStats()
+	for i := 0; i < 50; i++ {
 		tx := r.Begin(1)
-		tx.Store64(a, 7)
+		tx.Store64(a, 7) // unchanged value
 		tx.Commit()
-		r.NVM().ResetStats()
-		for i := 0; i < 50; i++ {
-			tx := r.Begin(1)
-			tx.Store64(a, 7) // unchanged value
-			tx.Commit()
-		}
-		return r.NVM().Stats().LinesFlushed
 	}
-	fixed, buggy := count(false), count(true)
-	if fixed != 0 {
-		t.Errorf("fixed build flushed %d lines for no-op writes", fixed)
-	}
-	if buggy == 0 {
-		t.Error("buggy build should log no-op writes")
-	}
-}
-
-func TestBuggyDoubleFlushLogCostsMore(t *testing.T) {
-	count := func(buggy bool) uint64 {
-		r := region(Config{BuggyDoubleFlushLog: buggy})
-		a, _ := r.Alloc(8)
-		for i := 0; i < 50; i++ {
-			tx := r.Begin(1)
-			tx.Store64(a, uint64(i))
-			tx.Commit()
-		}
-		return r.NVM().Stats().LinesFlushed
-	}
-	fixed, buggy := count(false), count(true)
-	if buggy <= fixed {
-		t.Errorf("double log flush should cost more: fixed=%d buggy=%d", fixed, buggy)
+	if got := r.NVM().Stats().LinesFlushed; got != 0 {
+		t.Errorf("flushed %d lines for no-op writes", got)
 	}
 }
 

@@ -1,10 +1,8 @@
 // Package pmdk is a Go port of the core of Intel's Persistent Memory
-// Development Kit as the paper exercises it: a persistent object pool
-// with a root object, undo-log transactions (TX_BEGIN / TX_ADD /
-// TX_COMMIT), and the persist family (pmemobj_persist,
-// pmemobj_memcpy_persist, pmemobj_memset_persist).  PMDK implements the
-// strict persistency model: every persist is a flush followed by a
-// barrier.
+// Development Kit as the paper exercises it: a persistent object pool,
+// undo-log transactions (TX_BEGIN / TX_ADD / TX_COMMIT), and
+// pmemobj_persist.  PMDK implements the strict persistency model: every
+// persist is a flush followed by a barrier.
 package pmdk
 
 import (
@@ -15,21 +13,11 @@ import (
 	"deepmc/internal/pmem"
 )
 
-// Config configures a pool, including the Buggy* knobs that re-introduce
-// the performance bugs of Tables 3 and 8 for the fix-speedup benches.
+// Config configures a pool.
 type Config struct {
 	NVM nvm.Config
 	// Tracker instruments persistent accesses (nil = uninstrumented).
 	Tracker pmem.Tracker
-	// BuggyWholeObjectPersist persists the entire object on field
-	// updates (the pi_task_construct bug, Figure 5).
-	BuggyWholeObjectPersist bool
-	// BuggyDoublePersist issues every persist twice (redundant
-	// write-backs, Figure 6).
-	BuggyDoublePersist bool
-	// BuggyEmptyTx pays full transaction begin/commit persistence even
-	// when nothing was written (Figure 7).
-	BuggyEmptyTx bool
 }
 
 // Undo-log region layout: a fixed header per transaction slot holds
@@ -48,8 +36,6 @@ type Pool struct {
 	nv  *nvm.Pool
 
 	mu       sync.Mutex
-	rootAddr int
-	rootSize int
 	undoBase int // persistent undo-log region
 }
 
@@ -125,20 +111,6 @@ func (p *Pool) AllocObject(size int) (int, error) {
 	return p.nv.Alloc(size)
 }
 
-// SetRoot records the root object (address resolvable after recovery).
-func (p *Pool) SetRoot(addr, size int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.rootAddr, p.rootSize = addr, size
-}
-
-// Root returns the root object address and size.
-func (p *Pool) Root() (int, int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rootAddr, p.rootSize
-}
-
 // Store64 writes a word without persisting it (callers follow with
 // Persist, or perform the store inside a transaction).
 func (p *Pool) Store64(thread int64, addr int, v uint64) error {
@@ -186,38 +158,7 @@ func (p *Pool) Persist(thread int64, addr, size int) error {
 	if t := p.cfg.Tracker; t != nil {
 		t.Fence(thread)
 	}
-	if p.cfg.BuggyDoublePersist {
-		p.nv.Flush(addr, size)
-		p.nv.Fence()
-	}
 	return nil
-}
-
-// PersistField persists size bytes at addr, or — under the
-// BuggyWholeObjectPersist knob — the whole objSize-byte object containing
-// it, reproducing the Figure 5 bug.
-func (p *Pool) PersistField(thread int64, objAddr, fieldOff, fieldSize, objSize int) error {
-	if p.cfg.BuggyWholeObjectPersist {
-		return p.Persist(thread, objAddr, objSize)
-	}
-	return p.Persist(thread, objAddr+fieldOff, fieldSize)
-}
-
-// MemcpyPersist copies and persists in one call (pmemobj_memcpy_persist).
-func (p *Pool) MemcpyPersist(thread int64, addr int, data []byte) error {
-	if err := p.Store(thread, addr, data); err != nil {
-		return err
-	}
-	return p.Persist(thread, addr, len(data))
-}
-
-// MemsetPersist fills and persists (pmemobj_memset_persist).
-func (p *Pool) MemsetPersist(thread int64, addr int, v byte, size int) error {
-	buf := make([]byte, size)
-	for i := range buf {
-		buf[i] = v
-	}
-	return p.MemcpyPersist(thread, addr, buf)
 }
 
 // undoRec is one TX_ADD snapshot.
@@ -336,9 +277,9 @@ func (tx *Tx) Commit() error {
 		return fmt.Errorf("pmdk: tx closed")
 	}
 	tx.closed = true
-	if tx.writes == 0 && len(tx.dirty) == 0 && !tx.p.cfg.BuggyEmptyTx {
-		// A fixed implementation skips commit persistence for read-only
-		// transactions; the buggy one (Figure 7) pays it anyway.
+	if tx.writes == 0 && len(tx.dirty) == 0 {
+		// A read-only transaction skips commit persistence (the fix of
+		// the Figure 7 bug).
 		return nil
 	}
 	for _, d := range tx.dirty {

@@ -86,54 +86,16 @@ func TestClosedTxRejected(t *testing.T) {
 	}
 }
 
-func TestBuggyDoublePersistCostsMoreFlushes(t *testing.T) {
-	run := func(buggy bool) uint64 {
-		p := testPool(Config{BuggyDoublePersist: buggy})
-		a, _ := p.AllocObject(64)
-		for i := 0; i < 100; i++ {
-			p.Store64(0, a, uint64(i))
-			p.Persist(0, a, 8)
-		}
-		return p.NVM().Stats().LinesFlushed
-	}
-	fixed, buggy := run(false), run(true)
-	if buggy <= fixed {
-		t.Errorf("double persist should flush more lines: fixed=%d buggy=%d", fixed, buggy)
-	}
-}
-
-func TestBuggyWholeObjectPersistCostsMore(t *testing.T) {
-	run := func(buggy bool) uint64 {
-		p := testPool(Config{BuggyWholeObjectPersist: buggy})
-		const objSize = 512 // 8 cachelines
-		a, _ := p.AllocObject(objSize)
-		for i := 0; i < 100; i++ {
-			p.Store64(0, a, uint64(i))
-			p.PersistField(0, a, 0, 8, objSize)
-		}
-		return p.NVM().Stats().LinesFlushed
-	}
-	fixed, buggy := run(false), run(true)
-	if buggy < fixed*4 {
-		t.Errorf("whole-object persist should cost several times more: fixed=%d buggy=%d", fixed, buggy)
-	}
-}
-
+// TestEmptyTxSkipsCommitWhenFixed: a read-only transaction pays no
+// fence.
 func TestEmptyTxSkipsCommitWhenFixed(t *testing.T) {
-	run := func(buggy bool) uint64 {
-		p := testPool(Config{BuggyEmptyTx: buggy})
-		for i := 0; i < 100; i++ {
-			tx := p.Begin(0)
-			tx.Commit()
-		}
-		return p.NVM().Stats().Fences
+	p := testPool(Config{})
+	for i := 0; i < 100; i++ {
+		tx := p.Begin(0)
+		tx.Commit()
 	}
-	fixed, buggy := run(false), run(true)
-	if fixed != 0 {
-		t.Errorf("fixed empty tx paid %d fences", fixed)
-	}
-	if buggy == 0 {
-		t.Error("buggy empty tx should pay commit fences")
+	if got := p.NVM().Stats().Fences; got != 0 {
+		t.Errorf("read-only transactions paid %d fences", got)
 	}
 }
 

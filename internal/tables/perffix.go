@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"deepmc/internal/corpus"
+	"deepmc/internal/ir"
 	"deepmc/internal/nvm"
-	"deepmc/internal/pmem/mnemosyne"
-	"deepmc/internal/pmem/nvmdirect"
-	"deepmc/internal/pmem/pmdk"
-	"deepmc/internal/pmem/pmfs"
 )
 
 // PerfFixRow is one §5.1 fix experiment: a performance bug DeepMC found,
@@ -16,6 +14,7 @@ import (
 type PerfFixRow struct {
 	Framework string
 	Bug       string
+	Site      string // the bug's corpus file and lines
 	BuggyNs   int64
 	FixedNs   int64
 }
@@ -28,171 +27,44 @@ func (r PerfFixRow) ImprovementPct() float64 {
 	return 100 * float64(r.BuggyNs-r.FixedNs) / float64(r.BuggyNs)
 }
 
-// PerfFixMeasure runs every buggy/fixed pair.  The iteration counts are
-// small because the simulator's accounting is deterministic.
+// PerfFixMeasure runs every §5.1 pair (corpus.PerfCases): the corpus
+// program's own functions, as written and as repaired, each on a fresh
+// pool.  The simulator's accounting is deterministic, so one run each
+// suffices.
 func PerfFixMeasure() []PerfFixRow {
-	const iters = 2000
-	var rows []PerfFixRow
-
-	// PMDK: whole-object persist (Figure 5).
-	rows = append(rows, PerfFixRow{
-		Framework: "PMDK", Bug: "flush unmodified fields (pi_task)",
-		BuggyNs: pmdkWholeObject(true, iters), FixedNs: pmdkWholeObject(false, iters),
-	})
-	// PMDK: empty durable transactions (Figure 7).
-	rows = append(rows, PerfFixRow{
-		Framework: "PMDK", Bug: "durable tx without writes (pminvaders)",
-		BuggyNs: pmdkEmptyTx(true, iters), FixedNs: pmdkEmptyTx(false, iters),
-	})
-	// NVM-Direct: redundant free flush (Figure 6).
-	rows = append(rows, PerfFixRow{
-		Framework: "NVM-Direct", Bug: "redundant flush on free (nvm_heap)",
-		BuggyNs: nvmdFree(true, iters/4), FixedNs: nvmdFree(false, iters/4),
-	})
-	// NVM-Direct: whole lock record write-back.
-	rows = append(rows, PerfFixRow{
-		Framework: "NVM-Direct", Bug: "flush whole lock record (nvm_locks)",
-		BuggyNs: nvmdLock(true, iters), FixedNs: nvmdLock(false, iters),
-	})
-	// PMFS: superblock flushed on successful recovery.
-	rows = append(rows, PerfFixRow{
-		Framework: "PMFS", Bug: "flush superblock on clean recovery (super.c)",
-		BuggyNs: pmfsRecover(true, iters), FixedNs: pmfsRecover(false, iters),
-	})
-	// PMFS: double buffer flush (xips.c).
-	rows = append(rows, PerfFixRow{
-		Framework: "PMFS", Bug: "flush same buffer twice (xips.c)",
-		BuggyNs: pmfsWrite(true, iters/10), FixedNs: pmfsWrite(false, iters/10),
-	})
-	// Mnemosyne: double log-entry flush (CHash.c).
-	rows = append(rows, PerfFixRow{
-		Framework: "Mnemosyne", Bug: "multiple flushes of log entry (CHash.c)",
-		BuggyNs: mnemosyneTx(true, iters), FixedNs: mnemosyneTx(false, iters),
-	})
+	cases, err := corpus.PerfCases()
+	if err != nil {
+		panic(err)
+	}
+	rows := make([]PerfFixRow, len(cases))
+	for i, c := range cases {
+		rows[i] = PerfFixRow{
+			Framework: c.Program, Bug: c.Bug, Site: c.Site(),
+			BuggyNs: simulatedNs(c.Buggy, c.Entry), FixedNs: simulatedNs(c.Fixed, c.Entry),
+		}
+	}
 	return rows
 }
 
-func pmdkWholeObject(buggy bool, iters int) int64 {
-	p := pmdk.Open(pmdk.Config{NVM: nvm.Config{Size: 64 << 20}, BuggyWholeObjectPersist: buggy})
-	const objSize = 192 // three cachelines, as the padded pi_task is
-	a, _ := p.AllocObject(objSize)
-	for i := 0; i < iters; i++ {
-		// The task-construction path of pminvaders2: read the prototype,
-		// update one field, persist.
-		p.Load64(0, a)
-		p.Load64(0, a+8)
-		p.Load64(0, a+16)
-		p.Store64(0, a, uint64(i))
-		p.PersistField(0, a, 0, 8, objSize)
-	}
-	return p.NVM().Stats().SimulatedNs
-}
-
-func pmdkEmptyTx(buggy bool, iters int) int64 {
-	p := pmdk.Open(pmdk.Config{NVM: nvm.Config{Size: 64 << 20}, BuggyEmptyTx: buggy})
-	a, _ := p.AllocObject(64)
-	for i := 0; i < iters; i++ {
-		// Alternate a real update with a read-only pass, as the game loop
-		// of pminvaders does.
-		tx := p.Begin(0)
-		if i%2 == 0 {
-			tx.Add(a, 8)
-			tx.Store64(a, uint64(i))
-		}
-		tx.Commit()
-	}
-	return p.NVM().Stats().SimulatedNs
-}
-
-func nvmdFree(buggy bool, iters int) int64 {
-	r, err := nvmdirect.CreateRegion(nvmdirect.Config{NVM: nvm.Config{Size: 64 << 20}, BuggyDoubleFreeFlush: buggy})
-	if err != nil {
+// simulatedNs runs entry of m on a fresh 1 MiB pool, which holds every
+// §5.1 harness, and returns the pool's simulated time.
+func simulatedNs(m *ir.Module, entry string) int64 {
+	p := nvm.NewPool(nvm.Config{Size: 1 << 20})
+	if err := nvm.RunPIR(p, m, entry); err != nil {
 		panic(err)
 	}
-	for i := 0; i < iters; i++ {
-		b, err := r.AllocBlock(0, 64)
-		if err != nil {
-			panic(err)
-		}
-		r.FreeBlock(0, b)
-	}
-	return r.NVM().Stats().SimulatedNs
-}
-
-func nvmdLock(buggy bool, iters int) int64 {
-	r, err := nvmdirect.CreateRegion(nvmdirect.Config{NVM: nvm.Config{Size: 64 << 20}, BuggyFlushWholeLockRec: buggy})
-	if err != nil {
-		panic(err)
-	}
-	m, _ := r.NewMutex()
-	shared, _ := r.NVM().Alloc(64)
-	for i := 0; i < iters; i++ {
-		m.Lock(1)
-		// Critical-section work: read the protected state, as NVM-Direct's
-		// lock benchmarks do.
-		for j := 0; j < 8; j++ {
-			r.NVM().Load64(shared)
-		}
-		m.Unlock(1)
-	}
-	return r.NVM().Stats().SimulatedNs
-}
-
-func pmfsRecover(buggy bool, iters int) int64 {
-	fs, err := pmfs.Mkfs(pmfs.Config{NVM: nvm.Config{Size: 64 << 20}, BuggyAlwaysFlushSuper: buggy})
-	if err != nil {
-		panic(err)
-	}
-	fs.NVM().ResetStats()
-	fs.Create(0, "boot")
-	fs.Write(0, "boot", make([]byte, 64))
-	fs.NVM().ResetStats()
-	for i := 0; i < iters; i++ {
-		// A mount-check cycle: validate the superblock, then serve a
-		// metadata read, as PMFS does on every remount probe.
-		fs.RecoverSuperblock()
-		fs.Read(0, "boot")
-	}
-	return fs.NVM().Stats().SimulatedNs
-}
-
-func pmfsWrite(buggy bool, iters int) int64 {
-	fs, err := pmfs.Mkfs(pmfs.Config{NVM: nvm.Config{Size: 64 << 20}, BuggyDoubleFlushBuffer: buggy})
-	if err != nil {
-		panic(err)
-	}
-	fs.Create(0, "bench")
-	fs.NVM().ResetStats()
-	data := make([]byte, 512)
-	for i := 0; i < iters; i++ {
-		fs.Write(0, "bench", data)
-	}
-	return fs.NVM().Stats().SimulatedNs
-}
-
-func mnemosyneTx(buggy bool, iters int) int64 {
-	r, err := mnemosyne.OpenRegion(mnemosyne.Config{NVM: nvm.Config{Size: 64 << 20}, BuggyDoubleFlushLog: buggy})
-	if err != nil {
-		panic(err)
-	}
-	a, _ := r.Alloc(8)
-	for i := 0; i < iters; i++ {
-		tx := r.Begin(0)
-		tx.Store64(a, uint64(i))
-		tx.Commit()
-	}
-	return r.NVM().Stats().SimulatedNs
+	return p.Stats().SimulatedNs
 }
 
 // PerfFix renders the §5.1 experiment.
 func PerfFix() string {
 	var b strings.Builder
 	b.WriteString("§5.1: application improvement from fixing the detected performance bugs\n\n")
-	fmt.Fprintf(&b, "%-12s %-46s %12s %12s %12s\n", "Framework", "Bug", "Buggy (ns)", "Fixed (ns)", "Improvement")
+	fmt.Fprintf(&b, "%-12s %-56s %12s %12s %12s\n", "Framework", "Bug", "Buggy (ns)", "Fixed (ns)", "Improvement")
 	max := 0.0
 	for _, r := range PerfFixMeasure() {
-		fmt.Fprintf(&b, "%-12s %-46s %12d %12d %11.1f%%\n",
-			r.Framework, r.Bug, r.BuggyNs, r.FixedNs, r.ImprovementPct())
+		fmt.Fprintf(&b, "%-12s %-56s %12d %12d %11.1f%%\n",
+			r.Framework, r.Bug+" ("+r.Site+")", r.BuggyNs, r.FixedNs, r.ImprovementPct())
 		if r.ImprovementPct() > max {
 			max = r.ImprovementPct()
 		}

@@ -76,14 +76,18 @@ func TestFalsePositivesRate(t *testing.T) {
 
 func TestPerfFixShape(t *testing.T) {
 	rows := PerfFixMeasure()
-	if len(rows) < 5 {
-		t.Fatalf("perf-fix rows = %d", len(rows))
+	if len(rows) != 7 {
+		t.Fatalf("perf-fix rows = %d, want 7", len(rows))
 	}
+	// Narrowing a flush inside one cacheline writes back the same line,
+	// so these two rows may read equal.  Every other repair deletes a
+	// flush, a fence or a transaction and must read strictly lower.
+	narrows := map[string]bool{"pminvaders.c:143": true, "nvm_locks.c:1411": true}
 	best := 0.0
 	for _, r := range rows {
-		if r.BuggyNs <= r.FixedNs {
-			t.Errorf("%s/%s: buggy (%d ns) not slower than fixed (%d ns)",
-				r.Framework, r.Bug, r.BuggyNs, r.FixedNs)
+		if r.FixedNs > r.BuggyNs || (r.FixedNs == r.BuggyNs && !narrows[r.Site]) {
+			t.Errorf("%s/%s (%s): buggy (%d ns) not slower than fixed (%d ns)",
+				r.Framework, r.Bug, r.Site, r.BuggyNs, r.FixedNs)
 		}
 		if p := r.ImprovementPct(); p > best {
 			best = p
